@@ -59,7 +59,10 @@ from .tdma_sim import (
     SlotSchedule,
     build_schedule,
     drop_model_from_table,
+    iter_events,
+    iter_report,
     parse_report,
+    report_lines,
     run_simulation,
     serialize_report,
 )
@@ -69,6 +72,7 @@ from .uplink_bridge import (
     HttpTransport,
     bridge_sim_report,
     format_update,
+    iter_bridge,
 )
 
 __version__ = "0.1.0"

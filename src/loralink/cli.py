@@ -15,7 +15,7 @@ import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from pathlib import Path
+from functools import partial
 
 from .core_types import (
     BW_HZ_VALUES,
@@ -42,16 +42,26 @@ from .phy_model import FrameParams
 from .recommender import SelectionConstraints, recommend_sf_bw, select_cr
 from .tdma_sim import (
     NodeSpec,
+    NodeStats,
     build_schedule,
     default_slot_duration,
     drop_model_from_table,
     format_sync_word,
+    iter_events,
+    iter_report,
     parse_sync_word,
-    run_simulation,
-    parse_report,
-    serialize_report,
+    read_summary,
+    report_lines,
+    summary_line,
 )
-from .uplink_bridge import DryRunTransport, HttpTransport, bridge_sim_report, iso_utc
+from .uplink_bridge import (
+    DEFAULT_REAL_SPACING_S,
+    DryRunTransport,
+    HttpTransport,
+    UnmappedSyncWordError,
+    iso_utc,
+    iter_bridge,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -444,10 +454,16 @@ def cmd_simulate(args) -> int:
     slot_s = args.slot_s if args.slot_s is not None else default_slot_duration(nodes)
     schedule = build_schedule(nodes, slot_s, args.guard_s)
     drop_model, drop_name = _simulate_drop_model(args, nodes)
-    report = run_simulation(
-        nodes, schedule, drop_model, args.duration_s, args.seed,
-        frames_per_slot=args.frames_per_slot, handshake_s=args.handshake_s,
-    )
+    simulate = partial(iter_events, nodes, schedule, drop_model, args.duration_s, args.seed,
+                       frames_per_slot=args.frames_per_slot, handshake_s=args.handshake_s)
+    stats: list[tuple[int, NodeStats]] = []
+    events = simulate(stats=stats)  # checks the run before any output exists
+    if args.uplink_log is not None:
+        if args.nodes > 8:
+            raise UsageError("--uplink-log supports at most 8 nodes (one channel field each)")
+        key_map = {node.sync_word: ("DRYRUN", i + 1) for i, node in enumerate(nodes)}
+        # the log replays the deterministic simulation instead of keeping the report
+        updates = iter_bridge(simulate(), key_map)
 
     manifest = _manifest_lines("simulate", {
         "nodes": args.nodes, "sync_words": ",".join(format_sync_word(n.sync_word) for n in nodes),
@@ -458,25 +474,18 @@ def cmd_simulate(args) -> int:
         "drop": drop_name, "seed": args.seed, "output": args.output or "-",
         "uplink_log": args.uplink_log or "-",
     })
-    serialized = serialize_report(report)
     with _open_output(args.output) as out:
         for line in manifest:
             print(line, file=out)
-        out.write(serialized)
+        out.writelines(report_lines(events, stats))
     if args.output not in (None, "-"):
         # keep the summary visible on stdout when the report goes to a file
         for line in manifest:
             print(line)
-        for sync, stats in report.stats:
-            print(f"node {format_sync_word(sync)} sent={stats.packets_sent} "
-                  f"received={stats.packets_received} lost={stats.packets_lost} "
-                  f"loss_pct={format_decimal(stats.measured_loss_pct)}")
+        for sync, node_stats in stats:
+            print(summary_line(sync, node_stats))
 
     if args.uplink_log is not None:
-        if args.nodes > 8:
-            raise UsageError("--uplink-log supports at most 8 nodes (one channel field each)")
-        key_map = {node.sync_word: ("DRYRUN", i + 1) for i, node in enumerate(nodes)}
-        updates = bridge_sim_report(report, key_map)
         with _open_output(args.uplink_log) as out:
             for line in manifest:
                 print(line, file=out)
@@ -528,56 +537,63 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _parse_key_map(items, report) -> dict[int, tuple[str, int]]:
-    if not items:
+def _parse_key_map(items, summary) -> dict[int, tuple[str, int]]:
+    """--map items, or the default map over the report's summary nodes;
+    every summary node that received a packet must be mapped."""
+    if items:
         mapping = {}
-        for i, (sync, _stats) in enumerate(report.stats):
-            if i >= 8:
-                raise UsageError("default mapping supports at most 8 nodes; pass --map")
-            mapping[sync] = ("DRYRUN", i + 1)
-        return mapping
-    mapping = {}
-    for item in items:
-        try:
-            sync_text, _, rest = item.partition("=")
-            key, _, field_text = rest.rpartition(":")
-            sync = parse_sync_word(sync_text.strip())
-            field_index = int(field_text)
-        except ValueError as exc:
-            raise UsageError(f"malformed --map item {item!r}: {exc}") from None
-        if not key:
-            raise UsageError(f"malformed --map item {item!r}; expected SYNC=KEY:FIELD")
-        mapping[sync] = (key, field_index)
+        for item in items:
+            try:
+                sync_text, _, rest = item.partition("=")
+                key, _, field_text = rest.rpartition(":")
+                sync = parse_sync_word(sync_text.strip())
+                field_index = int(field_text)
+            except ValueError as exc:
+                raise UsageError(f"malformed --map item {item!r}: {exc}") from None
+            if not key:
+                raise UsageError(f"malformed --map item {item!r}; expected SYNC=KEY:FIELD")
+            mapping[sync] = (key, field_index)
+    else:
+        if len(summary) > 8:
+            raise UsageError("default mapping supports at most 8 nodes; pass --map")
+        mapping = {sync: ("DRYRUN", i + 1) for i, sync in enumerate(summary)}
+    for sync, stats in summary.items():
+        if stats.packets_received and sync not in mapping:
+            raise UnmappedSyncWordError(f"sync word {format_sync_word(sync)} has no channel mapping")
     return mapping
 
 
 def cmd_uplink(args) -> int:
-    text = Path(args.report).read_text(encoding="utf-8")
-    report = parse_report(text)
-    key_map = _parse_key_map(args.map, report)
-    updates = bridge_sim_report(report, key_map, epoch=args.epoch)
-    spacing = args.min_spacing_s
-    manifest = _manifest_lines("uplink", {
-        "report": args.report,
-        "map": ";".join(f"{format_sync_word(s)}={k}:{f}" for s, (k, f) in key_map.items()),
-        "epoch": iso_utc(args.epoch),
-        "real": args.real, "min_spacing_s": spacing if spacing is not None else
-        (15.0 if args.real else 0.0),
-        "seed": args.seed, "output": args.output or "-",
-    })
-    with _open_output(args.output) as out:
-        for line in manifest:
-            print(line, file=out)
-        if args.real:
-            transport = HttpTransport(min_spacing_s=spacing if spacing is not None else 15.0)
-            for update in updates:
-                body = transport.send(update)
-                print(f"sent field update, response: {body}", file=out)
-        else:
-            transport = DryRunTransport(write=out.write,
-                                        min_spacing_s=spacing if spacing is not None else 0.0)
-            for update in updates:
-                transport.send(update)
+    with open(args.report, encoding="utf-8") as report:
+        # a cheap first pass over the summary lines lets every check run
+        # before output; a report that cannot be rewound (a pipe) fails here
+        summary = read_summary(report)
+        report.seek(0)
+        key_map = _parse_key_map(args.map, summary)
+        updates = iter_bridge(iter_report(report), key_map, epoch=args.epoch)
+        spacing = args.min_spacing_s
+        if spacing is None:
+            spacing = DEFAULT_REAL_SPACING_S if args.real else 0.0
+        if spacing < 0:
+            raise ValueError(f"min_spacing_s must be >= 0, got {spacing!r}")
+        transport = HttpTransport(min_spacing_s=spacing) if args.real else None
+        manifest = _manifest_lines("uplink", {
+            "report": args.report,
+            "map": ";".join(f"{format_sync_word(s)}={k}:{f}" for s, (k, f) in key_map.items()),
+            "epoch": iso_utc(args.epoch), "real": args.real, "min_spacing_s": spacing,
+            "seed": args.seed, "output": args.output or "-",
+        })
+        with _open_output(args.output) as out:
+            for line in manifest:
+                print(line, file=out)
+            if transport is not None:
+                for update in updates:
+                    body = transport.send(update)
+                    print(f"sent field update, response: {body}", file=out)
+            else:
+                transport = DryRunTransport(write=out.write)
+                for update in updates:
+                    transport.send(update)
     return EXIT_OK
 
 

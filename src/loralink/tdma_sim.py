@@ -15,13 +15,19 @@ state-advance rule), which makes reports byte-reproducible:
 
 Changing only the seed changes drop outcomes and payload values but never
 the transmission timeline, which is fixed by the schedule.
+
+The pipeline streams: iter_events produces the timeline one event at a
+time, report_lines turns any event stream into report text, and
+iter_report reads report text back into events, so no stage holds more
+than one event. run_simulation, serialize_report and parse_report are thin
+wrappers that materialise those streams.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .core_types import RadioConfig, format_decimal
 from .dataset import MeasurementTable, RecordNotFoundError, lookup
@@ -102,8 +108,9 @@ class SlotSchedule:
         return len(self.order) * (self.slot_duration_s + self.guard_s)
 
 
-@dataclass(frozen=True)
-class SimEvent:
+class SimEvent(NamedTuple):
+    """One timeline event; detail is the sensor reading of tx_start, rx_ok and rx_drop."""
+
     t_ns: int
     kind: str
     sync_word: int
@@ -125,7 +132,11 @@ class NodeStats:
 
 @dataclass(frozen=True)
 class SimReport:
-    """Immutable simulation outcome: full event timeline plus per-node totals."""
+    """A whole simulation held in memory: event timeline plus per-node totals.
+
+    run_simulation and parse_report build one from the iter_events and
+    iter_report streams, for tests and library callers that want it all.
+    """
 
     timeline: tuple[SimEvent, ...]
     stats: tuple[tuple[int, NodeStats], ...]  # (sync_word, stats) in schedule order
@@ -188,7 +199,7 @@ def drop_model_from_table(table: MeasurementTable, node: NodeSpec) -> float:
     return record.loss_pct / 100.0
 
 
-def run_simulation(
+def iter_events(
     nodes: Sequence[NodeSpec],
     schedule: SlotSchedule,
     drop_model: Mapping[int, float],
@@ -197,14 +208,21 @@ def run_simulation(
     *,
     frames_per_slot: int = 1,
     handshake_s: float = 0.0,
-) -> SimReport:
-    """Run the virtual clock from 0 to duration_s and return the report.
+    stats: list[tuple[int, NodeStats]] | None = None,
+) -> Iterator[SimEvent]:
+    """Check a run, then return the generator of its timeline events.
 
-    Every slot that opens before duration_s runs to completion. Within a
-    slot the owning node sends frames_per_slot frames back to back after an
-    optional fixed handshake latency; each reception is independently
-    dropped with the node's probability. Identical inputs (seed included)
-    produce an identical report.
+    The virtual clock runs from 0 to duration_s. Every slot that opens
+    before duration_s runs to completion. Within a slot the owning node
+    sends frames_per_slot frames back to back after an optional fixed
+    handshake latency; each reception is independently dropped with the
+    node's probability. Identical inputs (seed included) produce an
+    identical stream.
+
+    Every check raises here, before the first event exists. When the
+    generator is exhausted it appends (sync_word, NodeStats) for each node,
+    in schedule order, to `stats` if one is given. Memory does not grow
+    with duration_s.
     """
     if duration_s <= 0:
         raise ValueError(f"duration_s must be positive, got {duration_s!r}")
@@ -217,7 +235,6 @@ def run_simulation(
         raise ScheduleConflictError("nodes repeat a sync word")
     if set(schedule.order) != set(by_sync):
         raise ValueError("schedule order does not match the node set")
-    probabilities: dict[int, float] = {}
     for node in nodes:
         p = drop_model.get(node.sync_word, 0.0)
         if not 0.0 <= p <= 1.0:
@@ -225,14 +242,9 @@ def run_simulation(
                 f"drop probability for {format_sync_word(node.sync_word)} "
                 f"outside [0, 1]: {p!r}"
             )
-        probabilities[node.sync_word] = p
 
     slot_ns = round(schedule.slot_duration_s * NS_PER_S)
-    guard_ns = round(schedule.guard_s * NS_PER_S)
-    duration_ns = round(duration_s * NS_PER_S)
     handshake_ns = round(handshake_s * NS_PER_S)
-    stride_ns = slot_ns + guard_ns
-
     airtime_ns: dict[int, int] = {}
     for node in nodes:
         ns = round(node_airtime_s(node) * NS_PER_S)
@@ -243,121 +255,230 @@ def run_simulation(
             )
         airtime_ns[node.sync_word] = ns
 
-    drop_rngs = {
-        sync: SplitMix64(substream_seed(seed, sync, _DROP_STREAM_TAG))
-        for sync in schedule.order
-    }
-    payloads = {
-        node.sync_word: node.payload_source or default_payload_source(seed, node.sync_word)
-        for node in nodes
-    }
-
-    events: list[SimEvent] = []
-    sent: dict[int, int] = {sync: 0 for sync in schedule.order}
-    received: dict[int, int] = {sync: 0 for sync in schedule.order}
-    n = len(schedule.order)
-    period_ns = n * stride_ns
-
-    slot_index = 0
-    while True:
-        cycle, position = divmod(slot_index, n)
-        open_ns = cycle * period_ns + position * stride_ns
-        if open_ns >= duration_ns:
-            break
-        sync = schedule.order[position]
-        events.append(SimEvent(open_ns, "slot_open", sync))
-        t = open_ns + handshake_ns
-        for _ in range(frames_per_slot):
-            payload = payloads[sync](sent[sync])
-            events.append(SimEvent(t, "tx_start", sync, payload))
-            t += airtime_ns[sync]
-            events.append(SimEvent(t, "tx_end", sync))
-            dropped = drop_rngs[sync].next_unit() < probabilities[sync]
-            events.append(SimEvent(t, "rx_drop" if dropped else "rx_ok", sync, payload))
-            sent[sync] += 1
-            if not dropped:
-                received[sync] += 1
-        events.append(SimEvent(open_ns + slot_ns, "slot_close", sync))
-        slot_index += 1
-
-    stats = tuple(
+    # one entry per slot position: sync word, payload source, airtime in ns,
+    # drop draw, drop probability
+    plan = [
         (
             sync,
-            NodeStats(
-                packets_sent=sent[sync],
-                packets_received=received[sync],
-                packets_lost=sent[sync] - received[sync],
-            ),
+            by_sync[sync].payload_source or default_payload_source(seed, sync),
+            airtime_ns[sync],
+            SplitMix64(substream_seed(seed, sync, _DROP_STREAM_TAG)).next_unit,
+            drop_model.get(sync, 0.0),
         )
         for sync in schedule.order
+    ]
+    stride_ns = slot_ns + round(schedule.guard_s * NS_PER_S)
+    return _timeline(plan, slot_ns, stride_ns, handshake_ns, round(duration_s * NS_PER_S),
+                     frames_per_slot, stats)
+
+
+def _timeline(plan, slot_ns, stride_ns, handshake_ns, duration_ns, frames_per_slot, stats):
+    sent = [0] * len(plan)
+    received = [0] * len(plan)
+    position = open_ns = 0
+    while open_ns < duration_ns:
+        sync, payload_of, airtime_ns, draw, p = plan[position]
+        yield SimEvent(open_ns, "slot_open", sync)
+        t = open_ns + handshake_ns
+        for _ in range(frames_per_slot):
+            payload = payload_of(sent[position])
+            sent[position] += 1
+            yield SimEvent(t, "tx_start", sync, payload)
+            t += airtime_ns
+            yield SimEvent(t, "tx_end", sync)
+            if draw() < p:
+                yield SimEvent(t, "rx_drop", sync, payload)
+            else:
+                received[position] += 1
+                yield SimEvent(t, "rx_ok", sync, payload)
+        yield SimEvent(open_ns + slot_ns, "slot_close", sync)
+        open_ns += stride_ns
+        position += 1
+        if position == len(plan):
+            position = 0
+    if stats is not None:
+        stats.extend(
+            (entry[0], NodeStats(n_sent, n_received, n_sent - n_received))
+            for entry, n_sent, n_received in zip(plan, sent, received)
+        )
+
+
+def run_simulation(
+    nodes: Sequence[NodeSpec],
+    schedule: SlotSchedule,
+    drop_model: Mapping[int, float],
+    duration_s: float,
+    seed: int,
+    *,
+    frames_per_slot: int = 1,
+    handshake_s: float = 0.0,
+) -> SimReport:
+    """The whole of iter_events(...) held in memory as a SimReport."""
+    stats: list[tuple[int, NodeStats]] = []
+    timeline = tuple(iter_events(nodes, schedule, drop_model, duration_s, seed,
+                                 frames_per_slot=frames_per_slot, handshake_s=handshake_s,
+                                 stats=stats))
+    return SimReport(timeline=timeline, stats=tuple(stats))
+
+
+def summary_line(sync_word: int, stats: NodeStats) -> str:
+    """A node's summary line, as a report ends with and `simulate` echoes."""
+    return (
+        f"node {format_sync_word(sync_word)} sent={stats.packets_sent} "
+        f"received={stats.packets_received} lost={stats.packets_lost} "
+        f"loss_pct={format_decimal(stats.measured_loss_pct)}"
     )
-    return SimReport(timeline=tuple(events), stats=stats)
+
+
+def report_lines(
+    events: Iterable[SimEvent], stats: Iterable[tuple[int, NodeStats]]
+) -> Iterator[str]:
+    """The text form of a report, one newline-terminated line at a time.
+
+    One line per event, then one summary line per node. `stats` is read
+    only after the last event, so it may be the list that iter_events
+    fills as it is exhausted. Byte-stable for identical inputs.
+    """
+    names: dict[int, str] = {}
+    for t_ns, kind, sync, detail in events:
+        name = names.get(sync)
+        if name is None:
+            name = names[sync] = format_sync_word(sync)
+        if detail is None:
+            yield f"{t_ns} {kind} {name}\n"
+        else:
+            yield f"{t_ns} {kind} {name} {detail}\n"
+    for sync, node in stats:
+        yield summary_line(sync, node) + "\n"
 
 
 def serialize_report(report: SimReport) -> str:
-    """Line-oriented text form: one event per line, then a summary block.
+    """The whole of report_lines for a SimReport, as one string."""
+    return "".join(report_lines(report.timeline, report.stats))
 
-    Byte-stable for identical inputs.
-    """
-    lines: list[str] = []
-    for event in report.timeline:
-        parts = [str(event.t_ns), event.kind, format_sync_word(event.sync_word)]
-        if event.detail is not None:
-            parts.append(str(event.detail))
-        lines.append(" ".join(parts))
-    for sync, stats in report.stats:
-        lines.append(
-            f"node {format_sync_word(sync)} sent={stats.packets_sent} "
-            f"received={stats.packets_received} lost={stats.packets_lost} "
-            f"loss_pct={format_decimal(stats.measured_loss_pct)}"
+
+def _add_summary(summary: dict[int, tuple[int, NodeStats]], parts: list[str],
+                 line_no: int, raw: str) -> tuple[int, NodeStats]:
+    """Parse one 'node' line into summary (sync -> (line_no, stats))."""
+    line = raw.strip()
+    if len(parts) != 6:
+        raise ValueError(f"line {line_no}: malformed summary line {line!r}")
+    sync = parse_sync_word(parts[1])
+    fields = dict(part.partition("=")[::2] for part in parts[2:])
+    try:
+        node = NodeStats(
+            packets_sent=int(fields["sent"]),
+            packets_received=int(fields["received"]),
+            packets_lost=int(fields["lost"]),
         )
-    return "\n".join(lines) + "\n"
+    except (KeyError, ValueError) as exc:
+        raise ValueError(f"line {line_no}: malformed summary line {line!r}") from exc
+    if sync in summary:
+        raise ValueError(
+            f"line {line_no}: second summary line for node {format_sync_word(sync)}"
+        )
+    summary[sync] = (line_no, node)
+    return sync, node
 
 
-def parse_report(text: str | Iterable[str]) -> SimReport:
-    """Parse serialize_report output back into a SimReport.
+def read_summary(lines: Iterable[str]) -> dict[int, NodeStats]:
+    """The per-node summary of a serialized report, in file order.
 
-    Comment lines starting with '#' and blank lines are ignored.
+    Reads only the 'node' lines, so it is a cheap first pass over a report
+    that iter_report then streams; the events are not parsed or checked.
     """
-    lines = text.splitlines() if isinstance(text, str) else list(text)
-    events: list[SimEvent] = []
-    stats: list[tuple[int, NodeStats]] = []
+    summary: dict[int, tuple[int, NodeStats]] = {}
     for line_no, raw in enumerate(lines, start=1):
-        line = raw.rstrip("\r\n")
-        if not line.strip() or line.lstrip().startswith("#"):
+        if "node" in raw:
+            parts = raw.split()
+            if parts[0] == "node":
+                _add_summary(summary, parts, line_no, raw)
+    return {sync: node for sync, (_, node) in summary.items()}
+
+
+def iter_report(
+    lines: Iterable[str], stats: list[tuple[int, NodeStats]] | None = None
+) -> Iterator[SimEvent]:
+    """Events of a serialized report, parsed and checked line by line.
+
+    Comment lines starting with '#' and blank lines are ignored. Summary
+    lines are appended to `stats`, if given, as they are read. Raises
+    ValueError when a line is malformed, a timestamp decreases, an event
+    follows the summary block, or the summary block (when there is one)
+    misses a node that has events, repeats a node, or disagrees with the
+    events: sent must be the node's tx_start count, received its rx_ok
+    count and lost their difference.
+    """
+    summary: dict[int, tuple[int, NodeStats]] = {}
+    words: dict[str, tuple[int, list[int]]] = {}  # sync text -> (sync, [sent, received])
+    tallies: dict[int, list[int]] = {}
+    last_t = 0
+    for line_no, raw in enumerate(lines, start=1):
+        parts = raw.split()
+        if not parts or parts[0].startswith("#"):
             continue
-        parts = line.split()
         if parts[0] == "node":
-            if len(parts) != 6:
-                raise ValueError(f"line {line_no}: malformed summary line {line!r}")
-            sync = parse_sync_word(parts[1])
-            fields = {}
-            for part in parts[2:]:
-                key, _, value = part.partition("=")
-                fields[key] = value
-            try:
-                stats.append(
-                    (
-                        sync,
-                        NodeStats(
-                            packets_sent=int(fields["sent"]),
-                            packets_received=int(fields["received"]),
-                            packets_lost=int(fields["lost"]),
-                        ),
-                    )
-                )
-            except (KeyError, ValueError) as exc:
-                raise ValueError(f"line {line_no}: malformed summary line {line!r}") from exc
+            sync, node = _add_summary(summary, parts, line_no, raw)
+            if stats is not None:
+                stats.append((sync, node))
             continue
-        if len(parts) not in (3, 4):
-            raise ValueError(f"line {line_no}: malformed event line {line!r}")
-        t_text, kind, sync_text = parts[:3]
+        if summary:
+            raise ValueError(f"line {line_no}: event line after the summary block {raw.strip()!r}")
+        if len(parts) == 4:
+            t_text, kind, sync_text, detail_text = parts
+            try:
+                detail = int(detail_text)
+            except ValueError as exc:
+                raise ValueError(f"line {line_no}: malformed detail {detail_text!r}") from exc
+        elif len(parts) == 3:
+            t_text, kind, sync_text = parts
+            detail = None
+        else:
+            raise ValueError(f"line {line_no}: malformed event line {raw.strip()!r}")
         if kind not in EVENT_KINDS:
             raise ValueError(f"line {line_no}: unknown event kind {kind!r}")
         try:
             t_ns = int(t_text)
         except ValueError as exc:
             raise ValueError(f"line {line_no}: malformed timestamp {t_text!r}") from exc
-        detail = int(parts[3]) if len(parts) == 4 else None
-        events.append(SimEvent(t_ns, kind, parse_sync_word(sync_text), detail))
-    return SimReport(timeline=tuple(events), stats=tuple(stats))
+        if t_ns < last_t:
+            raise ValueError(f"line {line_no}: timestamp {t_ns} is earlier than {last_t}")
+        last_t = t_ns
+        word = words.get(sync_text)
+        if word is None:
+            sync = parse_sync_word(sync_text)
+            word = words[sync_text] = (sync, tallies.setdefault(sync, [0, 0]))
+        sync, tally = word
+        if kind == "tx_start":
+            tally[0] += 1
+        elif kind == "rx_ok":
+            tally[1] += 1
+        yield SimEvent(t_ns, kind, sync, detail)
+    if summary:
+        _check_summary(summary, tallies)
+
+
+def _check_summary(summary: dict[int, tuple[int, NodeStats]],
+                   tallies: dict[int, list[int]]) -> None:
+    for sync in tallies:
+        if sync not in summary:
+            raise ValueError(
+                f"node {format_sync_word(sync)} has events but no summary line"
+            )
+    for sync, (line_no, node) in summary.items():
+        sent, received = tallies.get(sync, (0, 0))
+        claimed = (node.packets_sent, node.packets_received, node.packets_lost)
+        if claimed != (sent, received, sent - received):
+            raise ValueError(
+                f"line {line_no}: summary of node {format_sync_word(sync)} says "
+                f"sent={claimed[0]} received={claimed[1]} lost={claimed[2]}, its events "
+                f"give sent={sent} received={received} lost={sent - received}"
+            )
+
+
+def parse_report(text: str | Iterable[str]) -> SimReport:
+    """The whole of iter_report for a report text (or its lines) as a SimReport."""
+    lines = text.splitlines() if isinstance(text, str) else text
+    stats: list[tuple[int, NodeStats]] = []
+    timeline = tuple(iter_report(lines, stats))
+    return SimReport(timeline=timeline, stats=tuple(stats))

@@ -13,10 +13,10 @@ import urllib.parse
 import urllib.request
 from dataclasses import dataclass, replace
 from datetime import datetime, timedelta, timezone
-from typing import Callable, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .core_types import format_decimal
-from .tdma_sim import SimReport, format_sync_word
+from .tdma_sim import SimEvent, SimReport, format_sync_word
 
 UNIX_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 
@@ -93,56 +93,70 @@ def format_update(update: ChannelUpdate) -> RequestDescriptor:
     return RequestDescriptor(method="GET", path=UPDATE_PATH, query="&".join(parts))
 
 
+def iter_bridge(
+    events: Iterable[SimEvent],
+    key_map: Mapping[int, tuple[str, int]],
+    epoch: datetime = UNIX_EPOCH,
+) -> Iterator[ChannelUpdate]:
+    """Check the key map, then return the generator of one update per
+    rx_ok event, in stream order.
+
+    key_map sends each sync word to (api_key, field index); timestamps are
+    the event's virtual time offset against epoch, at second resolution.
+    Each entry of key_map, and the epoch, is checked here, before the
+    first update exists; an rx_ok of an unmapped sync word raises
+    UnmappedSyncWordError when the stream reaches it.
+    """
+    for api_key, field_index in key_map.values():
+        ChannelUpdate(api_key, {field_index: 0}, epoch)  # raises InvalidUpdateError
+    return _updates(events, key_map, epoch)
+
+
+def _updates(events, key_map, epoch):
+    for t_ns, kind, sync, detail in events:
+        if kind != "rx_ok":
+            continue
+        target = key_map.get(sync)
+        if target is None:
+            raise UnmappedSyncWordError(
+                f"sync word {format_sync_word(sync)} has no channel mapping"
+            )
+        if detail is None:
+            raise InvalidUpdateError(f"rx_ok event at {t_ns} ns carries no payload value")
+        yield ChannelUpdate(target[0], {target[1]: detail},
+                            epoch + timedelta(seconds=t_ns // 1_000_000_000))
+
+
 def bridge_sim_report(
     report: SimReport,
     key_map: Mapping[int, tuple[str, int]],
     epoch: datetime = UNIX_EPOCH,
 ) -> list[ChannelUpdate]:
-    """One update per rx_ok event, in timeline order.
-
-    key_map sends each sync word to (api_key, field index); timestamps are
-    the event's virtual time offset against epoch, at second resolution.
-    """
-    updates: list[ChannelUpdate] = []
-    for event in report.timeline:
-        if event.kind != "rx_ok":
-            continue
-        if event.sync_word not in key_map:
-            raise UnmappedSyncWordError(
-                f"sync word {format_sync_word(event.sync_word)} has no channel mapping"
-            )
-        if event.detail is None:
-            raise InvalidUpdateError(
-                f"rx_ok event at {event.t_ns} ns carries no payload value"
-            )
-        api_key, field_index = key_map[event.sync_word]
-        created = epoch + timedelta(seconds=event.t_ns // 1_000_000_000)
-        updates.append(ChannelUpdate(api_key, {field_index: event.detail}, created))
-    return updates
+    """The whole of iter_bridge over a SimReport's timeline, as a list."""
+    return list(iter_bridge(report.timeline, key_map, epoch))
 
 
 class DryRunTransport:
-    """Hermetic transport: records one log line per update, sends nothing.
+    """Hermetic transport: logs one line per update, sends nothing.
 
     Log format: '<ISO8601> UPLINK <request line>'. The timestamp is the
     update's created_at when present (keeping dry runs deterministic),
-    otherwise the current UTC time.
+    otherwise the current UTC time. Each line goes to `write` (newline
+    added) when one is given and is kept in `lines` otherwise.
     """
 
-    def __init__(self, write: Callable[[str], None] | None = None, min_spacing_s: float = 0.0) -> None:
-        if min_spacing_s < 0:
-            raise ValueError(f"min_spacing_s must be >= 0, got {min_spacing_s!r}")
+    def __init__(self, write: Callable[[str], None] | None = None) -> None:
         self.lines: list[str] = []
         self._write = write
-        self.min_spacing_s = min_spacing_s
 
     def send(self, update: ChannelUpdate) -> None:
         stamp = iso_utc(update.created_at) if update.created_at else iso_utc(
             datetime.now(timezone.utc)
         )
         line = f"{stamp} UPLINK {format_update(update).request_line}"
-        self.lines.append(line)
-        if self._write is not None:
+        if self._write is None:
+            self.lines.append(line)
+        else:
             self._write(line + "\n")
 
 

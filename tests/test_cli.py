@@ -1,9 +1,19 @@
 import io
+import tracemalloc
 
 import pytest
 
 from loralink.cli import EXIT_DATA, EXIT_OK, EXIT_TOLERANCE, EXIT_USAGE, main
+from loralink.core_types import CodingRate, RadioConfig
 from loralink.dataset import load_bundled_measurements, save_measurements
+from loralink.phy_model import FrameParams
+from loralink.tdma_sim import (
+    NodeSpec,
+    build_schedule,
+    default_slot_duration,
+    run_simulation,
+    serialize_report,
+)
 
 BUDGET_FLAGS = ["--pt", "20", "--gt", "5.15", "--gr", "5.15", "--d", "5000", "--f", "433e6"]
 
@@ -211,6 +221,72 @@ class TestSimulate:
         rx_count = sum(1 for l in report_text.splitlines() if " rx_ok " in l)
         assert len(log_lines) == rx_count
         assert all("UPLINK GET /update?api_key=DRYRUN" in l for l in log_lines)
+
+    def test_streamed_report_equals_materialised_report(self, capsys, tmp_path):
+        report = tmp_path / "report.txt"
+        code, _, _ = run(capsys, ["simulate", "--nodes", "3", "--duration-s", "20", "--seed", "8",
+                                  "--drop", "0.1,0.5,0.9", "--output", str(report)])
+        assert code == EXIT_OK
+        config = RadioConfig(sf=8, bw_hz=62500, cr=CodingRate(4, 8), tx_power_dbm=20.0,
+                             freq_hz=433e6)
+        nodes = [NodeSpec(0xA001 + i, config, FrameParams(payload_bytes=2)) for i in range(3)]
+        schedule = build_schedule(nodes, default_slot_duration(nodes), 0.01)
+        drops = {0xA001: 0.1, 0xA002: 0.5, 0xA003: 0.9}
+        text = serialize_report(run_simulation(nodes, schedule, drops, 20.0, seed=8))
+        manifest, body = report.read_bytes().split(b"\n", 1)
+        assert manifest.startswith(b"# manifest simulate ")
+        assert body == text.encode()
+
+    def test_peak_memory_does_not_grow_with_the_horizon(self, capsys, tmp_path):
+        def peak_bytes(duration_s):
+            argv = ["simulate", "--nodes", "24", "--duration-s", str(duration_s),
+                    "--drop", "0.2", "--output", str(tmp_path / f"r{duration_s}.txt")]
+            tracemalloc.start()
+            try:
+                assert main(argv) == EXIT_OK
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+                capsys.readouterr()
+
+        short, long = peak_bytes(150), peak_bytes(600)  # ~3k and ~12k events
+        # holding the events would add ~6 kB per simulated second (~2.6 MB here)
+        assert long - short < 256 * 1024, (short, long)
+
+
+class TestFailBeforeOutput:
+    """Invalid runs keep their exit code, create no output file and print nothing."""
+
+    @pytest.mark.parametrize("argv, code", [
+        (["--nodes", "2", "--duration-s", "5", "--frames-per-slot", "100"], EXIT_DATA),
+        (["--nodes", "2", "--duration-s", "5", "--handshake-s", "5"], EXIT_DATA),
+        (["--nodes", "9", "--duration-s", "60", "--uplink-log", "{tmp}/u.log"], EXIT_USAGE),
+    ])
+    def test_simulate(self, capsys, tmp_path, argv, code):
+        out = tmp_path / "r.txt"
+        argv = [a.format(tmp=tmp_path) for a in argv]
+        got, stdout, _ = run(capsys, ["simulate", *argv, "--output", str(out)])
+        assert got == code
+        assert stdout == ""
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("nodes, argv, code", [
+        ("2", ["--map", "A001=KEY:1"], EXIT_DATA),
+        ("2", ["--map", "A001=KEY:1", "--map", "A002=KEY:9"], EXIT_DATA),
+        ("9", [], EXIT_USAGE),
+        ("2", ["--real"], EXIT_DATA),
+    ])
+    def test_uplink(self, capsys, tmp_path, monkeypatch, nodes, argv, code):
+        monkeypatch.delenv("UPLINK_API_KEY", raising=False)
+        report = tmp_path / "report.txt"
+        run(capsys, ["simulate", "--nodes", nodes, "--duration-s", "5", "--seed", "5",
+                     "--output", str(report)])
+        out = tmp_path / "u.log"
+        got, stdout, _ = run(capsys, ["uplink", "--report", str(report), *argv,
+                                      "--output", str(out)])
+        assert got == code
+        assert stdout == ""
+        assert not out.exists()
 
 
 class TestSweep:

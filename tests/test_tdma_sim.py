@@ -1,3 +1,4 @@
+import io
 import random
 
 import pytest
@@ -13,8 +14,11 @@ from loralink.tdma_sim import (
     default_slot_duration,
     drop_model_from_table,
     format_sync_word,
+    iter_events,
+    iter_report,
     parse_report,
     parse_sync_word,
+    read_summary,
     run_simulation,
     serialize_report,
 )
@@ -205,6 +209,35 @@ class TestRunSimulation:
         with pytest.raises(ValueError):
             run_simulation(nodes[:1], schedule, {}, 10.0, seed=0)
 
+    @pytest.mark.parametrize("change", [
+        {"frames_per_slot": 50},
+        {"frames_per_slot": 0},
+        {"handshake_s": -0.1},
+        {"handshake_s": 0.5},
+        {"drop_model": {0xA001: 1.5}},
+        {"duration_s": 0.0},
+        {"nodes": make_nodes(1)},
+    ])
+    def test_iter_events_checks_before_the_first_event(self, change):
+        nodes = make_nodes(2)
+        kwargs = dict(nodes=nodes, schedule=build_schedule(nodes, 0.1, 0.0),
+                      drop_model={}, duration_s=1.0, seed=5)
+        kwargs.update(change)
+        with pytest.raises(ValueError):
+            iter_events(**kwargs)  # raises on the call, before any next()
+
+    def test_iter_events_fills_stats_when_exhausted(self):
+        nodes = make_nodes(2)
+        schedule = build_schedule(nodes, 0.1, 0.0)
+        stats = []
+        events = iter_events(nodes, schedule, {0xA001: 0.5}, 3.0, seed=4, stats=stats)
+        first = next(events)
+        assert first == (0, "slot_open", 0xA001, None) and stats == []
+        rest = list(events)
+        report = run_simulation(nodes, schedule, {0xA001: 0.5}, 3.0, seed=4)
+        assert (first, *rest) == report.timeline
+        assert tuple(stats) == report.stats
+
     def test_custom_payload_source(self):
         nodes = [
             NodeSpec(sync_word=0xC0DE, config=FAST_CONFIG, frame=FRAME,
@@ -272,3 +305,58 @@ class TestSerialization:
             parse_report("notanumber slot_open A001\n")
         with pytest.raises(ValueError):
             parse_report("node A001 sent=1\n")
+
+
+def sample_report_text():
+    nodes = make_nodes(2)
+    schedule = build_schedule(nodes, 0.1, 0.001)
+    return serialize_report(run_simulation(nodes, schedule, {0xA001: 0.4}, 1.0, seed=21))
+
+
+def retell(text, old, new):
+    """text with the first line that starts with old rewritten by new(line)."""
+    lines = text.splitlines()
+    index = next(i for i, line in enumerate(lines) if line.startswith(old))
+    lines[index] = new(lines[index])
+    return "\n".join(lines) + "\n"
+
+
+def swap(text, i, j):
+    lines = text.splitlines()
+    lines[i], lines[j] = lines[j], lines[i]
+    return "\n".join(lines) + "\n"
+
+
+class TestReportChecks:
+    def test_untampered_report_and_report_without_summary_parse(self):
+        text = sample_report_text()
+        assert parse_report(text).stats
+        events_only = "".join(l + "\n" for l in text.splitlines() if not l.startswith("node "))
+        assert parse_report(events_only).stats == ()
+
+    @pytest.mark.parametrize("tamper", [
+        lambda t: retell(t, "node A001", lambda l: l.replace(" sent=", " sent=1")),
+        lambda t: retell(t, "node A001", lambda l: l.replace(" received=", " received=1")),
+        lambda t: retell(t, "node A002", lambda l: l.replace(" lost=0", " lost=1")),
+        lambda t: "".join(l + "\n" for l in t.splitlines() if not l.startswith("node A002")),
+        lambda t: t + [l for l in t.splitlines() if l.startswith("node A001")][0] + "\n",
+        lambda t: t + "99000000000 slot_open A001\n",
+        lambda t: swap(t, 1, 2),
+    ], ids=["sent", "received", "lost", "missing-node", "repeated-node",
+            "event-after-summary", "decreasing-time"])
+    def test_tampered_report_is_rejected(self, tamper):
+        text = sample_report_text()
+        tampered = tamper(text)
+        assert tampered != text
+        with pytest.raises(ValueError):
+            parse_report(tampered)
+        with pytest.raises(ValueError):
+            for _ in iter_report(tampered.splitlines()):
+                pass
+
+    def test_read_summary_reads_only_the_node_lines(self):
+        text = sample_report_text()
+        summary = read_summary(io.StringIO(text))
+        assert tuple(summary.items()) == parse_report(text).stats
+        with pytest.raises(ValueError):
+            read_summary(["node A001 sent=1\n"])

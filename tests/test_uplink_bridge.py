@@ -12,6 +12,7 @@ from loralink.uplink_bridge import (
     bridge_sim_report,
     format_update,
     iso_utc,
+    iter_bridge,
 )
 
 UTC = timezone.utc
@@ -134,6 +135,15 @@ class TestBridge:
             bridge_sim_report(hand_report(), {0xA001: ("KEY1", 1)})
         assert "B002" in str(excinfo.value)
 
+    @pytest.mark.parametrize("key_map, epoch", [
+        ({0xA001: ("KEY1", 9)}, datetime(2024, 5, 1, tzinfo=UTC)),
+        ({0xA001: ("", 1)}, datetime(2024, 5, 1, tzinfo=UTC)),
+        ({0xA001: ("KEY1", 1)}, datetime(2024, 5, 1)),
+    ])
+    def test_key_map_and_epoch_checked_before_the_first_update(self, key_map, epoch):
+        with pytest.raises(InvalidUpdateError):
+            iter_bridge(iter(()), key_map, epoch)  # raises on the call, before any next()
+
     def test_rx_ok_without_payload_is_an_error(self):
         report = SimReport(timeline=(SimEvent(0, "rx_ok", 0xA001),), stats=())
         with pytest.raises(InvalidUpdateError):
@@ -164,6 +174,7 @@ class TestDryRunTransport:
         transport = DryRunTransport(write=sink.append)
         transport.send(ChannelUpdate("KEY1", {1: 1}, datetime(1970, 1, 1, tzinfo=UTC)))
         assert len(sink) == 1 and sink[0].endswith("\n")
+        assert transport.lines == []
 
     def test_falls_back_to_wall_clock(self):
         transport = DryRunTransport()

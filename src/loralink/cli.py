@@ -11,11 +11,12 @@ exceeded.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import partial
+from typing import Sequence
 
 from .core_types import (
     BW_HZ_VALUES,
@@ -99,6 +100,26 @@ def _cr_arg(text: str) -> CodingRate:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
+def _checked(convert, accept, expected: str):
+    """An argparse type: convert, then refuse values that fail accept.
+
+    It keeps the name of convert, so text that does not convert reads
+    "invalid float value: 'x'" as with the bare type.
+    """
+    def parse(text: str):
+        value = convert(text)
+        if not accept(value):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text}")
+        return value
+
+    parse.__name__ = convert.__name__
+    return parse
+
+
+_finite_float = _checked(float, math.isfinite, "a finite number")
+_count_arg = _checked(int, lambda value: value >= 0, "a non-negative integer")
+
+
 def _seed_arg(text: str) -> int:
     value = int(text)
     if value < 0:
@@ -108,7 +129,7 @@ def _seed_arg(text: str) -> int:
 
 def _positive_float(text: str) -> float:
     value = float(text)
-    if value <= 0:
+    if not (value > 0 and math.isfinite(value)):
         raise argparse.ArgumentTypeError(f"expected a positive value, got {text}")
     return value
 
@@ -131,22 +152,10 @@ def _manifest_value(value) -> str:
     return str(value)
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """Fully resolved run parameters, echoed at the top of every output."""
-
-    subcommand: str
-    params: dict
-
-    def lines(self) -> list[str]:
-        pairs = " ".join(
-            f"{key}={_manifest_value(value)}" for key, value in self.params.items()
-        )
-        return [f"# manifest {self.subcommand} {pairs}"]
-
-
-def _manifest_lines(subcommand: str, params: dict) -> list[str]:
-    return RunManifest(subcommand, params).lines()
+def _manifest_line(subcommand: str, params: dict) -> str:
+    """The fully resolved run parameters, echoed at the top of every output."""
+    pairs = " ".join(f"{key}={_manifest_value(value)}" for key, value in params.items())
+    return f"# manifest {subcommand} {pairs}"
 
 
 @contextmanager
@@ -199,11 +208,11 @@ def _add_link_constant_flags(parser: argparse.ArgumentParser, *, required: bool 
         "d": None if required else 5000.0,
         "f": None if required else float(CAMPAIGN_FREQ_HZ),
     }
-    parser.add_argument("--pt", type=float, required=required, default=defaults["pt"],
+    parser.add_argument("--pt", type=_finite_float, required=required, default=defaults["pt"],
                         help="transmit power in dBm")
-    parser.add_argument("--gt", type=float, required=required, default=defaults["gt"],
+    parser.add_argument("--gt", type=_finite_float, required=required, default=defaults["gt"],
                         help="transmitter antenna gain in dBi")
-    parser.add_argument("--gr", type=float, required=required, default=defaults["gr"],
+    parser.add_argument("--gr", type=_finite_float, required=required, default=defaults["gr"],
                         help="receiver antenna gain in dBi")
     parser.add_argument("--d", type=_positive_float, required=required, default=defaults["d"],
                         help="link distance in meters")
@@ -213,97 +222,133 @@ def _add_link_constant_flags(parser: argparse.ArgumentParser, *, required: bool 
                         help="propagation speed in m/s (default 3e8)")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _budget_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--rssi", type=_finite_float, default=None, help="measured RSSI in dBm")
+    parser.add_argument("--snr", type=_finite_float, default=None, help="measured SNR in dB")
+    parser.add_argument("--cell", default=None, metavar="SPEC",
+                        help="fixture cell reference, e.g. sf=7,bw_khz=10.4")
+    _add_link_constant_flags(parser, required=True)
+    _add_globals(parser)
+    parser.set_defaults(func=cmd_budget)
+
+
+def _reconstruct_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--expected", metavar="PATH", default=None,
+                        help="expected grid CSV (default: bundled)")
+    _add_link_constant_flags(parser)
+    _add_globals(parser)
+    parser.set_defaults(func=cmd_reconstruct)
+
+
+def _recommend_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--max-loss", type=_loss_pct_arg, default=0.0,
+                        help="hard packet-loss ceiling in percent (default 0)")
+    parser.add_argument("--min-bw-khz", type=_khz_arg, default=62500.0, dest="min_bw_hz",
+                        metavar="KHZ", help="minimum admissible bandwidth (default 62.5)")
+    parser.add_argument("--order", default=",".join(SelectionConstraints().tie_break_order),
+                        help="comma-separated ranking metrics (snr, excess_loss, rssi)")
+    parser.add_argument("--top", type=_count_arg, default=5,
+                        help="runner-up rows to print (default 5)")
+    _add_link_constant_flags(parser)
+    _add_globals(parser)
+    parser.set_defaults(func=cmd_recommend)
+
+
+def _simulate_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--nodes", type=int, default=2, help="number of sensor nodes (default 2)")
+    parser.add_argument("--sf", type=int, default=8,
+                        help="spreading factor for all nodes (default 8)")
+    parser.add_argument("--bw-khz", type=_khz_arg, default=62500.0, dest="bw_hz",
+                        metavar="KHZ", help="bandwidth for all nodes (default 62.5)")
+    parser.add_argument("--cr", type=_cr_arg, default=CodingRate(4, 8),
+                        help="coding rate for all nodes (default 4/8)")
+    parser.add_argument("--payload-bytes", type=int, default=2,
+                        help="frame payload size (default 2)")
+    parser.add_argument("--preamble", type=int, default=8, help="preamble symbols (default 8)")
+    parser.add_argument("--pt", type=_finite_float, default=CAMPAIGN_TX_POWER_DBM,
+                        help="transmit power in dBm (default 20)")
+    parser.add_argument("--f", type=_positive_float, default=float(CAMPAIGN_FREQ_HZ),
+                        help="carrier frequency in Hz (default 433e6)")
+    parser.add_argument("--slot-s", type=_positive_float, default=None,
+                        help="slot duration in seconds (default: 2x airtime, ms-rounded)")
+    parser.add_argument("--guard-s", type=_finite_float, default=0.01,
+                        help="guard time between slots in seconds (default 0.01)")
+    parser.add_argument("--duration-s", type=_positive_float, required=True,
+                        help="virtual simulation duration in seconds")
+    parser.add_argument("--frames-per-slot", type=int, default=1,
+                        help="frames per transmission opportunity (default 1)")
+    parser.add_argument("--handshake-s", type=_finite_float, default=0.0,
+                        help="fixed connection-establishment latency per slot (default 0)")
+    parser.add_argument("--drop", default=None, metavar="P[,P...]",
+                        help="per-node drop probabilities (single value broadcasts)")
+    parser.add_argument("--drop-from-fixture", default=None, metavar="PATH",
+                        help="derive drop probabilities from a measurement CSV "
+                             "('bundled' for the packaged fixture)")
+    parser.add_argument("--uplink-log", default=None, metavar="PATH",
+                        help="also write a dry-run uplink log for received packets")
+    _add_globals(parser)
+    parser.set_defaults(func=cmd_simulate)
+
+
+def _sweep_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--metric", required=True, choices=SWEEP_METRICS)
+    _add_link_constant_flags(parser)
+    _add_globals(parser)
+    parser.set_defaults(func=cmd_sweep)
+
+
+def _uplink_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--report", required=True, metavar="PATH",
+                        help="serialized simulation report")
+    parser.add_argument("--map", action="append", default=None, metavar="SYNC=KEY:FIELD",
+                        help="map a sync word to an api key and field index (repeatable)")
+    parser.add_argument("--epoch", type=_iso8601_arg,
+                        default=_iso8601_arg("1970-01-01T00:00:00Z"),
+                        help="wall-clock instant of virtual time zero (default Unix epoch)")
+    parser.add_argument("--real", action="store_true",
+                        help="actually send over HTTP (requires UPLINK_API_KEY)")
+    parser.add_argument("--min-spacing-s", type=_finite_float, default=None,
+                        help="minimum spacing between sends (default 0 dry-run, 15 real)")
+    _add_globals(parser)
+    parser.set_defaults(func=cmd_uplink)
+
+
+# name -> (one-line help, builder that adds the subcommand's flags)
+SUBCOMMANDS = {
+    "budget": ("link-budget breakdown for one sample", _budget_flags),
+    "reconstruct": ("rebuild the excess-loss grid and compare to the expected grid",
+                    _reconstruct_flags),
+    "recommend": ("select (SF, BW, CR) from a measurement table", _recommend_flags),
+    "simulate": ("run the deterministic TDMA uplink simulation", _simulate_flags),
+    "sweep": ("emit a metric for every (SF, BW) grid cell as CSV", _sweep_flags),
+    "uplink": ("bridge a simulation report to channel updates", _uplink_flags),
+}
+
+
+def build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
+    """The parser for argv.
+
+    When argv starts with a subcommand name, only that subcommand's parser
+    is built; otherwise (help, no subcommand, an unknown one) all of them
+    are. Usage lines and error messages are the same either way.
+    """
     parser = argparse.ArgumentParser(
         prog="loralink",
         description="LoRa link-quality toolkit",
         epilog="Exit codes: 0 success, 2 usage error, 3 data/validation error, "
                "4 tolerance exceeded.",
     )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p_budget = sub.add_parser("budget", help="link-budget breakdown for one sample")
-    p_budget.add_argument("--rssi", type=float, default=None, help="measured RSSI in dBm")
-    p_budget.add_argument("--snr", type=float, default=None, help="measured SNR in dB")
-    p_budget.add_argument("--cell", default=None, metavar="SPEC",
-                          help="fixture cell reference, e.g. sf=7,bw_khz=10.4")
-    _add_link_constant_flags(p_budget, required=True)
-    _add_globals(p_budget)
-    p_budget.set_defaults(func=cmd_budget)
-
-    p_recon = sub.add_parser("reconstruct",
-                             help="rebuild the excess-loss grid and compare to the expected grid")
-    p_recon.add_argument("--expected", metavar="PATH", default=None,
-                         help="expected grid CSV (default: bundled)")
-    _add_link_constant_flags(p_recon)
-    _add_globals(p_recon)
-    p_recon.set_defaults(func=cmd_reconstruct)
-
-    p_rec = sub.add_parser("recommend", help="select (SF, BW, CR) from a measurement table")
-    p_rec.add_argument("--max-loss", type=_loss_pct_arg, default=0.0,
-                       help="hard packet-loss ceiling in percent (default 0)")
-    p_rec.add_argument("--min-bw-khz", type=_khz_arg, default=62500.0, dest="min_bw_hz",
-                       metavar="KHZ", help="minimum admissible bandwidth (default 62.5)")
-    p_rec.add_argument("--order", default=",".join(SelectionConstraints().tie_break_order),
-                       help="comma-separated ranking metrics (snr, excess_loss, rssi)")
-    p_rec.add_argument("--top", type=int, default=5, help="runner-up rows to print (default 5)")
-    _add_link_constant_flags(p_rec)
-    _add_globals(p_rec)
-    p_rec.set_defaults(func=cmd_recommend)
-
-    p_sim = sub.add_parser("simulate", help="run the deterministic TDMA uplink simulation")
-    p_sim.add_argument("--nodes", type=int, default=2, help="number of sensor nodes (default 2)")
-    p_sim.add_argument("--sf", type=int, default=8, help="spreading factor for all nodes (default 8)")
-    p_sim.add_argument("--bw-khz", type=_khz_arg, default=62500.0, dest="bw_hz",
-                       metavar="KHZ", help="bandwidth for all nodes (default 62.5)")
-    p_sim.add_argument("--cr", type=_cr_arg, default=CodingRate(4, 8),
-                       help="coding rate for all nodes (default 4/8)")
-    p_sim.add_argument("--payload-bytes", type=int, default=2, help="frame payload size (default 2)")
-    p_sim.add_argument("--preamble", type=int, default=8, help="preamble symbols (default 8)")
-    p_sim.add_argument("--pt", type=float, default=CAMPAIGN_TX_POWER_DBM,
-                       help="transmit power in dBm (default 20)")
-    p_sim.add_argument("--f", type=_positive_float, default=float(CAMPAIGN_FREQ_HZ),
-                       help="carrier frequency in Hz (default 433e6)")
-    p_sim.add_argument("--slot-s", type=_positive_float, default=None,
-                       help="slot duration in seconds (default: 2x airtime, ms-rounded)")
-    p_sim.add_argument("--guard-s", type=float, default=0.01,
-                       help="guard time between slots in seconds (default 0.01)")
-    p_sim.add_argument("--duration-s", type=_positive_float, required=True,
-                       help="virtual simulation duration in seconds")
-    p_sim.add_argument("--frames-per-slot", type=int, default=1,
-                       help="frames per transmission opportunity (default 1)")
-    p_sim.add_argument("--handshake-s", type=float, default=0.0,
-                       help="fixed connection-establishment latency per slot (default 0)")
-    p_sim.add_argument("--drop", default=None, metavar="P[,P...]",
-                       help="per-node drop probabilities (single value broadcasts)")
-    p_sim.add_argument("--drop-from-fixture", default=None, metavar="PATH",
-                       help="derive drop probabilities from a measurement CSV "
-                            "('bundled' for the packaged fixture)")
-    p_sim.add_argument("--uplink-log", default=None, metavar="PATH",
-                       help="also write a dry-run uplink log for received packets")
-    _add_globals(p_sim)
-    p_sim.set_defaults(func=cmd_simulate)
-
-    p_sweep = sub.add_parser("sweep", help="emit a metric for every (SF, BW) grid cell as CSV")
-    p_sweep.add_argument("--metric", required=True, choices=SWEEP_METRICS)
-    _add_link_constant_flags(p_sweep)
-    _add_globals(p_sweep)
-    p_sweep.set_defaults(func=cmd_sweep)
-
-    p_up = sub.add_parser("uplink", help="bridge a simulation report to channel updates")
-    p_up.add_argument("--report", required=True, metavar="PATH",
-                      help="serialized simulation report")
-    p_up.add_argument("--map", action="append", default=None, metavar="SYNC=KEY:FIELD",
-                      help="map a sync word to an api key and field index (repeatable)")
-    p_up.add_argument("--epoch", type=_iso8601_arg, default=_iso8601_arg("1970-01-01T00:00:00Z"),
-                      help="wall-clock instant of virtual time zero (default Unix epoch)")
-    p_up.add_argument("--real", action="store_true",
-                      help="actually send over HTTP (requires UPLINK_API_KEY)")
-    p_up.add_argument("--min-spacing-s", type=float, default=None,
-                      help="minimum spacing between sends (default 0 dry-run, 15 real)")
-    _add_globals(p_up)
-    p_up.set_defaults(func=cmd_uplink)
-
+    if argv and argv[0] in SUBCOMMANDS:
+        names = [argv[0]]
+        # the parent's usage line (printed for unrecognized arguments) still
+        # lists every subcommand
+        metavar = "{" + ",".join(SUBCOMMANDS) + "}"
+    else:
+        names, metavar = list(SUBCOMMANDS), None
+    sub = parser.add_subparsers(dest="subcommand", required=True, metavar=metavar)
+    for name in names:
+        help_text, add_flags = SUBCOMMANDS[name]
+        add_flags(sub.add_parser(name, help=help_text))
     return parser
 
 
@@ -335,15 +380,14 @@ def cmd_budget(args) -> int:
                          tx_power_dbm=args.pt, freq_hz=args.f)
     breakdown = loss_breakdown(params, config, SignalSample(rssi, snr))
 
-    manifest = _manifest_lines("budget", {
+    manifest = _manifest_line("budget", {
         "rssi_dbm": rssi, "snr_db": snr, "pt_dbm": args.pt, "gt_dbi": args.gt,
         "gr_dbi": args.gr, "distance_m": args.d, "freq_hz": args.f, "c_mps": args.c,
         "cell": args.cell or "-", "fixture": fixture_name if use_cell else "-",
         "seed": args.seed, "output": args.output or "-",
     })
     with _open_output(args.output) as out:
-        for line in manifest:
-            print(line, file=out)
+        print(manifest, file=out)
         print(f"esp_dbm={breakdown.esp_dbm:.3f}", file=out)
         print(f"path_loss_db={breakdown.path_loss_db:.3f}", file=out)
         print(f"fsl_db={breakdown.fsl_db:.3f}", file=out)
@@ -367,15 +411,14 @@ def cmd_reconstruct(args) -> int:
     max_dev, worst_cell = worst
     verdict = "PASS" if max_dev <= args.tolerance else "FAIL"
 
-    manifest = _manifest_lines("reconstruct", {
+    manifest = _manifest_line("reconstruct", {
         "fixture": fixture_name, "expected": expected_name, "pt_dbm": args.pt,
         "gt_dbi": args.gt, "gr_dbi": args.gr, "distance_m": args.d, "freq_hz": args.f,
         "c_mps": args.c, "tolerance_db": args.tolerance, "seed": args.seed,
         "output": args.output or "-",
     })
     with _open_output(args.output) as out:
-        for line in manifest:
-            print(line, file=out)
+        print(manifest, file=out)
         print("bw_khz," + ",".join(f"sf{sf}" for sf in SF_VALUES), file=out)
         for i, bw_hz in enumerate(BW_HZ_VALUES):
             cells = ",".join(f"{value:.3f}" for value in grid[i])
@@ -396,15 +439,14 @@ def cmd_recommend(args) -> int:
     rec = recommend_sf_bw(table, params, args.pt, constraints)
     cr, cr_basis = select_cr(table, rec.sf, rec.bw_hz)
 
-    manifest = _manifest_lines("recommend", {
+    manifest = _manifest_line("recommend", {
         "fixture": fixture_name, "max_loss_pct": args.max_loss,
         "min_bw_khz": hz_to_khz_str(args.min_bw_hz), "order": ",".join(order),
         "pt_dbm": args.pt, "gt_dbi": args.gt, "gr_dbi": args.gr, "distance_m": args.d,
         "freq_hz": args.f, "c_mps": args.c, "seed": args.seed, "output": args.output or "-",
     })
     with _open_output(args.output) as out:
-        for line in manifest:
-            print(line, file=out)
+        print(manifest, file=out)
         print(f"sf={rec.sf} bw_khz={hz_to_khz_str(rec.bw_hz)} cr={cr}", file=out)
         print(f"rssi_dbm={format_decimal(rec.rssi_dbm)} snr_db={format_decimal(rec.snr_db)} "
               f"loss_pct={format_decimal(rec.loss_pct)} excess_db={rec.excess_db:.3f}", file=out)
@@ -465,7 +507,7 @@ def cmd_simulate(args) -> int:
         # the log replays the deterministic simulation instead of keeping the report
         updates = iter_bridge(simulate(), key_map)
 
-    manifest = _manifest_lines("simulate", {
+    manifest = _manifest_line("simulate", {
         "nodes": args.nodes, "sync_words": ",".join(format_sync_word(n.sync_word) for n in nodes),
         "sf": args.sf, "bw_khz": hz_to_khz_str(args.bw_hz), "cr": args.cr,
         "payload_bytes": args.payload_bytes, "preamble": args.preamble,
@@ -475,20 +517,17 @@ def cmd_simulate(args) -> int:
         "uplink_log": args.uplink_log or "-",
     })
     with _open_output(args.output) as out:
-        for line in manifest:
-            print(line, file=out)
+        print(manifest, file=out)
         out.writelines(report_lines(events, stats))
     if args.output not in (None, "-"):
         # keep the summary visible on stdout when the report goes to a file
-        for line in manifest:
-            print(line)
+        print(manifest)
         for sync, node_stats in stats:
             print(summary_line(sync, node_stats))
 
     if args.uplink_log is not None:
         with _open_output(args.uplink_log) as out:
-            for line in manifest:
-                print(line, file=out)
+            print(manifest, file=out)
             transport = DryRunTransport(write=out.write)
             for update in updates:
                 transport.send(update)
@@ -500,14 +539,13 @@ def cmd_sweep(args) -> int:
     params = _link_params(args)
     derived = args.metric in ("esp", "path_loss", "fsl", "excess")
 
-    manifest = _manifest_lines("sweep", {
+    manifest = _manifest_line("sweep", {
         "metric": args.metric, "fixture": fixture_name, "pt_dbm": args.pt,
         "gt_dbi": args.gt, "gr_dbi": args.gr, "distance_m": args.d, "freq_hz": args.f,
         "c_mps": args.c, "seed": args.seed, "output": args.output or "-",
     })
     with _open_output(args.output) as out:
-        for line in manifest:
-            print(line, file=out)
+        print(manifest, file=out)
         print(f"sf,bw_khz,{args.metric}", file=out)
         for bw_hz in BW_HZ_VALUES:
             for sf in SF_VALUES:
@@ -577,15 +615,14 @@ def cmd_uplink(args) -> int:
         if spacing < 0:
             raise ValueError(f"min_spacing_s must be >= 0, got {spacing!r}")
         transport = HttpTransport(min_spacing_s=spacing) if args.real else None
-        manifest = _manifest_lines("uplink", {
+        manifest = _manifest_line("uplink", {
             "report": args.report,
             "map": ";".join(f"{format_sync_word(s)}={k}:{f}" for s, (k, f) in key_map.items()),
             "epoch": iso_utc(args.epoch), "real": args.real, "min_spacing_s": spacing,
             "seed": args.seed, "output": args.output or "-",
         })
         with _open_output(args.output) as out:
-            for line in manifest:
-                print(line, file=out)
+            print(manifest, file=out)
             if transport is not None:
                 for update in updates:
                     body = transport.send(update)
@@ -598,7 +635,8 @@ def cmd_uplink(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

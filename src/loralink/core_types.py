@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from decimal import Decimal, InvalidOperation
+from decimal import Decimal, InvalidOperation, Overflow
 
 SF_VALUES = (7, 8, 9, 10, 11, 12)
 BW_HZ_VALUES = (10400, 20800, 62500, 125000, 250000, 500000)
@@ -153,9 +153,12 @@ def format_decimal(value) -> str:
 
 def _parse_decimal(text: str, what: str) -> Decimal:
     try:
-        return Decimal(text)
+        value = Decimal(text)
     except InvalidOperation as exc:
         raise ValueError(f"malformed {what}: {text!r}") from exc
+    if not value.is_finite():
+        raise ValueError(f"{what} must be finite, got {text!r}")
+    return value
 
 
 def hz_to_khz_str(bw_hz: float) -> str:
@@ -165,7 +168,10 @@ def hz_to_khz_str(bw_hz: float) -> str:
 
 def khz_str_to_hz(text: str) -> float:
     """Exact kHz decimal string -> Hz ('10.4' -> 10400)."""
-    value = _parse_decimal(text, "bandwidth in kHz") * 1000
+    try:
+        value = _parse_decimal(text, "bandwidth in kHz") * 1000
+    except Overflow:
+        raise ValueError(f"bandwidth out of range, got {text!r} kHz") from None
     if value <= 0:
         raise ValueError(f"bandwidth must be positive, got {text!r} kHz")
     ivalue = int(value)

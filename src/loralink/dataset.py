@@ -12,6 +12,7 @@ cr values, which keeps their keys distinct from the grid row at the same
 from __future__ import annotations
 
 import csv
+import functools
 import io
 from dataclasses import dataclass
 from decimal import InvalidOperation
@@ -278,8 +279,12 @@ def bundled_measurements_text() -> str:
     return resources.files(__package__).joinpath("data", _MEASUREMENTS_RESOURCE).read_text("utf-8")
 
 
+@functools.cache
 def load_bundled_measurements() -> MeasurementTable:
-    """The packaged field-measurement fixture (36 grid rows + 4 CR-sweep rows)."""
+    """The packaged field-measurement fixture (36 grid rows + 4 CR-sweep rows).
+
+    Parsed once per process; the table is immutable, so every caller shares it.
+    """
     return load_measurements(io.StringIO(bundled_measurements_text()))
 
 

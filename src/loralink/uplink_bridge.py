@@ -10,7 +10,6 @@ from __future__ import annotations
 import os
 import time
 import urllib.parse
-import urllib.request
 from dataclasses import dataclass, replace
 from datetime import datetime, timedelta, timezone
 from typing import Callable, Iterable, Iterator, Mapping
@@ -190,6 +189,8 @@ class HttpTransport:
 
     def send(self, update: ChannelUpdate) -> str:
         """Send one update; returns the response body. Blocks to honor spacing."""
+        import urllib.request  # the HTTP stack (http.client, ssl, email) loads only to send
+
         if self._last_send is not None and self.min_spacing_s > 0:
             wait = self.min_spacing_s - (time.monotonic() - self._last_send)
             if wait > 0:

@@ -1,8 +1,13 @@
 import io
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
+import loralink
 from loralink.cli import EXIT_DATA, EXIT_OK, EXIT_TOLERANCE, EXIT_USAGE, main
 from loralink.core_types import CodingRate, RadioConfig
 from loralink.dataset import load_bundled_measurements, save_measurements
@@ -369,3 +374,30 @@ class TestParserBasics:
     def test_missing_fixture_file_is_data_error(self, capsys):
         code, _, err = run(capsys, ["recommend", "--fixture", "/nonexistent/f.csv"])
         assert code == EXIT_DATA
+
+    def test_import_leaves_the_http_stack_unloaded(self):
+        probe = ("import sys, loralink, loralink.cli; "
+                 "print(sorted(m for m in ('http.client', 'ssl', 'email') if m in sys.modules))")
+        src = str(Path(loralink.__file__).parents[1])
+        done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                              check=True, timeout=60, env={**os.environ, "PYTHONPATH": src})
+        assert done.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("argv", [
+        ["budget", "--rssi", "-92.8", "--snr", "8.4", *BUDGET_FLAGS, "--d", "nan"],
+        ["budget", "--rssi", "-92.8", "--snr", "8.4", *BUDGET_FLAGS, "--gt", "inf"],
+        ["budget", "--rssi", "nan", "--snr", "8.4", *BUDGET_FLAGS],
+        ["simulate", "--duration-s", "inf"],
+        ["simulate", "--duration-s", "5", "--bw-khz", "NaN"],
+        ["simulate", "--duration-s", "5", "--bw-khz", "1e999999"],
+        ["simulate", "--duration-s", "5", "--guard-s", "nan"],
+        ["simulate", "--duration-s", "5", "--handshake-s", "nan"],
+        ["recommend", "--top", "-1"],
+        ["reconstruct", "--tolerance", "nan"],
+    ])
+    def test_non_finite_and_negative_values_are_usage_errors(self, capsys, argv):
+        code, out, err = run(capsys, argv)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith(f"usage: loralink {argv[0]} ")
+        assert "Traceback" not in err

@@ -194,5 +194,31 @@ class TestHttpTransport:
         transport = HttpTransport(min_spacing_s=0.0)
         assert transport.min_spacing_s == 0.0
 
+    def test_send_substitutes_env_key_and_returns_body(self, monkeypatch):
+        requests = []
+
+        class FakeResponse:
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def read(self):
+                return b"42"
+
+        def fake_urlopen(url, timeout):
+            requests.append((url, timeout))
+            return FakeResponse()
+
+        monkeypatch.setattr("urllib.request.urlopen", fake_urlopen)
+        monkeypatch.setenv("UPLINK_API_KEY", "SECRET")
+        transport = HttpTransport(base_url="https://example.test/", min_spacing_s=0.0,
+                                  timeout_s=3.0)
+        update = ChannelUpdate("REPORTKEY", {3: 7}, datetime(2024, 5, 1, 12, 0, 0, tzinfo=UTC))
+        assert transport.send(update) == "42"
+        assert requests == [("https://example.test/update?api_key=SECRET&field3=7"
+                             "&created_at=2024-05-01T12%3A00%3A00Z", 3.0)]
+
     def test_iso_helper(self):
         assert iso_utc(datetime(2024, 5, 1, 12, 0, 0, tzinfo=UTC)) == "2024-05-01T12:00:00Z"

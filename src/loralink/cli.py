@@ -32,6 +32,8 @@ from .core_types import (
 from .dataset import (
     CAMPAIGN_FREQ_HZ,
     CAMPAIGN_TX_POWER_DBM,
+    evaluate_grid,
+    grid_records,
     load_bundled_measurements,
     load_expected_grid,
     load_measurements,
@@ -72,7 +74,12 @@ EXIT_TOLERANCE = 4
 BUNDLED_FIXTURE = "bundled:field_measurements.csv"
 BUNDLED_EXPECTED = "bundled:excess_loss_expected.csv"
 
-SWEEP_METRICS = ("rssi", "snr", "loss", "esp", "path_loss", "fsl", "excess")
+# sweep metric -> the MeasurementRecord column it prints, or for the metrics
+# the budget chain derives, the LossBreakdown field
+SWEEP_MEASURED = {"rssi": "rssi_dbm", "snr": "snr_db", "loss": "loss_pct"}
+SWEEP_DERIVED = {"esp": "esp_dbm", "path_loss": "path_loss_db", "fsl": "fsl_db",
+                 "excess": "excess_db"}
+SWEEP_METRICS = (*SWEEP_MEASURED, *SWEEP_DERIVED)
 
 
 class UsageError(ValueError):
@@ -183,21 +190,26 @@ def _parse_cell(text: str) -> tuple[int, float]:
         pairs[key.strip()] = value.strip()
     if set(pairs) != {"sf", "bw_khz"}:
         raise UsageError("--cell must supply exactly sf=<int>,bw_khz=<decimal>")
-    return int(pairs["sf"]), khz_str_to_hz(pairs["bw_khz"])
+    try:
+        return int(pairs["sf"]), khz_str_to_hz(pairs["bw_khz"])
+    except ValueError:
+        raise UsageError(
+            f"malformed --cell {text!r}; expected sf=<int>,bw_khz=<decimal>"
+        ) from None
 
 
 def _link_params(args) -> LinkParams:
     return LinkParams(distance_m=args.d, gt_dbi=args.gt, gr_dbi=args.gr, c_mps=args.c)
 
 
-def _add_globals(parser: argparse.ArgumentParser, *, tolerance_default: float = 0.05) -> None:
-    parser.add_argument("--fixture", metavar="PATH", default=None,
-                        help="measurement CSV (default: the bundled field measurements)")
+def _add_globals(parser: argparse.ArgumentParser, *, fixture: bool = True) -> None:
+    """--seed and --output, after --fixture for the subcommands that read one."""
+    if fixture:
+        parser.add_argument("--fixture", metavar="PATH", default=None,
+                            help="measurement CSV (default: the bundled field measurements)")
     parser.add_argument("--seed", type=_seed_arg, default=0, help="run seed (default 0)")
     parser.add_argument("--output", metavar="PATH", default=None,
                         help="output file (default: stdout)")
-    parser.add_argument("--tolerance", type=_positive_float, default=tolerance_default,
-                        metavar="DB", help=f"comparison tolerance in dB (default {tolerance_default})")
 
 
 def _add_link_constant_flags(parser: argparse.ArgumentParser, *, required: bool = False) -> None:
@@ -237,6 +249,8 @@ def _reconstruct_flags(parser: argparse.ArgumentParser) -> None:
                         help="expected grid CSV (default: bundled)")
     _add_link_constant_flags(parser)
     _add_globals(parser)
+    parser.add_argument("--tolerance", type=_positive_float, default=0.05, metavar="DB",
+                        help="comparison tolerance in dB (default 0.05)")
     parser.set_defaults(func=cmd_reconstruct)
 
 
@@ -265,10 +279,6 @@ def _simulate_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--payload-bytes", type=int, default=2,
                         help="frame payload size (default 2)")
     parser.add_argument("--preamble", type=int, default=8, help="preamble symbols (default 8)")
-    parser.add_argument("--pt", type=_finite_float, default=CAMPAIGN_TX_POWER_DBM,
-                        help="transmit power in dBm (default 20)")
-    parser.add_argument("--f", type=_positive_float, default=float(CAMPAIGN_FREQ_HZ),
-                        help="carrier frequency in Hz (default 433e6)")
     parser.add_argument("--slot-s", type=_positive_float, default=None,
                         help="slot duration in seconds (default: 2x airtime, ms-rounded)")
     parser.add_argument("--guard-s", type=_finite_float, default=0.01,
@@ -286,7 +296,7 @@ def _simulate_flags(parser: argparse.ArgumentParser) -> None:
                              "('bundled' for the packaged fixture)")
     parser.add_argument("--uplink-log", default=None, metavar="PATH",
                         help="also write a dry-run uplink log for received packets")
-    _add_globals(parser)
+    _add_globals(parser, fixture=False)
     parser.set_defaults(func=cmd_simulate)
 
 
@@ -309,7 +319,7 @@ def _uplink_flags(parser: argparse.ArgumentParser) -> None:
                         help="actually send over HTTP (requires UPLINK_API_KEY)")
     parser.add_argument("--min-spacing-s", type=_finite_float, default=None,
                         help="minimum spacing between sends (default 0 dry-run, 15 real)")
-    _add_globals(parser)
+    _add_globals(parser, fixture=False)
     parser.set_defaults(func=cmd_uplink)
 
 
@@ -348,7 +358,9 @@ def build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True, metavar=metavar)
     for name in names:
         help_text, add_flags = SUBCOMMANDS[name]
-        add_flags(sub.add_parser(name, help=help_text))
+        # whole flags only: a prefix of a flag (simulate --f for
+        # --frames-per-slot) is an unrecognized argument, not that flag
+        add_flags(sub.add_parser(name, help=help_text, allow_abbrev=False))
     return parser
 
 
@@ -361,7 +373,7 @@ def cmd_budget(args) -> int:
         missing = "--snr" if args.snr is None else "--rssi"
         raise UsageError(f"missing {missing} (both --rssi and --snr are required)")
 
-    fixture_name = BUNDLED_FIXTURE if args.fixture is None else args.fixture
+    fixture_name = "-"
     # sf/bw don't enter the budget chain (only pt and frequency do); the
     # placeholder below carries them when no fixture cell pins real ones
     sf, bw_hz = 7, 125000
@@ -383,7 +395,7 @@ def cmd_budget(args) -> int:
     manifest = _manifest_line("budget", {
         "rssi_dbm": rssi, "snr_db": snr, "pt_dbm": args.pt, "gt_dbi": args.gt,
         "gr_dbi": args.gr, "distance_m": args.d, "freq_hz": args.f, "c_mps": args.c,
-        "cell": args.cell or "-", "fixture": fixture_name if use_cell else "-",
+        "cell": args.cell or "-", "fixture": fixture_name,
         "seed": args.seed, "output": args.output or "-",
     })
     with _open_output(args.output) as out:
@@ -402,13 +414,11 @@ def cmd_reconstruct(args) -> int:
     params = _link_params(args)
     grid = reconstruct_excess_loss(table, params, args.pt, freq_hz=args.f)
 
-    worst = (0.0, None)
-    for i, bw_hz in enumerate(BW_HZ_VALUES):
-        for j, sf in enumerate(SF_VALUES):
-            deviation = abs(grid[i][j] - expected[i][j])
-            if deviation > worst[0]:
-                worst = (deviation, (sf, bw_hz))
-    max_dev, worst_cell = worst
+    deviations = [abs(got - want) for got_row, want_row in zip(grid, expected)
+                  for got, want in zip(got_row, want_row)]
+    max_dev = max(deviations)
+    worst_sf, worst_bw = [(sf, bw) for bw in BW_HZ_VALUES for sf in SF_VALUES][
+        deviations.index(max_dev)]
     verdict = "PASS" if max_dev <= args.tolerance else "FAIL"
 
     manifest = _manifest_line("reconstruct", {
@@ -423,8 +433,8 @@ def cmd_reconstruct(args) -> int:
         for i, bw_hz in enumerate(BW_HZ_VALUES):
             cells = ",".join(f"{value:.3f}" for value in grid[i])
             print(f"{hz_to_khz_str(bw_hz)},{cells}", file=out)
-        cell_name = f"sf={worst_cell[0]},bw_khz={hz_to_khz_str(worst_cell[1])}"
-        print(f"# max_deviation_db={max_dev:.6f} cell={cell_name} "
+        print(f"# max_deviation_db={max_dev:.6f} "
+              f"cell=sf={worst_sf},bw_khz={hz_to_khz_str(worst_bw)} "
               f"tolerance_db={format_decimal(args.tolerance)} verdict={verdict}", file=out)
     return EXIT_OK if verdict == "PASS" else EXIT_TOLERANCE
 
@@ -436,7 +446,7 @@ def cmd_recommend(args) -> int:
         max_loss_pct=args.max_loss, min_bw_hz=args.min_bw_hz, tie_break_order=order
     )
     params = _link_params(args)
-    rec = recommend_sf_bw(table, params, args.pt, constraints)
+    rec = recommend_sf_bw(table, params, args.pt, constraints, freq_hz=args.f)
     cr, cr_basis = select_cr(table, rec.sf, rec.bw_hz)
 
     manifest = _manifest_line("recommend", {
@@ -488,8 +498,10 @@ def cmd_simulate(args) -> int:
         raise UsageError("--nodes must be >= 1")
     if args.payload_bytes < 0 or args.preamble < 0:
         raise UsageError("--payload-bytes and --preamble must be >= 0")
+    # airtime, the only use of the radio configuration here, ignores
+    # transmit power and frequency
     config = RadioConfig(sf=args.sf, bw_hz=args.bw_hz, cr=args.cr,
-                         tx_power_dbm=args.pt, freq_hz=args.f)
+                         tx_power_dbm=CAMPAIGN_TX_POWER_DBM, freq_hz=CAMPAIGN_FREQ_HZ)
     frame = FrameParams(payload_bytes=args.payload_bytes, preamble_symbols=args.preamble)
     nodes = [NodeSpec(sync_word=0xA001 + i, config=config, frame=frame)
              for i in range(args.nodes)]
@@ -536,8 +548,14 @@ def cmd_simulate(args) -> int:
 
 def cmd_sweep(args) -> int:
     table, fixture_name = _load_fixture(args.fixture)
-    params = _link_params(args)
-    derived = args.metric in ("esp", "path_loss", "fsl", "excess")
+    if args.metric in SWEEP_MEASURED:
+        column = SWEEP_MEASURED[args.metric]
+        rows = [(record, format_decimal(getattr(record, column)))
+                for record in grid_records(table, (column,))]
+    else:
+        field = SWEEP_DERIVED[args.metric]
+        rows = [(record, f"{getattr(breakdown, field):.3f}")
+                for record, breakdown in evaluate_grid(table, _link_params(args), args.pt, args.f)]
 
     manifest = _manifest_line("sweep", {
         "metric": args.metric, "fixture": fixture_name, "pt_dbm": args.pt,
@@ -547,31 +565,8 @@ def cmd_sweep(args) -> int:
     with _open_output(args.output) as out:
         print(manifest, file=out)
         print(f"sf,bw_khz,{args.metric}", file=out)
-        for bw_hz in BW_HZ_VALUES:
-            for sf in SF_VALUES:
-                record = lookup(table, sf, bw_hz)
-                if args.metric == "rssi":
-                    value = format_decimal(record.rssi_dbm)
-                elif args.metric == "snr":
-                    value = format_decimal(record.snr_db)
-                elif args.metric == "loss":
-                    value = format_decimal(record.loss_pct)
-                else:
-                    if record.rssi_dbm is None:
-                        raise UsageError(
-                            f"cell sf={sf}, bw_khz={hz_to_khz_str(bw_hz)} has no rssi_dbm"
-                        )
-                    config = RadioConfig(sf=sf, bw_hz=bw_hz, cr=record.effective_cr,
-                                         tx_power_dbm=args.pt, freq_hz=args.f)
-                    breakdown = loss_breakdown(params, config,
-                                               SignalSample(record.rssi_dbm, record.snr_db))
-                    value = {
-                        "esp": f"{breakdown.esp_dbm:.3f}",
-                        "path_loss": f"{breakdown.path_loss_db:.3f}",
-                        "fsl": f"{breakdown.fsl_db:.3f}",
-                        "excess": f"{breakdown.excess_db:.3f}",
-                    }[args.metric]
-                print(f"{sf},{hz_to_khz_str(bw_hz)},{value}", file=out)
+        for record, value in rows:
+            print(f"{record.sf},{hz_to_khz_str(record.bw_hz)},{value}", file=out)
     return EXIT_OK
 
 

@@ -83,8 +83,8 @@ class RadioConfig:
             raise ValueError(f"bw_hz must be positive, got {self.bw_hz!r}")
         if not math.isfinite(self.tx_power_dbm):
             raise ValueError("tx_power_dbm must be finite")
-        if self.freq_hz <= 0:
-            raise ValueError(f"freq_hz must be positive, got {self.freq_hz!r}")
+        if not (self.freq_hz > 0 and math.isfinite(self.freq_hz)):
+            raise ValueError(f"freq_hz must be positive and finite, got {self.freq_hz!r}")
 
 
 @dataclass(frozen=True)
@@ -151,14 +151,18 @@ def format_decimal(value) -> str:
     return text
 
 
-def _parse_decimal(text: str, what: str) -> Decimal:
+def _parse_decimal(text: str, what: str, scale: int = 1) -> Decimal:
+    """A finite decimal number times scale; ValueError for anything else."""
     try:
         value = Decimal(text)
     except InvalidOperation as exc:
         raise ValueError(f"malformed {what}: {text!r}") from exc
     if not value.is_finite():
         raise ValueError(f"{what} must be finite, got {text!r}")
-    return value
+    try:
+        return value * scale
+    except Overflow:
+        raise ValueError(f"{what} out of range, got {text!r}") from None
 
 
 def hz_to_khz_str(bw_hz: float) -> str:
@@ -168,10 +172,7 @@ def hz_to_khz_str(bw_hz: float) -> str:
 
 def khz_str_to_hz(text: str) -> float:
     """Exact kHz decimal string -> Hz ('10.4' -> 10400)."""
-    try:
-        value = _parse_decimal(text, "bandwidth in kHz") * 1000
-    except Overflow:
-        raise ValueError(f"bandwidth out of range, got {text!r} kHz") from None
+    value = _parse_decimal(text, "bandwidth in kHz", 1000)
     if value <= 0:
         raise ValueError(f"bandwidth must be positive, got {text!r} kHz")
     ivalue = int(value)
@@ -208,11 +209,10 @@ def config_from_text(text: str) -> RadioConfig:
         sf = int(pairs["sf"])
     except ValueError as exc:
         raise ValueError(f"malformed sf: {pairs['sf']!r}") from exc
-    freq = float(_parse_decimal(pairs["f_mhz"], "frequency in MHz") * 1_000_000)
     return RadioConfig(
         sf=sf,
         bw_hz=khz_str_to_hz(pairs["bw_khz"]),
         cr=CodingRate.parse(pairs["cr"]),
         tx_power_dbm=float(_parse_decimal(pairs["pt_dbm"], "tx power in dBm")),
-        freq_hz=freq,
+        freq_hz=float(_parse_decimal(pairs["f_mhz"], "frequency in MHz", 1_000_000)),
     )

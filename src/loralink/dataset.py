@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import functools
 import io
+import math
 from dataclasses import dataclass
 from decimal import InvalidOperation
 from importlib import resources
@@ -32,7 +33,7 @@ from .core_types import (
     hz_to_khz_str,
     khz_str_to_hz,
 )
-from .link_budget import loss_breakdown
+from .link_budget import LossBreakdown, loss_breakdown
 
 # Fixed constants of the measurement campaign behind the bundled fixture.
 # The transmit power equals the transceiver maximum and is the unique value
@@ -144,31 +145,33 @@ def lookup(table: MeasurementTable, sf: int, bw_hz: float, cr: CodingRate | None
     return record
 
 
-def _parse_optional_float(text: str, line_no: int, column: str) -> float | None:
-    if text == "":
-        return None
+def _parse_float(text: str, line_no: int, column: str) -> float:
+    """One numeric field of either CSV: a finite float, else a parse error."""
     try:
-        return float(text)
-    except ValueError as exc:
-        raise MeasurementParseError(line_no, f"malformed {column}: {text!r}") from exc
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise MeasurementParseError(
+            line_no, f"malformed {column}: {text!r} (expected a finite number)"
+        )
+    return value
+
+
+def _parse_bw(text: str, line_no: int) -> float:
+    try:
+        return khz_str_to_hz(text)
+    except (ValueError, InvalidOperation) as exc:
+        raise MeasurementParseError(line_no, f"malformed bw_khz: {text!r}") from exc
 
 
 def _parse_row(row: list[str], line_no: int) -> MeasurementRecord:
-    if len(row) != len(CSV_COLUMNS):
-        raise MeasurementParseError(
-            line_no, f"expected {len(CSV_COLUMNS)} columns, got {len(row)}"
-        )
-    sf_text, bw_text, cr_num_text, cr_den_text, rssi_text, snr_text, loss_text = (
-        cell.strip() for cell in row
-    )
+    sf_text, bw_text, cr_num_text, cr_den_text, rssi_text, snr_text, loss_text = row
     try:
         sf = int(sf_text)
     except ValueError as exc:
         raise MeasurementParseError(line_no, f"malformed sf: {sf_text!r}") from exc
-    try:
-        bw_hz = khz_str_to_hz(bw_text)
-    except (ValueError, InvalidOperation) as exc:
-        raise MeasurementParseError(line_no, f"malformed bw_khz: {bw_text!r}") from exc
+    bw_hz = _parse_bw(bw_text, line_no)
     if (cr_num_text == "") != (cr_den_text == ""):
         raise MeasurementParseError(line_no, "cr_num and cr_den must both be set or both empty")
     cr = None
@@ -179,11 +182,9 @@ def _parse_row(row: list[str], line_no: int) -> MeasurementRecord:
             raise MeasurementParseError(
                 line_no, f"malformed coding rate: {cr_num_text!r}/{cr_den_text!r}"
             ) from exc
-    rssi_dbm = _parse_optional_float(rssi_text, line_no, "rssi_dbm")
-    snr_db = _parse_optional_float(snr_text, line_no, "snr_db")
-    if snr_db is None:
-        raise MeasurementParseError(line_no, "snr_db must not be empty")
-    loss_pct = _parse_optional_float(loss_text, line_no, "loss_pct")
+    rssi_dbm = None if rssi_text == "" else _parse_float(rssi_text, line_no, "rssi_dbm")
+    snr_db = _parse_float(snr_text, line_no, "snr_db")
+    loss_pct = None if loss_text == "" else _parse_float(loss_text, line_no, "loss_pct")
     return MeasurementRecord(sf, bw_hz, cr, rssi_dbm, snr_db, loss_pct)
 
 
@@ -221,6 +222,32 @@ def _iter_source_lines(source) -> Iterator[str]:
             yield line.decode("utf-8") if isinstance(line, bytes) else line
 
 
+def _csv_rows(lines: Iterable[str], header: tuple[str, ...]) -> Iterator[tuple[int, list[str]]]:
+    """(1-based line number, stripped cells) of each data row after the header.
+
+    Blank and '#' comment lines are skipped; the first other line must be
+    the header, and every data row must have as many cells as it does.
+    """
+    header_seen = False
+    for line_no, line in enumerate(lines, start=1):
+        text = line.rstrip("\r\n")
+        if not text.strip() or text.lstrip().startswith("#"):
+            continue
+        row = [cell.strip() for cell in next(csv.reader([text]))]
+        if not header_seen:
+            if tuple(row) != header:
+                raise MeasurementParseError(
+                    line_no, f"expected header {','.join(header)!r}, got {text!r}"
+                )
+            header_seen = True
+        elif len(row) != len(header):
+            raise MeasurementParseError(line_no, f"expected {len(header)} columns, got {len(row)}")
+        else:
+            yield line_no, row
+    if not header_seen:
+        raise MeasurementParseError(1, "no header row found")
+
+
 def load_measurements(source, mode: str = "validated") -> MeasurementTable:
     """Load a measurement CSV from a path, byte string, or open stream.
 
@@ -230,20 +257,8 @@ def load_measurements(source, mode: str = "validated") -> MeasurementTable:
     if mode not in ("validated", "freeform"):
         raise ValueError(f"mode must be 'validated' or 'freeform', got {mode!r}")
     records: list[MeasurementRecord] = []
-    header_seen = False
     duplicates: dict[tuple, int] = {}
-    for line_no, line in enumerate(_iter_source_lines(source), start=1):
-        text = line.rstrip("\r\n")
-        if not text.strip() or text.lstrip().startswith("#"):
-            continue
-        row = next(csv.reader([text]))
-        if not header_seen:
-            if tuple(cell.strip() for cell in row) != CSV_COLUMNS:
-                raise MeasurementParseError(
-                    line_no, f"expected header {','.join(CSV_COLUMNS)!r}, got {text!r}"
-                )
-            header_seen = True
-            continue
+    for line_no, row in _csv_rows(_iter_source_lines(source), CSV_COLUMNS):
         record = _parse_row(row, line_no)
         if mode == "validated":
             _validate_record(record, line_no)
@@ -254,8 +269,6 @@ def load_measurements(source, mode: str = "validated") -> MeasurementTable:
             )
         duplicates[record.key] = line_no
         records.append(record)
-    if not header_seen:
-        raise MeasurementParseError(1, "no header row found")
     return MeasurementTable(records)
 
 
@@ -301,29 +314,12 @@ def load_expected_grid(source=None) -> list[list[float]]:
         lines: Iterable[str] = io.StringIO(bundled_expected_grid_text())
     else:
         lines = _iter_source_lines(source)
-    expected_header = ("bw_khz",) + tuple(f"sf{sf}" for sf in SF_VALUES)
+    columns = tuple(f"sf{sf}" for sf in SF_VALUES)
     rows: dict[float, list[float]] = {}
-    header_seen = False
-    for line_no, line in enumerate(lines, start=1):
-        text = line.rstrip("\r\n")
-        if not text.strip() or text.lstrip().startswith("#"):
-            continue
-        row = next(csv.reader([text]))
-        if not header_seen:
-            if tuple(cell.strip() for cell in row) != expected_header:
-                raise MeasurementParseError(
-                    line_no, f"expected header {','.join(expected_header)!r}, got {text!r}"
-                )
-            header_seen = True
-            continue
-        if len(row) != 7:
-            raise MeasurementParseError(line_no, f"expected 7 columns, got {len(row)}")
-        try:
-            bw_hz = khz_str_to_hz(row[0].strip())
-            values = [float(cell) for cell in row[1:]]
-        except (ValueError, InvalidOperation) as exc:
-            raise MeasurementParseError(line_no, f"malformed grid row: {text!r}") from exc
-        rows[bw_hz] = values
+    for line_no, row in _csv_rows(lines, ("bw_khz",) + columns):
+        rows[_parse_bw(row[0], line_no)] = [
+            _parse_float(text, line_no, column) for text, column in zip(row[1:], columns)
+        ]
     missing = [bw for bw in BW_HZ_VALUES if bw not in rows]
     if missing:
         raise MissingCellError(
@@ -333,20 +329,15 @@ def load_expected_grid(source=None) -> list[list[float]]:
     return [rows[bw] for bw in BW_HZ_VALUES]
 
 
-def reconstruct_excess_loss(
-    table: MeasurementTable,
-    params: LinkParams,
-    tx_power_dbm: float,
-    freq_hz: float = CAMPAIGN_FREQ_HZ,
-) -> list[list[float]]:
-    """Apply the budget chain to every (SF, BW) cell of the table.
+def grid_records(table: MeasurementTable, require: tuple[str, ...] = ()) -> list[MeasurementRecord]:
+    """The grid-sweep record of each of the 36 (SF, BW) cells, in the order
+    of the published table: bandwidth ascending, then SF.
 
-    Returns the excess-loss grid as rows of ascending bandwidth by columns
-    of ascending SF, the layout of the published table.
+    Raises MissingCellError for a cell the table lacks, or one whose value
+    in any of the `require` columns (MeasurementRecord field names) is empty.
     """
-    grid: list[list[float]] = []
+    records: list[MeasurementRecord] = []
     for bw_hz in BW_HZ_VALUES:
-        row: list[float] = []
         for sf in SF_VALUES:
             try:
                 record = lookup(table, sf, bw_hz)
@@ -354,18 +345,48 @@ def reconstruct_excess_loss(
                 raise MissingCellError(
                     f"table lacks cell sf={sf}, bw_khz={hz_to_khz_str(bw_hz)}"
                 ) from exc
-            if record.rssi_dbm is None:
-                raise MissingCellError(
-                    f"cell sf={sf}, bw_khz={hz_to_khz_str(bw_hz)} has no rssi_dbm"
-                )
-            config = RadioConfig(
-                sf=sf,
-                bw_hz=bw_hz,
-                cr=record.effective_cr,
-                tx_power_dbm=tx_power_dbm,
-                freq_hz=freq_hz,
-            )
-            sample = SignalSample(record.rssi_dbm, record.snr_db)
-            row.append(loss_breakdown(params, config, sample).excess_db)
-        grid.append(row)
-    return grid
+            for column in require:
+                if getattr(record, column) is None:
+                    raise MissingCellError(
+                        f"cell sf={sf}, bw_khz={hz_to_khz_str(bw_hz)} has no {column}"
+                    )
+            records.append(record)
+    return records
+
+
+def evaluate_grid(
+    table: MeasurementTable,
+    params: LinkParams,
+    tx_power_dbm: float,
+    freq_hz: float = CAMPAIGN_FREQ_HZ,
+    *,
+    require: tuple[str, ...] = (),
+) -> list[tuple[MeasurementRecord, LossBreakdown]]:
+    """Each grid cell's record with its budget chain, in grid_records order.
+
+    Every cell needs an RSSI, plus a value in each of the `require` columns.
+    """
+    cells = []
+    for record in grid_records(table, ("rssi_dbm", *require)):
+        config = RadioConfig(sf=record.sf, bw_hz=record.bw_hz, cr=record.effective_cr,
+                             tx_power_dbm=tx_power_dbm, freq_hz=freq_hz)
+        sample = SignalSample(record.rssi_dbm, record.snr_db)
+        cells.append((record, loss_breakdown(params, config, sample)))
+    return cells
+
+
+def reconstruct_excess_loss(
+    table: MeasurementTable,
+    params: LinkParams,
+    tx_power_dbm: float,
+    freq_hz: float = CAMPAIGN_FREQ_HZ,
+) -> list[list[float]]:
+    """The excess loss of every (SF, BW) cell of the table.
+
+    Returns the excess-loss grid as rows of ascending bandwidth by columns
+    of ascending SF, the layout of the published table.
+    """
+    excess = [breakdown.excess_db
+              for _, breakdown in evaluate_grid(table, params, tx_power_dbm, freq_hz)]
+    width = len(SF_VALUES)
+    return [excess[i:i + width] for i in range(0, len(excess), width)]

@@ -12,13 +12,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .core_types import BW_HZ_VALUES, SF_VALUES, CodingRate, LinkParams, hz_to_khz_str
+from .core_types import CodingRate, LinkParams, hz_to_khz_str
 from .dataset import (
+    CAMPAIGN_FREQ_HZ,
     MeasurementTable,
-    MissingCellError,
     RecordNotFoundError,
+    evaluate_grid,
     lookup,
-    reconstruct_excess_loss,
 )
 
 RANK_METRICS = ("snr", "excess_loss", "rssi")
@@ -98,41 +98,22 @@ def _rank_key(cell: CellScore, order: tuple[str, ...]):
     return tuple(parts)
 
 
-def _grid_cells(
-    table: MeasurementTable, params: LinkParams, tx_power_dbm: float
-) -> list[CellScore]:
-    excess = reconstruct_excess_loss(table, params, tx_power_dbm)
-    cells: list[CellScore] = []
-    for i, bw_hz in enumerate(BW_HZ_VALUES):
-        for j, sf in enumerate(SF_VALUES):
-            record = lookup(table, sf, bw_hz)
-            if record.loss_pct is None:
-                raise MissingCellError(
-                    f"cell sf={sf}, bw_khz={hz_to_khz_str(bw_hz)} has no loss_pct"
-                )
-            cells.append(
-                CellScore(
-                    sf=sf,
-                    bw_hz=bw_hz,
-                    cr=record.effective_cr,
-                    rssi_dbm=record.rssi_dbm,
-                    snr_db=record.snr_db,
-                    loss_pct=record.loss_pct,
-                    excess_db=excess[i][j],
-                )
-            )
-    return cells
-
-
 def recommend_sf_bw(
     table: MeasurementTable,
     params: LinkParams,
     tx_power_dbm: float,
     constraints: SelectionConstraints | None = None,
+    freq_hz: float = CAMPAIGN_FREQ_HZ,
 ) -> Recommendation:
     """Pick the best (SF, BW) cell of a complete measurement grid."""
     constraints = constraints if constraints is not None else SelectionConstraints()
-    cells = _grid_cells(table, params, tx_power_dbm)
+    cells = [
+        CellScore(record.sf, record.bw_hz, record.effective_cr, record.rssi_dbm,
+                  record.snr_db, record.loss_pct, breakdown.excess_db)
+        for record, breakdown in evaluate_grid(
+            table, params, tx_power_dbm, freq_hz, require=("loss_pct",)
+        )
+    ]
     feasible = [
         c
         for c in cells

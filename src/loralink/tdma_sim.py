@@ -57,13 +57,15 @@ def format_sync_word(sync_word: int) -> str:
     return f"{sync_word:04X}"
 
 
+_HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
+
+
 def parse_sync_word(text: str) -> int:
-    if len(text) != 4:
+    # int(text, 16) alone also takes a sign, a 0x prefix, underscores and
+    # surrounding whitespace
+    if len(text) != 4 or not _HEX_DIGITS.issuperset(text):
         raise ValueError(f"sync word must be exactly 4 hex digits, got {text!r}")
-    try:
-        return int(text, 16)
-    except ValueError as exc:
-        raise ValueError(f"sync word must be exactly 4 hex digits, got {text!r}") from exc
+    return int(text, 16)
 
 
 @dataclass(frozen=True)
@@ -100,8 +102,11 @@ class SlotSchedule:
             raise ValueError(f"guard_s must be >= 0, got {self.guard_s!r}")
         if not self.order:
             raise ValueError("schedule order must not be empty")
-        if len(set(self.order)) != len(self.order):
-            raise ScheduleConflictError("schedule order repeats a sync word")
+        seen: set[int] = set()
+        for sync_word in self.order:
+            if sync_word in seen:
+                raise ScheduleConflictError(f"duplicate sync word {format_sync_word(sync_word)}")
+            seen.add(sync_word)
 
     @property
     def period_s(self) -> float:
@@ -162,13 +167,6 @@ def default_slot_duration(nodes: Sequence[NodeSpec]) -> float:
 
 def build_schedule(nodes: Sequence[NodeSpec], slot_duration_s: float, guard_s: float) -> SlotSchedule:
     """Round-robin schedule over the nodes in input order."""
-    seen: set[int] = set()
-    for node in nodes:
-        if node.sync_word in seen:
-            raise ScheduleConflictError(
-                f"duplicate sync word {format_sync_word(node.sync_word)}"
-            )
-        seen.add(node.sync_word)
     for node in nodes:
         airtime = node_airtime_s(node)
         if slot_duration_s < airtime:

@@ -1,16 +1,24 @@
 import io
+import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
+from functools import partial
 from pathlib import Path
 
 import pytest
 
 import loralink
 from loralink.cli import EXIT_DATA, EXIT_OK, EXIT_TOLERANCE, EXIT_USAGE, main
-from loralink.core_types import CodingRate, RadioConfig
-from loralink.dataset import load_bundled_measurements, save_measurements
+from loralink.core_types import BW_HZ_VALUES, CodingRate, LinkParams, RadioConfig, hz_to_khz_str
+from loralink.dataset import (
+    bundled_expected_grid_text,
+    load_bundled_measurements,
+    reconstruct_excess_loss,
+    save_measurements,
+)
 from loralink.phy_model import FrameParams
 from loralink.tdma_sim import (
     NodeSpec,
@@ -31,6 +39,14 @@ def run(capsys, argv):
 
 def result_lines(out: str) -> list[str]:
     return [line for line in out.splitlines() if not line.startswith("#")]
+
+
+def replacing(old, new):
+    """A write_fixture mutation that replaces one row."""
+    def mutate(text):
+        assert text.count(old) == 1
+        return text.replace(old, new)
+    return mutate
 
 
 def write_fixture(path, mutate=None):
@@ -78,6 +94,13 @@ class TestBudget:
         )
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("cell", ["sf=7,bw_khz=abc", "sf=x,bw_khz=10.4", "sf=7,bw_khz=nan"])
+    def test_malformed_cell_value_is_usage_error(self, capsys, cell):
+        code, out, err = run(capsys, ["budget", "--cell", cell, *BUDGET_FLAGS])
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == (f"usage error: malformed --cell {cell!r}; "
+                       "expected sf=<int>,bw_khz=<decimal>\n")
+
     def test_rssi_without_snr_names_missing_flag(self, capsys):
         code, _, err = run(capsys, ["budget", "--rssi", "-92.8", *BUDGET_FLAGS])
         assert code == EXIT_USAGE
@@ -120,6 +143,28 @@ class TestReconstruct:
         assert code == EXIT_TOLERANCE
         summary = [line for line in out.splitlines() if "max_deviation_db" in line][0]
         assert "cell=sf=9,bw_khz=125" in summary
+
+    def test_exactly_equal_expected_grid_passes(self, capsys, tmp_path):
+        grid = reconstruct_excess_loss(load_bundled_measurements(), LinkParams(), 20.0)
+        rows = [",".join([hz_to_khz_str(bw), *map(repr, row)])
+                for bw, row in zip(BW_HZ_VALUES, grid)]
+        expected = tmp_path / "expected.csv"
+        expected.write_text("bw_khz,sf7,sf8,sf9,sf10,sf11,sf12\n" + "\n".join(rows) + "\n")
+        code, out, err = run(capsys, ["reconstruct", "--expected", str(expected)])
+        assert (code, err) == (EXIT_OK, "")
+        assert out.splitlines()[-1] == ("# max_deviation_db=0.000000 cell=sf=7,bw_khz=10.4 "
+                                        "tolerance_db=0.05 verdict=PASS")
+
+    def test_non_finite_expected_cell_is_data_error(self, capsys, tmp_path):
+        # a nan deviation compares false against any tolerance
+        text = bundled_expected_grid_text()
+        row = next(line for line in text.splitlines() if line.startswith("62.5,"))
+        expected = tmp_path / "expected.csv"
+        expected.write_text(text.replace(row, "62.5,nan" + row[row.index(",", 5):]))
+        code, out, err = run(capsys, ["reconstruct", "--expected", str(expected),
+                                      "--tolerance", "0.09"])
+        assert (code, out) == (EXIT_DATA, "")
+        assert "malformed sf7: 'nan'" in err
 
     def test_tiny_tolerance_fails_on_rounding_residue(self, capsys):
         code, _, _ = run(capsys, ["reconstruct", "--tolerance", "0.0001"])
@@ -171,6 +216,53 @@ class TestRecommend:
         ranks = [line for line in result_lines(out) if line.startswith("rank=")]
         assert len(ranks) == 2
         assert ranks[0].startswith("rank=2 sf=8 bw_khz=125")
+
+    def test_frequency_reaches_the_excess_loss(self, capsys):
+        _, base, _ = run(capsys, ["recommend"])
+        code, moved, _ = run(capsys, ["recommend", "--f", "868000000"])
+        assert code == EXIT_OK
+        base, moved = result_lines(base), result_lines(moved)
+        strip = partial(re.sub, r"excess_db=\S+", "excess_db=")
+        assert list(map(strip, moved)) == list(map(strip, base))
+        # free-space loss grows with frequency, the measured path loss does not
+        shift = 20 * math.log10(868 / 433)
+        for old, new in zip(base, moved):
+            if "excess_db=" in old:
+                old_db, new_db = (float(line.split("excess_db=")[1].split()[0])
+                                  for line in (old, new))
+                assert old_db - new_db == pytest.approx(shift, abs=1e-3)
+
+
+class TestGridCellWithoutValue:
+    """Every grid reader names the first cell that lacks the value it needs."""
+
+    @pytest.mark.parametrize("argv, code", [
+        (["sweep", "--metric", "rssi"], EXIT_DATA),
+        (["sweep", "--metric", "excess"], EXIT_DATA),
+        (["recommend"], EXIT_DATA),
+        (["reconstruct"], EXIT_DATA),
+        (["sweep", "--metric", "snr"], EXIT_OK),
+    ])
+    def test_missing_rssi(self, capsys, tmp_path, argv, code):
+        fixture = write_fixture(tmp_path / "no_rssi.csv",
+                                replacing("9,125,,,-108,8.5,0", "9,125,,,,8.5,0"))
+        got, out, err = run(capsys, [*argv, "--fixture", fixture])
+        assert got == code
+        if code == EXIT_DATA:
+            assert (out, err) == ("", "error: cell sf=9, bw_khz=125 has no rssi_dbm\n")
+
+    def test_missing_loss(self, capsys, tmp_path):
+        fixture = write_fixture(tmp_path / "no_loss.csv",
+                                replacing("9,125,,,-108,8.5,0", "9,125,,,-108,8.5,"))
+        code, out, err = run(capsys, ["sweep", "--metric", "loss", "--fixture", fixture])
+        assert (code, out, err) == (EXIT_DATA, "", "error: cell sf=9, bw_khz=125 has no loss_pct\n")
+
+    def test_non_finite_fixture_value_is_data_error(self, capsys, tmp_path):
+        fixture = write_fixture(tmp_path / "nan.csv",
+                                replacing("9,125,,,-108,8.5,0", "9,125,,,nan,8.5,0"))
+        code, out, err = run(capsys, ["sweep", "--metric", "rssi", "--fixture", fixture])
+        assert (code, out) == (EXIT_DATA, "")
+        assert "malformed rssi_dbm: 'nan'" in err
 
 
 class TestSimulate:
@@ -366,6 +458,22 @@ class TestUplink:
 class TestParserBasics:
     def test_no_subcommand_is_usage_error(self, capsys):
         assert main([]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("argv", [
+        ["budget", "--rssi", "-92.8", "--snr", "8.4", *BUDGET_FLAGS, "--tolerance", "0.1"],
+        ["recommend", "--tolerance", "0.1"],
+        ["simulate", "--duration-s", "1", "--tolerance", "0.1"],
+        ["sweep", "--metric", "snr", "--tolerance", "0.1"],
+        ["uplink", "--report", "r.txt", "--tolerance", "0.1"],
+        ["simulate", "--duration-s", "1", "--fixture", "f.csv"],
+        ["uplink", "--report", "r.txt", "--fixture", "f.csv"],
+        ["simulate", "--duration-s", "1", "--pt", "14"],
+        ["simulate", "--duration-s", "1", "--f", "868e6"],
+    ], ids=lambda argv: f"{argv[0]}{argv[-2]}")
+    def test_flags_without_effect_are_gone(self, capsys, argv):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert f"unrecognized arguments: {' '.join(argv[-2:])}" in err
 
     def test_negative_seed_rejected(self, capsys):
         code, _, _ = run(capsys, ["recommend", "--seed", "-1"])

@@ -173,6 +173,8 @@ class TestCanonicalTextForm:
             "sf=8,bw_khz=62.5,cr=4/8,pt_dbm=20,f_mhz=433,bogus=1",  # extra field
             "sf=eight,bw_khz=62.5,cr=4/8,pt_dbm=20,f_mhz=433",
             "sf=8;bw_khz=62.5",
+            "sf=8,bw_khz=62.5,cr=4/8,pt_dbm=20,f_mhz=1e999999",  # Decimal overflow
+            "sf=8,bw_khz=62.5,cr=4/8,pt_dbm=20,f_mhz=1e400",  # beyond a float
         ],
     )
     def test_parse_rejects_malformed(self, text):

@@ -65,6 +65,13 @@ class TestLoad:
             table_from("7,125,,,-87.28,8.03,16.6", "8,banana,,,-91.83,10.18,0")
         assert excinfo.value.line_no == 3
 
+    @pytest.mark.parametrize("row", ["7,125,,,nan,8.03,0", "7,125,,,-87.28,inf,0",
+                                     "7,125,,,-87.28,8.03,NaN"])
+    def test_non_finite_value_is_a_parse_error(self, row):
+        with pytest.raises(MeasurementParseError, match="expected a finite number") as excinfo:
+            table_from("8,125,,,-91,10,0", row, mode="freeform")
+        assert excinfo.value.line_no == 3
+
     def test_missing_snr_is_an_error(self):
         with pytest.raises(MeasurementParseError):
             table_from("7,125,,,-87.28,,0")
@@ -175,3 +182,10 @@ class TestReconstruction:
         partial = "bw_khz,sf7,sf8,sf9,sf10,sf11,sf12\n10.4,1,2,3,4,5,6\n"
         with pytest.raises(MissingCellError):
             load_expected_grid(io.StringIO(partial))
+
+    @pytest.mark.parametrize("cell", ["nan", "-inf", ""])
+    def test_expected_grid_refuses_non_finite_cells(self, cell):
+        text = f"bw_khz,sf7,sf8,sf9,sf10,sf11,sf12\n# comment\n10.4,1,2,{cell},4,5,6\n"
+        with pytest.raises(MeasurementParseError, match="sf9") as excinfo:
+            load_expected_grid(io.StringIO(text))
+        assert excinfo.value.line_no == 3

@@ -48,6 +48,12 @@ class TestSyncWords:
         with pytest.raises(ValueError):
             NodeSpec(sync_word=-1, config=FAST_CONFIG, frame=FRAME)
 
+    @pytest.mark.parametrize("text", ["-FFF", "+FFF", " FFF", "FFF ", "0x1F", "1_FF",
+                                      "\u0661\u0662\u0663\u0664"])
+    def test_parse_takes_exactly_four_hex_digits(self, text):
+        with pytest.raises(ValueError, match="exactly 4 hex digits"):
+            parse_sync_word(text)
+
 
 class TestSchedule:
     def test_round_robin_period(self):
@@ -66,6 +72,10 @@ class TestSchedule:
         with pytest.raises(ScheduleConflictError) as excinfo:
             build_schedule(nodes, 1.0, 0.0)
         assert "1A2B" in str(excinfo.value)
+
+    def test_schedule_names_its_repeated_sync_word(self):
+        with pytest.raises(ScheduleConflictError, match="duplicate sync word BEEF"):
+            SlotSchedule(1.0, 0.0, (0xA001, 0xBEEF, 0xA002, 0xBEEF))
 
     def test_slot_shorter_than_airtime_names_the_node(self):
         slow = RadioConfig(sf=12, bw_hz=10400, cr=CodingRate(4, 8), tx_power_dbm=20, freq_hz=433e6)

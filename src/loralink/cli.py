@@ -33,11 +33,11 @@ from .dataset import (
     CAMPAIGN_FREQ_HZ,
     CAMPAIGN_TX_POWER_DBM,
     evaluate_grid,
+    grid_cell,
     grid_records,
     load_bundled_measurements,
     load_expected_grid,
     load_measurements,
-    lookup,
     reconstruct_excess_loss,
 )
 from .link_budget import loss_breakdown
@@ -380,9 +380,7 @@ def cmd_budget(args) -> int:
     if use_cell:
         table, fixture_name = _load_fixture(args.fixture)
         sf, bw_hz = _parse_cell(args.cell)
-        record = lookup(table, sf, bw_hz)
-        if record.rssi_dbm is None:
-            raise UsageError(f"cell {args.cell} has no rssi_dbm value")
+        record = grid_cell(table, sf, bw_hz, ("rssi_dbm",))
         rssi, snr = record.rssi_dbm, record.snr_db
     else:
         rssi, snr = args.rssi, args.snr
@@ -513,9 +511,7 @@ def cmd_simulate(args) -> int:
     stats: list[tuple[int, NodeStats]] = []
     events = simulate(stats=stats)  # checks the run before any output exists
     if args.uplink_log is not None:
-        if args.nodes > 8:
-            raise UsageError("--uplink-log supports at most 8 nodes (one channel field each)")
-        key_map = {node.sync_word: ("DRYRUN", i + 1) for i, node in enumerate(nodes)}
+        key_map = _default_key_map(schedule.order)
         # the log replays the deterministic simulation instead of keeping the report
         updates = iter_bridge(simulate(), key_map)
 
@@ -570,6 +566,14 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+def _default_key_map(sync_words) -> dict[int, tuple[str, int]]:
+    """The dry-run key map: channel field i + 1 for the i-th sync word."""
+    if len(sync_words) > 8:
+        raise UsageError(f"the default key map supports at most 8 nodes (one channel field "
+                         f"each), got {len(sync_words)}; uplink --map can map more")
+    return {sync: ("DRYRUN", i + 1) for i, sync in enumerate(sync_words)}
+
+
 def _parse_key_map(items, summary) -> dict[int, tuple[str, int]]:
     """--map items, or the default map over the report's summary nodes;
     every summary node that received a packet must be mapped."""
@@ -587,9 +591,7 @@ def _parse_key_map(items, summary) -> dict[int, tuple[str, int]]:
                 raise UsageError(f"malformed --map item {item!r}; expected SYNC=KEY:FIELD")
             mapping[sync] = (key, field_index)
     else:
-        if len(summary) > 8:
-            raise UsageError("default mapping supports at most 8 nodes; pass --map")
-        mapping = {sync: ("DRYRUN", i + 1) for i, sync in enumerate(summary)}
+        mapping = _default_key_map(summary)
     for sync, stats in summary.items():
         if stats.packets_received and sync not in mapping:
             raise UnmappedSyncWordError(f"sync word {format_sync_word(sync)} has no channel mapping")

@@ -23,7 +23,6 @@ from typing import IO, Iterable, Iterator
 
 from .core_types import (
     BW_HZ_VALUES,
-    CR_NUMERATORS,
     SF_VALUES,
     CodingRate,
     LinkParams,
@@ -32,6 +31,7 @@ from .core_types import (
     format_decimal,
     hz_to_khz_str,
     khz_str_to_hz,
+    validate_measurement_grid,
 )
 from .link_budget import LossBreakdown, loss_breakdown
 
@@ -189,18 +189,12 @@ def _parse_row(row: list[str], line_no: int) -> MeasurementRecord:
 
 
 def _validate_record(record: MeasurementRecord, line_no: int) -> None:
-    if record.sf not in SF_VALUES:
-        raise MeasurementValidationError(
-            line_no, f"sf={record.sf} not in grid {SF_VALUES}"
-        )
-    if record.bw_hz not in BW_HZ_VALUES:
-        raise MeasurementValidationError(
-            line_no,
-            f"bw_khz={hz_to_khz_str(record.bw_hz)} not in grid "
-            f"{{{', '.join(hz_to_khz_str(b) for b in BW_HZ_VALUES)}}}",
-        )
-    if record.cr is not None and (record.cr.den != 8 or record.cr.num not in CR_NUMERATORS):
-        raise MeasurementValidationError(line_no, f"cr={record.cr} not in grid (4..7)/8")
+    try:
+        validate_measurement_grid(RadioConfig(
+            sf=record.sf, bw_hz=record.bw_hz, cr=record.effective_cr,
+            tx_power_dbm=CAMPAIGN_TX_POWER_DBM, freq_hz=CAMPAIGN_FREQ_HZ))
+    except ValueError as exc:
+        raise MeasurementValidationError(line_no, str(exc)) from exc
     if record.rssi_dbm is not None and record.rssi_dbm >= 0:
         raise MeasurementValidationError(
             line_no, f"rssi_dbm={record.rssi_dbm} must be negative"
@@ -316,8 +310,15 @@ def load_expected_grid(source=None) -> list[list[float]]:
         lines = _iter_source_lines(source)
     columns = tuple(f"sf{sf}" for sf in SF_VALUES)
     rows: dict[float, list[float]] = {}
+    row_lines: dict[float, int] = {}
     for line_no, row in _csv_rows(lines, ("bw_khz",) + columns):
-        rows[_parse_bw(row[0], line_no)] = [
+        bw_hz = _parse_bw(row[0], line_no)
+        if bw_hz in row_lines:
+            raise MeasurementParseError(
+                line_no, f"duplicate of line {row_lines[bw_hz]} (bw_khz={hz_to_khz_str(bw_hz)})"
+            )
+        row_lines[bw_hz] = line_no
+        rows[bw_hz] = [
             _parse_float(text, line_no, column) for text, column in zip(row[1:], columns)
         ]
     missing = [bw for bw in BW_HZ_VALUES if bw not in rows]
@@ -336,22 +337,21 @@ def grid_records(table: MeasurementTable, require: tuple[str, ...] = ()) -> list
     Raises MissingCellError for a cell the table lacks, or one whose value
     in any of the `require` columns (MeasurementRecord field names) is empty.
     """
-    records: list[MeasurementRecord] = []
-    for bw_hz in BW_HZ_VALUES:
-        for sf in SF_VALUES:
-            try:
-                record = lookup(table, sf, bw_hz)
-            except RecordNotFoundError as exc:
-                raise MissingCellError(
-                    f"table lacks cell sf={sf}, bw_khz={hz_to_khz_str(bw_hz)}"
-                ) from exc
-            for column in require:
-                if getattr(record, column) is None:
-                    raise MissingCellError(
-                        f"cell sf={sf}, bw_khz={hz_to_khz_str(bw_hz)} has no {column}"
-                    )
-            records.append(record)
-    return records
+    return [grid_cell(table, sf, bw_hz, require) for bw_hz in BW_HZ_VALUES for sf in SF_VALUES]
+
+
+def grid_cell(table: MeasurementTable, sf: int, bw_hz: float,
+              require: tuple[str, ...]) -> MeasurementRecord:
+    """The grid-sweep record of one (SF, BW) cell, with a value in each of
+    the `require` columns; MissingCellError otherwise."""
+    try:
+        record = lookup(table, sf, bw_hz)
+    except RecordNotFoundError as exc:
+        raise MissingCellError(f"table lacks cell sf={sf}, bw_khz={hz_to_khz_str(bw_hz)}") from exc
+    for column in require:
+        if getattr(record, column) is None:
+            raise MissingCellError(f"cell sf={sf}, bw_khz={hz_to_khz_str(bw_hz)} has no {column}")
+    return record
 
 
 def evaluate_grid(

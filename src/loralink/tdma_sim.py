@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .core_types import RadioConfig, format_decimal
-from .dataset import MeasurementTable, RecordNotFoundError, lookup
+from .dataset import MeasurementTable, grid_cell
 from .link_budget import packet_loss_pct
 from .phy_model import FrameParams, time_on_air
 from .rng import GOLDEN64, MASK64, SplitMix64, mix64, substream_seed
@@ -83,8 +83,7 @@ class NodeSpec:
     payload_source: Callable[[int], int] | None = None
 
     def __post_init__(self) -> None:
-        if not 0 <= self.sync_word <= 0xFFFF:
-            raise ValueError(f"sync word must be a 16-bit value, got {self.sync_word!r}")
+        format_sync_word(self.sync_word)  # raises for a value outside 16 bits
 
 
 @dataclass(frozen=True)
@@ -166,14 +165,10 @@ def default_slot_duration(nodes: Sequence[NodeSpec]) -> float:
 
 
 def build_schedule(nodes: Sequence[NodeSpec], slot_duration_s: float, guard_s: float) -> SlotSchedule:
-    """Round-robin schedule over the nodes in input order."""
-    for node in nodes:
-        airtime = node_airtime_s(node)
-        if slot_duration_s < airtime:
-            raise InfeasibleSlotError(
-                f"slot {slot_duration_s} s is shorter than the {airtime:.6f} s airtime "
-                f"of node {format_sync_word(node.sync_word)}"
-            )
+    """Round-robin schedule over the nodes in input order.
+
+    Whether each node's transmissions fit the slot is checked by iter_events.
+    """
     return SlotSchedule(slot_duration_s, guard_s, tuple(node.sync_word for node in nodes))
 
 
@@ -189,12 +184,7 @@ def default_payload_source(seed: int, sync_word: int) -> Callable[[int], int]:
 
 def drop_model_from_table(table: MeasurementTable, node: NodeSpec) -> float:
     """Loss probability for a node from the measured cell of its configuration."""
-    record = lookup(table, node.config.sf, node.config.bw_hz)
-    if record.loss_pct is None:
-        raise RecordNotFoundError(
-            f"measured cell for node {format_sync_word(node.sync_word)} has no loss_pct"
-        )
-    return record.loss_pct / 100.0
+    return grid_cell(table, node.config.sf, node.config.bw_hz, ("loss_pct",)).loss_pct / 100.0
 
 
 def iter_events(
@@ -228,11 +218,10 @@ def iter_events(
         raise ValueError(f"frames_per_slot must be >= 1, got {frames_per_slot!r}")
     if handshake_s < 0:
         raise ValueError(f"handshake_s must be >= 0, got {handshake_s!r}")
-    by_sync = {node.sync_word: node for node in nodes}
-    if len(by_sync) != len(nodes):
-        raise ScheduleConflictError("nodes repeat a sync word")
-    if set(schedule.order) != set(by_sync):
+    # the schedule's sync words are unique, so this also refuses repeated nodes
+    if sorted(node.sync_word for node in nodes) != sorted(schedule.order):
         raise ValueError("schedule order does not match the node set")
+    by_sync = {node.sync_word: node for node in nodes}
     for node in nodes:
         p = drop_model.get(node.sync_word, 0.0)
         if not 0.0 <= p <= 1.0:

@@ -54,17 +54,6 @@ class ChannelUpdate:
             raise InvalidUpdateError("created_at must be timezone-aware")
 
 
-@dataclass(frozen=True)
-class RequestDescriptor:
-    method: str
-    path: str
-    query: str
-
-    @property
-    def request_line(self) -> str:
-        return f"{self.method} {self.path}?{self.query}"
-
-
 def iso_utc(moment: datetime) -> str:
     """UTC ISO-8601 at second resolution with a Z suffix."""
     return moment.astimezone(timezone.utc).replace(microsecond=0).strftime("%Y-%m-%dT%H:%M:%SZ")
@@ -78,8 +67,8 @@ def _render_value(value) -> str:
     return format_decimal(value)
 
 
-def format_update(update: ChannelUpdate) -> RequestDescriptor:
-    """Render an update as the single-update GET request.
+def format_update(update: ChannelUpdate) -> str:
+    """Render an update as the path and query of the single-update GET request.
 
     Fields appear in ascending index order; values are percent-encoded.
     """
@@ -89,7 +78,7 @@ def format_update(update: ChannelUpdate) -> RequestDescriptor:
         parts.append(f"field{index}={encoded}")
     if update.created_at is not None:
         parts.append(f"created_at={urllib.parse.quote(iso_utc(update.created_at), safe='')}")
-    return RequestDescriptor(method="GET", path=UPDATE_PATH, query="&".join(parts))
+    return f"{UPDATE_PATH}?{'&'.join(parts)}"
 
 
 def iter_bridge(
@@ -138,7 +127,7 @@ def bridge_sim_report(
 class DryRunTransport:
     """Hermetic transport: logs one line per update, sends nothing.
 
-    Log format: '<ISO8601> UPLINK <request line>'. The timestamp is the
+    Log format: '<ISO8601> UPLINK GET <format_update(update)>'. The timestamp is the
     update's created_at when present (keeping dry runs deterministic),
     otherwise the current UTC time. Each line goes to `write` (newline
     added) when one is given and is kept in `lines` otherwise.
@@ -152,7 +141,7 @@ class DryRunTransport:
         stamp = iso_utc(update.created_at) if update.created_at else iso_utc(
             datetime.now(timezone.utc)
         )
-        line = f"{stamp} UPLINK {format_update(update).request_line}"
+        line = f"{stamp} UPLINK GET {format_update(update)}"
         if self._write is None:
             self.lines.append(line)
         else:
@@ -195,8 +184,7 @@ class HttpTransport:
             wait = self.min_spacing_s - (time.monotonic() - self._last_send)
             if wait > 0:
                 time.sleep(wait)
-        descriptor = format_update(replace(update, api_key=self._api_key))
-        url = f"{self._base_url}{descriptor.path}?{descriptor.query}"
+        url = self._base_url + format_update(replace(update, api_key=self._api_key))
         try:
             with urllib.request.urlopen(url, timeout=self._timeout_s) as response:
                 body = response.read().decode("utf-8", errors="replace")

@@ -166,6 +166,14 @@ class TestReconstruct:
         assert (code, out) == (EXIT_DATA, "")
         assert "malformed sf7: 'nan'" in err
 
+    def test_repeated_expected_row_is_data_error(self, capsys, tmp_path):
+        expected = tmp_path / "expected.csv"
+        expected.write_text(bundled_expected_grid_text() + "62.5,1,2,3,4,5,6\n")
+        code, out, err = run(capsys, ["reconstruct", "--expected", str(expected),
+                                      "--tolerance", "0.09"])
+        assert (code, out) == (EXIT_DATA, "")
+        assert "duplicate of line" in err and "bw_khz=62.5" in err
+
     def test_tiny_tolerance_fails_on_rounding_residue(self, capsys):
         code, _, _ = run(capsys, ["reconstruct", "--tolerance", "0.0001"])
         assert code == EXIT_TOLERANCE
@@ -242,6 +250,7 @@ class TestGridCellWithoutValue:
         (["recommend"], EXIT_DATA),
         (["reconstruct"], EXIT_DATA),
         (["sweep", "--metric", "snr"], EXIT_OK),
+        (["budget", "--cell", "sf=9,bw_khz=125", *BUDGET_FLAGS], EXIT_DATA),
     ])
     def test_missing_rssi(self, capsys, tmp_path, argv, code):
         fixture = write_fixture(tmp_path / "no_rssi.csv",
@@ -358,6 +367,7 @@ class TestFailBeforeOutput:
         (["--nodes", "2", "--duration-s", "5", "--frames-per-slot", "100"], EXIT_DATA),
         (["--nodes", "2", "--duration-s", "5", "--handshake-s", "5"], EXIT_DATA),
         (["--nodes", "9", "--duration-s", "60", "--uplink-log", "{tmp}/u.log"], EXIT_USAGE),
+        (["--nodes", "2", "--duration-s", "5", "--slot-s", "0.05"], EXIT_DATA),  # airtime 0.1157 s
     ])
     def test_simulate(self, capsys, tmp_path, argv, code):
         out = tmp_path / "r.txt"
@@ -384,6 +394,15 @@ class TestFailBeforeOutput:
         assert got == code
         assert stdout == ""
         assert not out.exists()
+
+    def test_nine_nodes_one_default_key_map_message(self, capsys, tmp_path):
+        report = tmp_path / "report.txt"
+        run(capsys, ["simulate", "--nodes", "9", "--duration-s", "5", "--output", str(report)])
+        simulated = run(capsys, ["simulate", "--nodes", "9", "--duration-s", "5",
+                                 "--uplink-log", str(tmp_path / "u.log")])
+        bridged = run(capsys, ["uplink", "--report", str(report)])
+        assert simulated == bridged
+        assert bridged[0] == EXIT_USAGE and "at most 8 nodes" in bridged[2]
 
 
 class TestSweep:

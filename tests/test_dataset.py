@@ -11,6 +11,7 @@ from loralink.dataset import (
     MeasurementValidationError,
     MissingCellError,
     RecordNotFoundError,
+    bundled_expected_grid_text,
     load_bundled_measurements,
     load_expected_grid,
     load_measurements,
@@ -182,6 +183,14 @@ class TestReconstruction:
         partial = "bw_khz,sf7,sf8,sf9,sf10,sf11,sf12\n10.4,1,2,3,4,5,6\n"
         with pytest.raises(MissingCellError):
             load_expected_grid(io.StringIO(partial))
+
+    def test_expected_grid_refuses_a_repeated_bandwidth_row(self):
+        text = bundled_expected_grid_text() + "62.5,1,2,3,4,5,6\n"
+        first = next(i for i, line in enumerate(text.splitlines(), start=1)
+                     if line.startswith("62.5,"))
+        with pytest.raises(MeasurementParseError, match=f"duplicate of line {first} ") as excinfo:
+            load_expected_grid(io.StringIO(text))
+        assert excinfo.value.line_no == len(text.splitlines())
 
     @pytest.mark.parametrize("cell", ["nan", "-inf", ""])
     def test_expected_grid_refuses_non_finite_cells(self, cell):

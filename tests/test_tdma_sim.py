@@ -81,7 +81,7 @@ class TestSchedule:
         slow = RadioConfig(sf=12, bw_hz=10400, cr=CodingRate(4, 8), tx_power_dbm=20, freq_hz=433e6)
         nodes = [NodeSpec(sync_word=0xBEEF, config=slow, frame=FRAME)]
         with pytest.raises(InfeasibleSlotError) as excinfo:
-            build_schedule(nodes, 1.0, 0.0)  # airtime is ~11.1 s
+            iter_events(nodes, build_schedule(nodes, 1.0, 0.0), {}, 1.0, 0)  # airtime is ~11.1 s
         assert "BEEF" in str(excinfo.value)
 
     def test_default_slot_duration(self):
@@ -227,6 +227,7 @@ class TestRunSimulation:
         {"drop_model": {0xA001: 1.5}},
         {"duration_s": 0.0},
         {"nodes": make_nodes(1)},
+        {"nodes": make_nodes(2) + make_nodes(2)[1:]},  # two nodes on A002
     ])
     def test_iter_events_checks_before_the_first_event(self, change):
         nodes = make_nodes(2)

@@ -1,3 +1,5 @@
+import urllib.parse
+from dataclasses import replace
 from datetime import datetime, timezone
 
 import pytest
@@ -75,30 +77,30 @@ class TestChannelUpdate:
 
 class TestFormatUpdate:
     def test_single_field(self):
-        line = format_update(ChannelUpdate("KEY1", {1: 42})).request_line
-        assert line == "GET /update?api_key=KEY1&field1=42"
+        line = format_update(ChannelUpdate("KEY1", {1: 42}))
+        assert line == "/update?api_key=KEY1&field1=42"
 
     def test_fields_in_ascending_index_order(self):
-        line = format_update(ChannelUpdate("KEY1", {2: 17, 1: 42})).request_line
-        assert line == "GET /update?api_key=KEY1&field1=42&field2=17"
+        line = format_update(ChannelUpdate("KEY1", {2: 17, 1: 42}))
+        assert line == "/update?api_key=KEY1&field1=42&field2=17"
 
     def test_created_at_is_percent_encoded(self):
         update = ChannelUpdate("KEY1", {1: 42}, datetime(2024, 5, 1, 12, 30, 15, tzinfo=UTC))
-        line = format_update(update).request_line
+        line = format_update(update)
         assert line.endswith("&created_at=2024-05-01T12%3A30%3A15Z")
 
     def test_values_are_percent_encoded(self):
-        line = format_update(ChannelUpdate("KEY1", {1: "a b&c"})).request_line
+        line = format_update(ChannelUpdate("KEY1", {1: "a b&c"}))
         assert "field1=a%20b%26c" in line
 
     def test_float_values_render_as_plain_decimals(self):
-        line = format_update(ChannelUpdate("KEY1", {1: 36.6})).request_line
+        line = format_update(ChannelUpdate("KEY1", {1: 36.6}))
         assert "field1=36.6" in line
 
     def test_injective_on_distinct_field_maps(self):
         seen = set()
         for fields in ({1: 1}, {1: 2}, {2: 1}, {1: 1, 2: 1}, {3: 7}):
-            line = format_update(ChannelUpdate("KEY1", fields)).request_line
+            line = format_update(ChannelUpdate("KEY1", fields))
             assert line not in seen
             seen.add(line)
 
@@ -106,7 +108,7 @@ class TestFormatUpdate:
         update = ChannelUpdate(
             "KEY1", {1: 1}, datetime(2024, 5, 1, 12, 30, 15, 999999, tzinfo=UTC)
         )
-        assert "12%3A30%3A15Z" in format_update(update).request_line
+        assert "12%3A30%3A15Z" in format_update(update)
 
 
 class TestBridge:
@@ -219,6 +221,10 @@ class TestHttpTransport:
         assert transport.send(update) == "42"
         assert requests == [("https://example.test/update?api_key=SECRET&field3=7"
                              "&created_at=2024-05-01T12%3A00%3A00Z", 3.0)]
+        dry_run = DryRunTransport()
+        dry_run.send(replace(update, api_key="SECRET"))
+        url = urllib.parse.urlsplit(requests[0][0])
+        assert dry_run.lines[0].split(" GET ", 1)[1] == f"{url.path}?{url.query}"
 
     def test_iso_helper(self):
         assert iso_utc(datetime(2024, 5, 1, 12, 0, 0, tzinfo=UTC)) == "2024-05-01T12:00:00Z"

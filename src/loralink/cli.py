@@ -125,6 +125,9 @@ def _checked(convert, accept, expected: str):
 
 _finite_float = _checked(float, math.isfinite, "a finite number")
 _count_arg = _checked(int, lambda value: value >= 0, "a non-negative integer")
+_sf_arg = _checked(int, lambda value: 6 <= value <= 12, "a spreading factor in 6..12")
+# 255 is the largest length the LoRa PHY header can carry
+_payload_arg = _checked(int, lambda value: 0 <= value <= 255, "a payload of 0..255 bytes")
 
 
 def _seed_arg(text: str) -> int:
@@ -270,13 +273,13 @@ def _recommend_flags(parser: argparse.ArgumentParser) -> None:
 
 def _simulate_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--nodes", type=int, default=2, help="number of sensor nodes (default 2)")
-    parser.add_argument("--sf", type=int, default=8,
+    parser.add_argument("--sf", type=_sf_arg, default=8,
                         help="spreading factor for all nodes (default 8)")
     parser.add_argument("--bw-khz", type=_khz_arg, default=62500.0, dest="bw_hz",
                         metavar="KHZ", help="bandwidth for all nodes (default 62.5)")
     parser.add_argument("--cr", type=_cr_arg, default=CodingRate(4, 8),
                         help="coding rate for all nodes (default 4/8)")
-    parser.add_argument("--payload-bytes", type=int, default=2,
+    parser.add_argument("--payload-bytes", type=_payload_arg, default=2,
                         help="frame payload size (default 2)")
     parser.add_argument("--preamble", type=int, default=8, help="preamble symbols (default 8)")
     parser.add_argument("--slot-s", type=_positive_float, default=None,
@@ -494,8 +497,8 @@ def _simulate_drop_model(args, nodes) -> tuple[dict[int, float], str]:
 def cmd_simulate(args) -> int:
     if args.nodes < 1:
         raise UsageError("--nodes must be >= 1")
-    if args.payload_bytes < 0 or args.preamble < 0:
-        raise UsageError("--payload-bytes and --preamble must be >= 0")
+    if args.preamble < 0:
+        raise UsageError("--preamble must be >= 0")
     # airtime, the only use of the radio configuration here, ignores
     # transmit power and frequency
     config = RadioConfig(sf=args.sf, bw_hz=args.bw_hz, cr=args.cr,
@@ -578,7 +581,7 @@ def _parse_key_map(items, summary) -> dict[int, tuple[str, int]]:
     """--map items, or the default map over the report's summary nodes;
     every summary node that received a packet must be mapped."""
     if items:
-        mapping = {}
+        mapping, item_of = {}, {}
         for item in items:
             try:
                 sync_text, _, rest = item.partition("=")
@@ -589,6 +592,10 @@ def _parse_key_map(items, summary) -> dict[int, tuple[str, int]]:
                 raise UsageError(f"malformed --map item {item!r}: {exc}") from None
             if not key:
                 raise UsageError(f"malformed --map item {item!r}; expected SYNC=KEY:FIELD")
+            if sync in item_of:
+                raise UsageError(f"sync word {format_sync_word(sync)} is mapped twice: "
+                                 f"--map {item_of[sync]!r} and --map {item!r}")
+            item_of[sync] = item
             mapping[sync] = (key, field_index)
     else:
         mapping = _default_key_map(summary)

@@ -12,6 +12,7 @@ import time
 import urllib.parse
 from dataclasses import dataclass, replace
 from datetime import datetime, timedelta, timezone
+from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .core_types import format_decimal
@@ -54,30 +55,34 @@ class ChannelUpdate:
             raise InvalidUpdateError("created_at must be timezone-aware")
 
 
+@lru_cache(maxsize=256)
 def iso_utc(moment: datetime) -> str:
     """UTC ISO-8601 at second resolution with a Z suffix."""
     return moment.astimezone(timezone.utc).replace(microsecond=0).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
-def _render_value(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, int):
+@lru_cache(maxsize=1024)
+def _quote(text: str) -> str:
+    return urllib.parse.quote(text, safe="")
+
+
+def _encode_value(value) -> str:
+    if isinstance(value, int):  # digits and '-' (or True/False): nothing to percent-encode
         return str(value)
-    return format_decimal(value)
+    return _quote(value if isinstance(value, str) else format_decimal(value))
 
 
 def format_update(update: ChannelUpdate) -> str:
     """Render an update as the path and query of the single-update GET request.
 
     Fields appear in ascending index order; values are percent-encoded.
+    Each distinct key, value and stamp string is encoded once.
     """
-    parts = [f"api_key={urllib.parse.quote(update.api_key, safe='')}"]
+    parts = [f"api_key={_quote(update.api_key)}"]
     for index in sorted(update.fields):
-        encoded = urllib.parse.quote(_render_value(update.fields[index]), safe="")
-        parts.append(f"field{index}={encoded}")
+        parts.append(f"field{index}={_encode_value(update.fields[index])}")
     if update.created_at is not None:
-        parts.append(f"created_at={urllib.parse.quote(iso_utc(update.created_at), safe='')}")
+        parts.append(f"created_at={_quote(iso_utc(update.created_at))}")
     return f"{UPDATE_PATH}?{'&'.join(parts)}"
 
 
@@ -101,6 +106,7 @@ def iter_bridge(
 
 
 def _updates(events, key_map, epoch):
+    second = created_at = None
     for t_ns, kind, sync, detail in events:
         if kind != "rx_ok":
             continue
@@ -111,8 +117,10 @@ def _updates(events, key_map, epoch):
             )
         if detail is None:
             raise InvalidUpdateError(f"rx_ok event at {t_ns} ns carries no payload value")
-        yield ChannelUpdate(target[0], {target[1]: detail},
-                            epoch + timedelta(seconds=t_ns // 1_000_000_000))
+        if t_ns // 1_000_000_000 != second:  # updates of one second share one created_at
+            second = t_ns // 1_000_000_000
+            created_at = epoch + timedelta(seconds=second)
+        yield ChannelUpdate(target[0], {target[1]: detail}, created_at)
 
 
 def bridge_sim_report(

@@ -382,6 +382,7 @@ class TestFailBeforeOutput:
         ("2", ["--map", "A001=KEY:1", "--map", "A002=KEY:9"], EXIT_DATA),
         ("9", [], EXIT_USAGE),
         ("2", ["--real"], EXIT_DATA),
+        ("2", ["--map", "A001=K:1", "--map", "A001=J:2"], EXIT_USAGE),
     ])
     def test_uplink(self, capsys, tmp_path, monkeypatch, nodes, argv, code):
         monkeypatch.delenv("UPLINK_API_KEY", raising=False)
@@ -394,6 +395,14 @@ class TestFailBeforeOutput:
         assert got == code
         assert stdout == ""
         assert not out.exists()
+
+    def test_repeated_map_names_both_items(self, capsys, tmp_path):
+        report = tmp_path / "report.txt"
+        run(capsys, ["simulate", "--nodes", "2", "--duration-s", "5", "--output", str(report)])
+        code, _, err = run(capsys, ["uplink", "--report", str(report), "--map", "A002=K:2",
+                                    "--map", "A001=K:1", "--map", "a001=J:2"])
+        assert code == EXIT_USAGE
+        assert "A001" in err and "'A001=K:1'" in err and "'a001=J:2'" in err
 
     def test_nine_nodes_one_default_key_map_message(self, capsys, tmp_path):
         report = tmp_path / "report.txt"
@@ -521,6 +530,8 @@ class TestParserBasics:
         ["simulate", "--duration-s", "5", "--handshake-s", "nan"],
         ["recommend", "--top", "-1"],
         ["reconstruct", "--tolerance", "nan"],
+        ["simulate", "--duration-s", "5", "--sf", "40"],
+        ["simulate", "--duration-s", "5", "--payload-bytes", "100000000"],
     ])
     def test_non_finite_and_negative_values_are_usage_errors(self, capsys, argv):
         code, out, err = run(capsys, argv)

@@ -53,6 +53,9 @@ CASES = {
     "uplink": ["uplink", "--report", "report.txt", "--epoch", "2024-05-01T12:00:00Z"],
     "uplink_map": ["uplink", "--report", "report.txt", "--map", "A001=K1:2",
                    "--map", "A002=K2:5", "--map", "A003=K1:8", "--min-spacing-s", "1.5"],
+    "uplink_encoded": ["uplink", "--report", "report.txt", "--map", "A001=K+1/x:1",
+                       "--map", "A002=K+1/x:2", "--map", "A003=K+1/x:3",
+                       "--epoch", "2024-03-01T10:00:00+05:30"],
 }
 
 

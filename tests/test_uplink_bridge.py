@@ -1,9 +1,10 @@
 import urllib.parse
 from dataclasses import replace
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 
 import pytest
 
+from loralink.cli import EXIT_OK, main
 from loralink.tdma_sim import SimEvent, SimReport, NodeStats
 from loralink.uplink_bridge import (
     ChannelUpdate,
@@ -18,6 +19,15 @@ from loralink.uplink_bridge import (
 )
 
 UTC = timezone.utc
+
+
+def reference_request(api_key, index, text, created_at):
+    """The request path and query, built from urllib.parse.quote and strftime alone."""
+    def quote(part):
+        return urllib.parse.quote(part, safe="")
+    stamp = created_at.astimezone(UTC).strftime("%Y-%m-%dT%H:%M:%SZ")
+    return (f"/update?api_key={quote(api_key)}&field{index}={quote(text)}"
+            f"&created_at={quote(stamp)}"), stamp
 
 
 def hand_report():
@@ -109,6 +119,45 @@ class TestFormatUpdate:
             "KEY1", {1: 1}, datetime(2024, 5, 1, 12, 30, 15, 999999, tzinfo=UTC)
         )
         assert "12%3A30%3A15Z" in format_update(update)
+
+    @pytest.mark.parametrize("api_key", ["TS00AB+1", "a/b&c", "é"])
+    @pytest.mark.parametrize("value, text", [
+        (-17, "-17"), (True, "True"), (36.6, "36.6"), ("a b&c/é=%", "a b&c/é=%"),
+    ])
+    def test_byte_parity_with_quote_and_strftime(self, api_key, value, text):
+        created_at = datetime(2024, 3, 1, 10, 0, 59, 987654,
+                              tzinfo=timezone(timedelta(hours=5)))
+        expected, stamp = reference_request(api_key, 4, text, created_at)
+        update = ChannelUpdate(api_key, {4: value}, created_at)
+        transport = DryRunTransport()
+        for _ in range(2):  # the second pass reads the encodings from the caches
+            assert format_update(update) == expected
+            transport.send(update)
+        assert transport.lines == [f"{stamp} UPLINK GET {expected}"] * 2
+        assert stamp == "2024-03-01T05:00:59Z"
+
+
+class TestFormattingCost:
+    def test_quote_runs_once_per_distinct_key_and_second(self, tmp_path, monkeypatch):
+        report, log = tmp_path / "report.txt", tmp_path / "u.log"
+        assert main(["simulate", "--nodes", "3", "--duration-s", "60", "--seed", "2",
+                     "--output", str(report)]) == EXIT_OK
+        keys = ["K+1/x", "K+1/x", "Ké"]
+        maps = [a for i, key in enumerate(keys) for a in ("--map", f"A00{i + 1}={key}:{i + 1}")]
+        calls = []
+        quote = urllib.parse.quote
+
+        def counting_quote(*args, **kwargs):
+            calls.append(args[0])
+            return quote(*args, **kwargs)
+
+        monkeypatch.setattr(urllib.parse, "quote", counting_quote)
+        assert main(["uplink", "--report", str(report), *maps,
+                     "--epoch", "2024-03-01T10:00:00+05:30", "--output", str(log)]) == EXIT_OK
+        lines = log.read_text(encoding="utf-8").splitlines()[1:]
+        seconds = {line.split(" ", 1)[0] for line in lines}
+        assert len(lines) >= 200
+        assert len(calls) <= len(set(keys)) + len(seconds)
 
 
 class TestBridge:

@@ -38,7 +38,6 @@ from .phy_model import (
 )
 from .dataset import (
     CAMPAIGN_FREQ_HZ,
-    CAMPAIGN_LINK_PARAMS,
     CAMPAIGN_TX_POWER_DBM,
     MeasurementRecord,
     MeasurementTable,

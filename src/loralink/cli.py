@@ -33,11 +33,11 @@ from .dataset import (
     CAMPAIGN_FREQ_HZ,
     CAMPAIGN_TX_POWER_DBM,
     evaluate_grid,
-    grid_cell,
     grid_records,
     load_bundled_measurements,
     load_expected_grid,
     load_measurements,
+    lookup,
     reconstruct_excess_loss,
 )
 from .link_budget import loss_breakdown
@@ -86,13 +86,6 @@ class UsageError(ValueError):
     """Argument combination error detected after argparse."""
 
 
-def _loss_pct_arg(text: str) -> float:
-    value = float(text)
-    if not 0 <= value <= 100:
-        raise argparse.ArgumentTypeError(f"loss percentage {value} outside [0, 100]")
-    return value
-
-
 def _khz_arg(text: str) -> float:
     try:
         return khz_str_to_hz(text)
@@ -124,24 +117,15 @@ def _checked(convert, accept, expected: str):
 
 
 _finite_float = _checked(float, math.isfinite, "a finite number")
-_count_arg = _checked(int, lambda value: value >= 0, "a non-negative integer")
+_positive_float = _checked(float, lambda value: 0 < value < math.inf, "a positive value")
+_loss_pct_arg = _checked(float, lambda value: 0 <= value <= 100, "a loss percentage in [0, 100]")
+_non_negative_int = _checked(int, lambda value: value >= 0, "a non-negative integer")
+_nodes_arg = _checked(int, lambda value: value >= 1, "at least 1 node")
 _sf_arg = _checked(int, lambda value: 6 <= value <= 12, "a spreading factor in 6..12")
 # 255 is the largest length the LoRa PHY header can carry
 _payload_arg = _checked(int, lambda value: 0 <= value <= 255, "a payload of 0..255 bytes")
-
-
-def _seed_arg(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("seed must be a non-negative integer")
-    return value
-
-
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if not (value > 0 and math.isfinite(value)):
-        raise argparse.ArgumentTypeError(f"expected a positive value, got {text}")
-    return value
+# the SX127x preamble-length register is 16 bits wide
+_preamble_arg = _checked(int, lambda value: 0 <= value <= 65535, "a preamble of 0..65535 symbols")
 
 
 def _iso8601_arg(text: str) -> datetime:
@@ -210,7 +194,7 @@ def _add_globals(parser: argparse.ArgumentParser, *, fixture: bool = True) -> No
     if fixture:
         parser.add_argument("--fixture", metavar="PATH", default=None,
                             help="measurement CSV (default: the bundled field measurements)")
-    parser.add_argument("--seed", type=_seed_arg, default=0, help="run seed (default 0)")
+    parser.add_argument("--seed", type=_non_negative_int, default=0, help="run seed (default 0)")
     parser.add_argument("--output", metavar="PATH", default=None,
                         help="output file (default: stdout)")
 
@@ -264,7 +248,7 @@ def _recommend_flags(parser: argparse.ArgumentParser) -> None:
                         metavar="KHZ", help="minimum admissible bandwidth (default 62.5)")
     parser.add_argument("--order", default=",".join(SelectionConstraints().tie_break_order),
                         help="comma-separated ranking metrics (snr, excess_loss, rssi)")
-    parser.add_argument("--top", type=_count_arg, default=5,
+    parser.add_argument("--top", type=_non_negative_int, default=5,
                         help="runner-up rows to print (default 5)")
     _add_link_constant_flags(parser)
     _add_globals(parser)
@@ -272,7 +256,8 @@ def _recommend_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _simulate_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--nodes", type=int, default=2, help="number of sensor nodes (default 2)")
+    parser.add_argument("--nodes", type=_nodes_arg, default=2,
+                        help="number of sensor nodes (default 2)")
     parser.add_argument("--sf", type=_sf_arg, default=8,
                         help="spreading factor for all nodes (default 8)")
     parser.add_argument("--bw-khz", type=_khz_arg, default=62500.0, dest="bw_hz",
@@ -281,7 +266,8 @@ def _simulate_flags(parser: argparse.ArgumentParser) -> None:
                         help="coding rate for all nodes (default 4/8)")
     parser.add_argument("--payload-bytes", type=_payload_arg, default=2,
                         help="frame payload size (default 2)")
-    parser.add_argument("--preamble", type=int, default=8, help="preamble symbols (default 8)")
+    parser.add_argument("--preamble", type=_preamble_arg, default=8,
+                        help="preamble symbols (default 8)")
     parser.add_argument("--slot-s", type=_positive_float, default=None,
                         help="slot duration in seconds (default: 2x airtime, ms-rounded)")
     parser.add_argument("--guard-s", type=_finite_float, default=0.01,
@@ -383,7 +369,7 @@ def cmd_budget(args) -> int:
     if use_cell:
         table, fixture_name = _load_fixture(args.fixture)
         sf, bw_hz = _parse_cell(args.cell)
-        record = grid_cell(table, sf, bw_hz, ("rssi_dbm",))
+        record = lookup(table, sf, bw_hz, require=("rssi_dbm",))
         rssi, snr = record.rssi_dbm, record.snr_db
     else:
         rssi, snr = args.rssi, args.snr
@@ -495,10 +481,6 @@ def _simulate_drop_model(args, nodes) -> tuple[dict[int, float], str]:
 
 
 def cmd_simulate(args) -> int:
-    if args.nodes < 1:
-        raise UsageError("--nodes must be >= 1")
-    if args.preamble < 0:
-        raise UsageError("--preamble must be >= 0")
     # airtime, the only use of the radio configuration here, ignores
     # transmit power and frequency
     config = RadioConfig(sf=args.sf, bw_hz=args.bw_hz, cr=args.cr,

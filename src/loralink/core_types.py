@@ -65,8 +65,8 @@ class CodingRate:
 class RadioConfig:
     """One LoRa PHY configuration.
 
-    Constructors accept any physically sane values ("freeform" mode);
-    membership in the supported measurement grid is a separate check, see
+    Constructors accept any physically sane values; membership in the
+    supported measurement grid is a separate check, see
     validate_measurement_grid().
     """
 
@@ -101,15 +101,12 @@ class LinkParams:
     gt_dbi: float = 5.15
     gr_dbi: float = 5.15
     c_mps: float = 3.0e8
-    rssi_offset_db: float = 157.0  # register-to-dBm offset for 433 MHz operation
 
     def __post_init__(self) -> None:
         if self.distance_m <= 0:
             raise ValueError(f"distance_m must be positive, got {self.distance_m!r}")
         if self.c_mps <= 0:
             raise ValueError(f"c_mps must be positive, got {self.c_mps!r}")
-        if self.rssi_offset_db <= 0:
-            raise ValueError(f"rssi_offset_db must be positive, got {self.rssi_offset_db!r}")
 
 
 @dataclass(frozen=True)

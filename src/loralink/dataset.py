@@ -16,7 +16,6 @@ import functools
 import io
 import math
 from dataclasses import dataclass
-from decimal import InvalidOperation
 from importlib import resources
 from pathlib import Path
 from typing import IO, Iterable, Iterator
@@ -42,7 +41,6 @@ from .link_budget import LossBreakdown, loss_breakdown
 # overridable per run.
 CAMPAIGN_TX_POWER_DBM = 20.0
 CAMPAIGN_FREQ_HZ = 433_000_000
-CAMPAIGN_LINK_PARAMS = LinkParams()
 
 CSV_COLUMNS = ("sf", "bw_khz", "cr_num", "cr_den", "rssi_dbm", "snr_db", "loss_pct")
 
@@ -59,15 +57,11 @@ class MeasurementParseError(ValueError):
 
 
 class MeasurementValidationError(MeasurementParseError):
-    """A parsed row violates a validated-mode invariant."""
+    """A parsed row is off the measurement grid or out of range."""
 
 
 class DuplicateRecordError(ValueError):
     """Two records share the same (sf, bw_hz, cr) key."""
-
-
-class RecordNotFoundError(LookupError):
-    """No record exists for the requested key."""
 
 
 class MissingCellError(LookupError):
@@ -123,25 +117,22 @@ class MeasurementTable:
         return self._records.get((sf, bw_hz, cr))
 
 
-def lookup(table: MeasurementTable, sf: int, bw_hz: float, cr: CodingRate | None = None) -> MeasurementRecord:
-    """Find the record for a cell.
+def lookup(table: MeasurementTable, sf: int, bw_hz: float, *,
+           require: tuple[str, ...] = ()) -> MeasurementRecord:
+    """The grid-sweep record of one (SF, BW) cell.
 
-    cr=None targets the grid-sweep row for the cell; because unrecorded CR
-    means "assume 4/8", a miss falls back to the explicit 4/8 row (and vice
-    versa when cr=4/8 is requested).
+    Because unrecorded CR means "assume 4/8", an explicit 4/8 row stands in
+    for a missing grid row. Raises MissingCellError when the table has
+    neither, or when the record has no value in one of the `require`
+    columns (MeasurementRecord field names). A row with any other explicit
+    CR is table.get(sf, bw_hz, cr).
     """
-    record = table.get(sf, bw_hz, cr)
+    record = table.get(sf, bw_hz) or table.get(sf, bw_hz, CodingRate(4, 8))
     if record is None:
-        default = CodingRate(4, 8)
-        if cr is None:
-            record = table.get(sf, bw_hz, default)
-        elif cr == default:
-            record = table.get(sf, bw_hz, None)
-    if record is None:
-        wanted = "unspecified" if cr is None else str(cr)
-        raise RecordNotFoundError(
-            f"no record for sf={sf}, bw_khz={hz_to_khz_str(bw_hz)}, cr={wanted}"
-        )
+        raise MissingCellError(f"table lacks cell sf={sf}, bw_khz={hz_to_khz_str(bw_hz)}")
+    for column in require:
+        if getattr(record, column) is None:
+            raise MissingCellError(f"cell sf={sf}, bw_khz={hz_to_khz_str(bw_hz)} has no {column}")
     return record
 
 
@@ -161,7 +152,7 @@ def _parse_float(text: str, line_no: int, column: str) -> float:
 def _parse_bw(text: str, line_no: int) -> float:
     try:
         return khz_str_to_hz(text)
-    except (ValueError, InvalidOperation) as exc:
+    except ValueError as exc:
         raise MeasurementParseError(line_no, f"malformed bw_khz: {text!r}") from exc
 
 
@@ -205,15 +196,13 @@ def _validate_record(record: MeasurementRecord, line_no: int) -> None:
         )
 
 
-def _iter_source_lines(source) -> Iterator[str]:
+def _iter_source_lines(source: str | Path | Iterable[str]) -> Iterator[str]:
+    """The lines of a CSV path, or the given text lines (an open stream)."""
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8", newline="") as handle:
             yield from handle
-    elif isinstance(source, bytes):
-        yield from io.StringIO(source.decode("utf-8"))
     else:
-        for line in source:
-            yield line.decode("utf-8") if isinstance(line, bytes) else line
+        yield from source
 
 
 def _csv_rows(lines: Iterable[str], header: tuple[str, ...]) -> Iterator[tuple[int, list[str]]]:
@@ -242,20 +231,16 @@ def _csv_rows(lines: Iterable[str], header: tuple[str, ...]) -> Iterator[tuple[i
         raise MeasurementParseError(1, "no header row found")
 
 
-def load_measurements(source, mode: str = "validated") -> MeasurementTable:
-    """Load a measurement CSV from a path, byte string, or open stream.
+def load_measurements(source: str | Path | Iterable[str]) -> MeasurementTable:
+    """Load a measurement CSV from a path or from text lines (an open stream).
 
-    mode="validated" enforces grid membership and range invariants per row;
-    mode="freeform" accepts any parseable values.
+    Every row is checked for grid membership and value ranges.
     """
-    if mode not in ("validated", "freeform"):
-        raise ValueError(f"mode must be 'validated' or 'freeform', got {mode!r}")
     records: list[MeasurementRecord] = []
     duplicates: dict[tuple, int] = {}
     for line_no, row in _csv_rows(_iter_source_lines(source), CSV_COLUMNS):
         record = _parse_row(row, line_no)
-        if mode == "validated":
-            _validate_record(record, line_no)
+        _validate_record(record, line_no)
         if record.key in duplicates:
             raise DuplicateRecordError(
                 f"line {line_no}: duplicate of line {duplicates[record.key]} "
@@ -337,21 +322,8 @@ def grid_records(table: MeasurementTable, require: tuple[str, ...] = ()) -> list
     Raises MissingCellError for a cell the table lacks, or one whose value
     in any of the `require` columns (MeasurementRecord field names) is empty.
     """
-    return [grid_cell(table, sf, bw_hz, require) for bw_hz in BW_HZ_VALUES for sf in SF_VALUES]
-
-
-def grid_cell(table: MeasurementTable, sf: int, bw_hz: float,
-              require: tuple[str, ...]) -> MeasurementRecord:
-    """The grid-sweep record of one (SF, BW) cell, with a value in each of
-    the `require` columns; MissingCellError otherwise."""
-    try:
-        record = lookup(table, sf, bw_hz)
-    except RecordNotFoundError as exc:
-        raise MissingCellError(f"table lacks cell sf={sf}, bw_khz={hz_to_khz_str(bw_hz)}") from exc
-    for column in require:
-        if getattr(record, column) is None:
-            raise MissingCellError(f"cell sf={sf}, bw_khz={hz_to_khz_str(bw_hz)} has no {column}")
-    return record
+    return [lookup(table, sf, bw_hz, require=require)
+            for bw_hz in BW_HZ_VALUES for sf in SF_VALUES]
 
 
 def evaluate_grid(

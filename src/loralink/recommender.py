@@ -16,7 +16,7 @@ from .core_types import CodingRate, LinkParams, hz_to_khz_str
 from .dataset import (
     CAMPAIGN_FREQ_HZ,
     MeasurementTable,
-    RecordNotFoundError,
+    MissingCellError,
     evaluate_grid,
     lookup,
 )
@@ -157,7 +157,7 @@ def recommend_cr(table: MeasurementTable, at_sf: int, at_bw_hz: float) -> Coding
         if record.sf == at_sf and record.bw_hz == at_bw_hz and record.cr is not None
     ]
     if not sweep:
-        raise RecordNotFoundError(
+        raise MissingCellError(
             f"no coding-rate sweep records at sf={at_sf}, bw_khz={hz_to_khz_str(at_bw_hz)}"
         )
     best = min(sweep, key=lambda r: (-r.snr_db, r.cr.ratio, r.cr.num))

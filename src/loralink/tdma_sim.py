@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .core_types import RadioConfig, format_decimal
-from .dataset import MeasurementTable, grid_cell
+from .dataset import MeasurementTable, lookup
 from .link_budget import packet_loss_pct
 from .phy_model import FrameParams, time_on_air
 from .rng import GOLDEN64, MASK64, SplitMix64, mix64, substream_seed
@@ -184,7 +184,8 @@ def default_payload_source(seed: int, sync_word: int) -> Callable[[int], int]:
 
 def drop_model_from_table(table: MeasurementTable, node: NodeSpec) -> float:
     """Loss probability for a node from the measured cell of its configuration."""
-    return grid_cell(table, node.config.sf, node.config.bw_hz, ("loss_pct",)).loss_pct / 100.0
+    cell = lookup(table, node.config.sf, node.config.bw_hz, require=("loss_pct",))
+    return cell.loss_pct / 100.0
 
 
 def iter_events(

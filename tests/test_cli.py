@@ -260,6 +260,21 @@ class TestGridCellWithoutValue:
         if code == EXIT_DATA:
             assert (out, err) == ("", "error: cell sf=9, bw_khz=125 has no rssi_dbm\n")
 
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--metric", "rssi", "--fixture"],
+        ["sweep", "--metric", "snr", "--fixture"],
+        ["sweep", "--metric", "excess", "--fixture"],
+        ["recommend", "--fixture"],
+        ["reconstruct", "--fixture"],
+        ["budget", "--cell", "sf=9,bw_khz=125", *BUDGET_FLAGS, "--fixture"],
+        ["simulate", "--duration-s", "1", "--sf", "9", "--bw-khz", "125", "--drop-from-fixture"],
+    ], ids=["sweep-rssi", "sweep-snr", "sweep-excess", "recommend", "reconstruct", "budget-cell",
+            "simulate-drop-from-fixture"])
+    def test_missing_cell(self, capsys, tmp_path, argv):
+        fixture = write_fixture(tmp_path / "no_cell.csv", replacing("9,125,,,-108,8.5,0\n", ""))
+        code, out, err = run(capsys, [*argv, fixture])
+        assert (code, out, err) == (EXIT_DATA, "", "error: table lacks cell sf=9, bw_khz=125\n")
+
     def test_missing_loss(self, capsys, tmp_path):
         fixture = write_fixture(tmp_path / "no_loss.csv",
                                 replacing("9,125,,,-108,8.5,0", "9,125,,,-108,8.5,"))
@@ -532,6 +547,11 @@ class TestParserBasics:
         ["reconstruct", "--tolerance", "nan"],
         ["simulate", "--duration-s", "5", "--sf", "40"],
         ["simulate", "--duration-s", "5", "--payload-bytes", "100000000"],
+        ["simulate", "--duration-s", "1", "--preamble", "100000000"],
+        ["simulate", "--duration-s", "1", "--preamble", "-1"],
+        ["simulate", "--duration-s", "1", "--nodes", "0"],
+        ["recommend", "--max-loss", "101"],
+        ["simulate", "--duration-s", "1", "--seed", "-1"],
     ])
     def test_non_finite_and_negative_values_are_usage_errors(self, capsys, argv):
         code, out, err = run(capsys, argv)
@@ -539,3 +559,15 @@ class TestParserBasics:
         assert out == ""
         assert err.startswith(f"usage: loralink {argv[0]} ")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv, type_name", [
+        (["budget", "--rssi", "-92.8", "--snr", "8.4", *BUDGET_FLAGS, "--d", "abc"], "float"),
+        (["recommend", "--max-loss", "abc"], "float"),
+        (["simulate", "--duration-s", "1", "--seed", "abc"], "int"),
+        (["simulate", "--duration-s", "1", "--slot-s", "abc"], "float"),
+    ], ids=lambda value: value[-2] if isinstance(value, list) else value)
+    def test_non_numeric_text_names_the_builtin_type(self, capsys, argv, type_name):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert f"argument {argv[-2]}: invalid {type_name} value: 'abc'" in err
+        assert not re.search(r"\b_\w", err), err

@@ -56,6 +56,10 @@ CASES = {
     "uplink_encoded": ["uplink", "--report", "report.txt", "--map", "A001=K+1/x:1",
                        "--map", "A002=K+1/x:2", "--map", "A003=K+1/x:3",
                        "--epoch", "2024-03-01T10:00:00+05:30"],
+    "budget_distance_not_a_number": ["budget", "--rssi", "-92.8", "--snr", "8.4",
+                                     "--pt", "20", "--gt", "5.15", "--gr", "5.15", "--d", "abc",
+                                     "--f", "433e6"],
+    "simulate_preamble_too_long": ["simulate", "--duration-s", "1", "--preamble", "100000000"],
 }
 
 

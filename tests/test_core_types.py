@@ -68,11 +68,8 @@ class TestInvariants:
         assert params.distance_m == 5000.0
         assert params.gt_dbi == params.gr_dbi == 5.15
         assert params.c_mps == 3.0e8
-        assert params.rssi_offset_db == 157.0
         with pytest.raises(ValueError):
             LinkParams(distance_m=0)
-        with pytest.raises(ValueError):
-            LinkParams(rssi_offset_db=0)
 
     def test_signal_sample_requires_finite(self):
         with pytest.raises(ValueError):

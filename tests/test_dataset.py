@@ -10,7 +10,6 @@ from loralink.dataset import (
     MeasurementParseError,
     MeasurementValidationError,
     MissingCellError,
-    RecordNotFoundError,
     bundled_expected_grid_text,
     load_bundled_measurements,
     load_expected_grid,
@@ -23,9 +22,9 @@ from loralink.dataset import (
 HEADER = "sf,bw_khz,cr_num,cr_den,rssi_dbm,snr_db,loss_pct"
 
 
-def table_from(*rows, mode="validated"):
+def table_from(*rows):
     text = HEADER + "\n" + "\n".join(rows) + ("\n" if rows else "")
-    return load_measurements(io.StringIO(text), mode=mode)
+    return load_measurements(io.StringIO(text))
 
 
 class TestLoad:
@@ -41,9 +40,9 @@ class TestLoad:
         table = load_measurements(io.StringIO(HEADER + "\n"))
         assert len(table) == 0
 
-    def test_accepts_bytes_and_comments(self):
-        raw = ("# provenance comment\n" + HEADER + "\n7,125,,,-87.28,8.03,16.6\n").encode()
-        table = load_measurements(raw)
+    def test_accepts_comments(self):
+        raw = "# provenance comment\n" + HEADER + "\n7,125,,,-87.28,8.03,16.6\n"
+        table = load_measurements(io.StringIO(raw))
         assert len(table) == 1
 
     def test_loss_out_of_range_is_rejected(self):
@@ -55,11 +54,9 @@ class TestLoad:
         with pytest.raises(MeasurementValidationError):
             table_from("7,125,,,3.0,8.03,0")
 
-    def test_off_grid_rejected_in_validated_mode_only(self):
-        row = "6,125,,,-87.28,8.03,0"
+    def test_off_grid_row_is_rejected(self):
         with pytest.raises(MeasurementValidationError):
-            table_from(row)
-        assert len(table_from(row, mode="freeform")) == 1
+            table_from("6,125,,,-87.28,8.03,0")
 
     def test_malformed_row_reports_line_number(self):
         with pytest.raises(MeasurementParseError) as excinfo:
@@ -70,7 +67,7 @@ class TestLoad:
                                      "7,125,,,-87.28,8.03,NaN"])
     def test_non_finite_value_is_a_parse_error(self, row):
         with pytest.raises(MeasurementParseError, match="expected a finite number") as excinfo:
-            table_from("8,125,,,-91,10,0", row, mode="freeform")
+            table_from("8,125,,,-91,10,0", row)
         assert excinfo.value.line_no == 3
 
     def test_missing_snr_is_an_error(self):
@@ -93,10 +90,6 @@ class TestLoad:
         with pytest.raises(MeasurementParseError):
             load_measurements(io.StringIO("7,125,,,-87.28,8.03,16.6\n"))
 
-    def test_bad_mode_rejected(self):
-        with pytest.raises(ValueError):
-            load_measurements(io.StringIO(HEADER), mode="strict")
-
 
 class TestLookup:
     def test_published_values(self, field_table):
@@ -104,21 +97,18 @@ class TestLookup:
         assert lookup(field_table, 8, 10400).snr_db == 11.55
 
     def test_sweep_rows_reachable_by_explicit_cr(self, field_table):
-        assert lookup(field_table, 8, 250000, CodingRate(7, 8)).snr_db == 5.65
-        # the unspecified-CR grid row, not the 4/8 sweep row, answers cr=None
+        assert field_table.get(8, 250000, CodingRate(7, 8)).snr_db == 5.65
+        # the unspecified-CR grid row, not the 4/8 sweep row, answers lookup
         assert lookup(field_table, 8, 250000).snr_db == 10.04
 
     def test_default_cr_fallback(self):
         explicit = table_from("7,125,4,8,-87.28,8.03,16.6")
-        assert lookup(explicit, 7, 125000).rssi_dbm == -87.28  # None -> 4/8 fallback
-        implicit = table_from("7,125,,,-87.28,8.03,16.6")
-        assert lookup(implicit, 7, 125000, CodingRate(4, 8)).rssi_dbm == -87.28
+        assert lookup(explicit, 7, 125000).rssi_dbm == -87.28  # grid row -> 4/8 fallback
 
     def test_missing_cell_raises(self, field_table):
-        with pytest.raises(RecordNotFoundError):
+        with pytest.raises(MissingCellError, match="table lacks cell sf=6, bw_khz=250"):
             lookup(field_table, 6, 250000)
-        with pytest.raises(RecordNotFoundError):
-            lookup(field_table, 7, 250000, CodingRate(5, 8))
+        assert field_table.get(7, 250000, CodingRate(5, 8)) is None
 
 
 class TestRoundTrip:

@@ -8,7 +8,7 @@ from loralink.dataset import (
     CAMPAIGN_TX_POWER_DBM,
     MeasurementRecord,
     MeasurementTable,
-    RecordNotFoundError,
+    MissingCellError,
     load_measurements,
 )
 from loralink.recommender import (
@@ -237,7 +237,7 @@ class TestRecommendCr:
         assert recommend_cr(table, 8, 250000) == CodingRate(5, 8)
 
     def test_no_sweep_records_raises(self, field_table):
-        with pytest.raises(RecordNotFoundError):
+        with pytest.raises(MissingCellError):
             recommend_cr(field_table, 8, 62500)
 
 

@@ -7,6 +7,8 @@ deterministic TDMA uplink simulator, and a channel-update bridge.
 
 from .core_types import (
     BW_HZ_VALUES,
+    CAMPAIGN_FREQ_HZ,
+    CAMPAIGN_TX_POWER_DBM,
     CR_NUMERATORS,
     SF_VALUES,
     CodingRate,
@@ -14,8 +16,6 @@ from .core_types import (
     LinkParams,
     RadioConfig,
     SignalSample,
-    config_from_text,
-    config_to_text,
     validate_measurement_grid,
 )
 from .link_budget import (
@@ -37,8 +37,6 @@ from .phy_model import (
     time_on_air,
 )
 from .dataset import (
-    CAMPAIGN_FREQ_HZ,
-    CAMPAIGN_TX_POWER_DBM,
     MeasurementRecord,
     MeasurementTable,
     load_bundled_measurements,

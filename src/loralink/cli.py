@@ -28,10 +28,9 @@ from .core_types import (
     format_decimal,
     hz_to_khz_str,
     khz_str_to_hz,
+    parse_int,
 )
 from .dataset import (
-    CAMPAIGN_FREQ_HZ,
-    CAMPAIGN_TX_POWER_DBM,
     evaluate_grid,
     grid_records,
     load_bundled_measurements,
@@ -41,7 +40,7 @@ from .dataset import (
     reconstruct_excess_loss,
 )
 from .link_budget import loss_breakdown
-from .phy_model import FrameParams
+from .phy_model import FrameParams, coding_rate_index
 from .recommender import SelectionConstraints, recommend_sf_bw, select_cr
 from .tdma_sim import (
     NodeSpec,
@@ -94,19 +93,25 @@ def _khz_arg(text: str) -> float:
 
 
 def _cr_arg(text: str) -> CodingRate:
+    """A coding rate the airtime formula can map onto a transceiver index."""
     try:
-        return CodingRate.parse(text)
+        cr = CodingRate.parse(text)
+        coding_rate_index(cr)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
+    return cr
 
 
 def _checked(convert, accept, expected: str):
     """An argparse type: convert, then refuse values that fail accept.
 
     It keeps the name of convert, so text that does not convert reads
-    "invalid float value: 'x'" as with the bare type.
+    "invalid float value: 'x'" as with the bare type; so does text with a
+    digit separator, which int() and float() would read ('1_2' as 12).
     """
     def parse(text: str):
+        if "_" in text:
+            raise ValueError(text)
         value = convert(text)
         if not accept(value):
             raise argparse.ArgumentTypeError(f"expected {expected}, got {text}")
@@ -121,6 +126,7 @@ _positive_float = _checked(float, lambda value: 0 < value < math.inf, "a positiv
 _loss_pct_arg = _checked(float, lambda value: 0 <= value <= 100, "a loss percentage in [0, 100]")
 _non_negative_int = _checked(int, lambda value: value >= 0, "a non-negative integer")
 _nodes_arg = _checked(int, lambda value: value >= 1, "at least 1 node")
+_frames_arg = _checked(int, lambda value: value >= 1, "at least 1 frame per slot")
 _sf_arg = _checked(int, lambda value: 6 <= value <= 12, "a spreading factor in 6..12")
 # 255 is the largest length the LoRa PHY header can carry
 _payload_arg = _checked(int, lambda value: 0 <= value <= 255, "a payload of 0..255 bytes")
@@ -178,7 +184,7 @@ def _parse_cell(text: str) -> tuple[int, float]:
     if set(pairs) != {"sf", "bw_khz"}:
         raise UsageError("--cell must supply exactly sf=<int>,bw_khz=<decimal>")
     try:
-        return int(pairs["sf"]), khz_str_to_hz(pairs["bw_khz"])
+        return parse_int(pairs["sf"]), khz_str_to_hz(pairs["bw_khz"])
     except ValueError:
         raise UsageError(
             f"malformed --cell {text!r}; expected sf=<int>,bw_khz=<decimal>"
@@ -186,7 +192,14 @@ def _parse_cell(text: str) -> tuple[int, float]:
 
 
 def _link_params(args) -> LinkParams:
-    return LinkParams(distance_m=args.d, gt_dbi=args.gt, gr_dbi=args.gr, c_mps=args.c)
+    return LinkParams(tx_power_dbm=args.pt, gt_dbi=args.gt, gr_dbi=args.gr,
+                      distance_m=args.d, freq_hz=args.f, c_mps=args.c)
+
+
+def _link_manifest(link: LinkParams) -> dict:
+    """The link block of the budget, reconstruct, recommend and sweep manifests."""
+    return {"pt_dbm": link.tx_power_dbm, "gt_dbi": link.gt_dbi, "gr_dbi": link.gr_dbi,
+            "distance_m": link.distance_m, "freq_hz": link.freq_hz, "c_mps": link.c_mps}
 
 
 def _add_globals(parser: argparse.ArgumentParser, *, fixture: bool = True) -> None:
@@ -200,24 +213,18 @@ def _add_globals(parser: argparse.ArgumentParser, *, fixture: bool = True) -> No
 
 
 def _add_link_constant_flags(parser: argparse.ArgumentParser, *, required: bool = False) -> None:
-    defaults = {
-        "pt": None if required else CAMPAIGN_TX_POWER_DBM,
-        "gt": None if required else 5.15,
-        "gr": None if required else 5.15,
-        "d": None if required else 5000.0,
-        "f": None if required else float(CAMPAIGN_FREQ_HZ),
-    }
-    parser.add_argument("--pt", type=_finite_float, required=required, default=defaults["pt"],
-                        help="transmit power in dBm")
-    parser.add_argument("--gt", type=_finite_float, required=required, default=defaults["gt"],
-                        help="transmitter antenna gain in dBi")
-    parser.add_argument("--gr", type=_finite_float, required=required, default=defaults["gr"],
-                        help="receiver antenna gain in dBi")
-    parser.add_argument("--d", type=_positive_float, required=required, default=defaults["d"],
-                        help="link distance in meters")
-    parser.add_argument("--f", type=_positive_float, required=required, default=defaults["f"],
-                        help="carrier frequency in Hz")
-    parser.add_argument("--c", type=_positive_float, default=3.0e8,
+    """--pt, --gt, --gr, --d and --f (required, or LinkParams' defaults), and --c."""
+    link = LinkParams()
+    for flag, kind, default, help_text in (
+        ("--pt", _finite_float, link.tx_power_dbm, "transmit power in dBm"),
+        ("--gt", _finite_float, link.gt_dbi, "transmitter antenna gain in dBi"),
+        ("--gr", _finite_float, link.gr_dbi, "receiver antenna gain in dBi"),
+        ("--d", _positive_float, link.distance_m, "link distance in meters"),
+        ("--f", _positive_float, link.freq_hz, "carrier frequency in Hz"),
+    ):
+        parser.add_argument(flag, type=kind, required=required,
+                            default=None if required else default, help=help_text)
+    parser.add_argument("--c", type=_positive_float, default=link.c_mps,
                         help="propagation speed in m/s (default 3e8)")
 
 
@@ -274,7 +281,7 @@ def _simulate_flags(parser: argparse.ArgumentParser) -> None:
                         help="guard time between slots in seconds (default 0.01)")
     parser.add_argument("--duration-s", type=_positive_float, required=True,
                         help="virtual simulation duration in seconds")
-    parser.add_argument("--frames-per-slot", type=int, default=1,
+    parser.add_argument("--frames-per-slot", type=_frames_arg, default=1,
                         help="frames per transmission opportunity (default 1)")
     parser.add_argument("--handshake-s", type=_finite_float, default=0.0,
                         help="fixed connection-establishment latency per slot (default 0)")
@@ -363,9 +370,6 @@ def cmd_budget(args) -> int:
         raise UsageError(f"missing {missing} (both --rssi and --snr are required)")
 
     fixture_name = "-"
-    # sf/bw don't enter the budget chain (only pt and frequency do); the
-    # placeholder below carries them when no fixture cell pins real ones
-    sf, bw_hz = 7, 125000
     if use_cell:
         table, fixture_name = _load_fixture(args.fixture)
         sf, bw_hz = _parse_cell(args.cell)
@@ -374,14 +378,11 @@ def cmd_budget(args) -> int:
     else:
         rssi, snr = args.rssi, args.snr
 
-    params = _link_params(args)
-    config = RadioConfig(sf=sf, bw_hz=bw_hz, cr=CodingRate(4, 8),
-                         tx_power_dbm=args.pt, freq_hz=args.f)
-    breakdown = loss_breakdown(params, config, SignalSample(rssi, snr))
+    link = _link_params(args)
+    breakdown = loss_breakdown(link, SignalSample(rssi, snr))
 
     manifest = _manifest_line("budget", {
-        "rssi_dbm": rssi, "snr_db": snr, "pt_dbm": args.pt, "gt_dbi": args.gt,
-        "gr_dbi": args.gr, "distance_m": args.d, "freq_hz": args.f, "c_mps": args.c,
+        "rssi_dbm": rssi, "snr_db": snr, **_link_manifest(link),
         "cell": args.cell or "-", "fixture": fixture_name,
         "seed": args.seed, "output": args.output or "-",
     })
@@ -398,8 +399,8 @@ def cmd_reconstruct(args) -> int:
     table, fixture_name = _load_fixture(args.fixture)
     expected_name = BUNDLED_EXPECTED if args.expected is None else args.expected
     expected = load_expected_grid(args.expected)
-    params = _link_params(args)
-    grid = reconstruct_excess_loss(table, params, args.pt, freq_hz=args.f)
+    link = _link_params(args)
+    grid = reconstruct_excess_loss(table, link)
 
     deviations = [abs(got - want) for got_row, want_row in zip(grid, expected)
                   for got, want in zip(got_row, want_row)]
@@ -409,9 +410,8 @@ def cmd_reconstruct(args) -> int:
     verdict = "PASS" if max_dev <= args.tolerance else "FAIL"
 
     manifest = _manifest_line("reconstruct", {
-        "fixture": fixture_name, "expected": expected_name, "pt_dbm": args.pt,
-        "gt_dbi": args.gt, "gr_dbi": args.gr, "distance_m": args.d, "freq_hz": args.f,
-        "c_mps": args.c, "tolerance_db": args.tolerance, "seed": args.seed,
+        "fixture": fixture_name, "expected": expected_name, **_link_manifest(link),
+        "tolerance_db": args.tolerance, "seed": args.seed,
         "output": args.output or "-",
     })
     with _open_output(args.output) as out:
@@ -432,15 +432,14 @@ def cmd_recommend(args) -> int:
     constraints = SelectionConstraints(
         max_loss_pct=args.max_loss, min_bw_hz=args.min_bw_hz, tie_break_order=order
     )
-    params = _link_params(args)
-    rec = recommend_sf_bw(table, params, args.pt, constraints, freq_hz=args.f)
+    link = _link_params(args)
+    rec = recommend_sf_bw(table, link, constraints)
     cr, cr_basis = select_cr(table, rec.sf, rec.bw_hz)
 
     manifest = _manifest_line("recommend", {
         "fixture": fixture_name, "max_loss_pct": args.max_loss,
         "min_bw_khz": hz_to_khz_str(args.min_bw_hz), "order": ",".join(order),
-        "pt_dbm": args.pt, "gt_dbi": args.gt, "gr_dbi": args.gr, "distance_m": args.d,
-        "freq_hz": args.f, "c_mps": args.c, "seed": args.seed, "output": args.output or "-",
+        **_link_manifest(link), "seed": args.seed, "output": args.output or "-",
     })
     with _open_output(args.output) as out:
         print(manifest, file=out)
@@ -468,6 +467,8 @@ def _simulate_drop_model(args, nodes) -> tuple[dict[int, float], str]:
         return {n.sync_word: drop_model_from_table(table, n) for n in nodes}, f"fixture:{name}"
     text = args.drop if args.drop is not None else "0"
     try:
+        if "_" in text:
+            raise ValueError(text)
         values = [float(part) for part in text.split(",")]
     except ValueError:
         raise UsageError(f"malformed --drop list {text!r}") from None
@@ -481,10 +482,7 @@ def _simulate_drop_model(args, nodes) -> tuple[dict[int, float], str]:
 
 
 def cmd_simulate(args) -> int:
-    # airtime, the only use of the radio configuration here, ignores
-    # transmit power and frequency
-    config = RadioConfig(sf=args.sf, bw_hz=args.bw_hz, cr=args.cr,
-                         tx_power_dbm=CAMPAIGN_TX_POWER_DBM, freq_hz=CAMPAIGN_FREQ_HZ)
+    config = RadioConfig(sf=args.sf, bw_hz=args.bw_hz, cr=args.cr)
     frame = FrameParams(payload_bytes=args.payload_bytes, preamble_symbols=args.preamble)
     nodes = [NodeSpec(sync_word=0xA001 + i, config=config, frame=frame)
              for i in range(args.nodes)]
@@ -529,6 +527,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_sweep(args) -> int:
     table, fixture_name = _load_fixture(args.fixture)
+    link = _link_params(args)
     if args.metric in SWEEP_MEASURED:
         column = SWEEP_MEASURED[args.metric]
         rows = [(record, format_decimal(getattr(record, column)))
@@ -536,12 +535,11 @@ def cmd_sweep(args) -> int:
     else:
         field = SWEEP_DERIVED[args.metric]
         rows = [(record, f"{getattr(breakdown, field):.3f}")
-                for record, breakdown in evaluate_grid(table, _link_params(args), args.pt, args.f)]
+                for record, breakdown in evaluate_grid(table, link)]
 
     manifest = _manifest_line("sweep", {
-        "metric": args.metric, "fixture": fixture_name, "pt_dbm": args.pt,
-        "gt_dbi": args.gt, "gr_dbi": args.gr, "distance_m": args.d, "freq_hz": args.f,
-        "c_mps": args.c, "seed": args.seed, "output": args.output or "-",
+        "metric": args.metric, "fixture": fixture_name, **_link_manifest(link),
+        "seed": args.seed, "output": args.output or "-",
     })
     with _open_output(args.output) as out:
         print(manifest, file=out)
@@ -569,7 +567,7 @@ def _parse_key_map(items, summary) -> dict[int, tuple[str, int]]:
                 sync_text, _, rest = item.partition("=")
                 key, _, field_text = rest.rpartition(":")
                 sync = parse_sync_word(sync_text.strip())
-                field_index = int(field_text)
+                field_index = parse_int(field_text)
             except ValueError as exc:
                 raise UsageError(f"malformed --map item {item!r}: {exc}") from None
             if not key:

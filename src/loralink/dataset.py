@@ -30,17 +30,10 @@ from .core_types import (
     format_decimal,
     hz_to_khz_str,
     khz_str_to_hz,
+    parse_int,
     validate_measurement_grid,
 )
 from .link_budget import LossBreakdown, loss_breakdown
-
-# Fixed constants of the measurement campaign behind the bundled fixture.
-# The transmit power equals the transceiver maximum and is the unique value
-# (on a 0.1 dB grid) that minimises the deviation of the reconstructed
-# excess-loss grid from the published one; it is a dataset-level assumption,
-# overridable per run.
-CAMPAIGN_TX_POWER_DBM = 20.0
-CAMPAIGN_FREQ_HZ = 433_000_000
 
 CSV_COLUMNS = ("sf", "bw_khz", "cr_num", "cr_den", "rssi_dbm", "snr_db", "loss_pct")
 
@@ -142,7 +135,7 @@ def _parse_float(text: str, line_no: int, column: str) -> float:
         value = float(text)
     except ValueError:
         value = math.nan
-    if not math.isfinite(value):
+    if "_" in text or not math.isfinite(value):
         raise MeasurementParseError(
             line_no, f"malformed {column}: {text!r} (expected a finite number)"
         )
@@ -159,7 +152,7 @@ def _parse_bw(text: str, line_no: int) -> float:
 def _parse_row(row: list[str], line_no: int) -> MeasurementRecord:
     sf_text, bw_text, cr_num_text, cr_den_text, rssi_text, snr_text, loss_text = row
     try:
-        sf = int(sf_text)
+        sf = parse_int(sf_text)
     except ValueError as exc:
         raise MeasurementParseError(line_no, f"malformed sf: {sf_text!r}") from exc
     bw_hz = _parse_bw(bw_text, line_no)
@@ -168,7 +161,7 @@ def _parse_row(row: list[str], line_no: int) -> MeasurementRecord:
     cr = None
     if cr_num_text != "":
         try:
-            cr = CodingRate(int(cr_num_text), int(cr_den_text))
+            cr = CodingRate(parse_int(cr_num_text), parse_int(cr_den_text))
         except ValueError as exc:
             raise MeasurementParseError(
                 line_no, f"malformed coding rate: {cr_num_text!r}/{cr_den_text!r}"
@@ -181,9 +174,7 @@ def _parse_row(row: list[str], line_no: int) -> MeasurementRecord:
 
 def _validate_record(record: MeasurementRecord, line_no: int) -> None:
     try:
-        validate_measurement_grid(RadioConfig(
-            sf=record.sf, bw_hz=record.bw_hz, cr=record.effective_cr,
-            tx_power_dbm=CAMPAIGN_TX_POWER_DBM, freq_hz=CAMPAIGN_FREQ_HZ))
+        validate_measurement_grid(RadioConfig(record.sf, record.bw_hz, record.effective_cr))
     except ValueError as exc:
         raise MeasurementValidationError(line_no, str(exc)) from exc
     if record.rssi_dbm is not None and record.rssi_dbm >= 0:
@@ -327,38 +318,22 @@ def grid_records(table: MeasurementTable, require: tuple[str, ...] = ()) -> list
 
 
 def evaluate_grid(
-    table: MeasurementTable,
-    params: LinkParams,
-    tx_power_dbm: float,
-    freq_hz: float = CAMPAIGN_FREQ_HZ,
-    *,
-    require: tuple[str, ...] = (),
+    table: MeasurementTable, link: LinkParams, *, require: tuple[str, ...] = ()
 ) -> list[tuple[MeasurementRecord, LossBreakdown]]:
     """Each grid cell's record with its budget chain, in grid_records order.
 
     Every cell needs an RSSI, plus a value in each of the `require` columns.
     """
-    cells = []
-    for record in grid_records(table, ("rssi_dbm", *require)):
-        config = RadioConfig(sf=record.sf, bw_hz=record.bw_hz, cr=record.effective_cr,
-                             tx_power_dbm=tx_power_dbm, freq_hz=freq_hz)
-        sample = SignalSample(record.rssi_dbm, record.snr_db)
-        cells.append((record, loss_breakdown(params, config, sample)))
-    return cells
+    return [(record, loss_breakdown(link, SignalSample(record.rssi_dbm, record.snr_db)))
+            for record in grid_records(table, ("rssi_dbm", *require))]
 
 
-def reconstruct_excess_loss(
-    table: MeasurementTable,
-    params: LinkParams,
-    tx_power_dbm: float,
-    freq_hz: float = CAMPAIGN_FREQ_HZ,
-) -> list[list[float]]:
+def reconstruct_excess_loss(table: MeasurementTable, link: LinkParams) -> list[list[float]]:
     """The excess loss of every (SF, BW) cell of the table.
 
     Returns the excess-loss grid as rows of ascending bandwidth by columns
     of ascending SF, the layout of the published table.
     """
-    excess = [breakdown.excess_db
-              for _, breakdown in evaluate_grid(table, params, tx_power_dbm, freq_hz)]
+    excess = [breakdown.excess_db for _, breakdown in evaluate_grid(table, link)]
     width = len(SF_VALUES)
     return [excess[i:i + width] for i in range(0, len(excess), width)]

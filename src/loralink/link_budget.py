@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core_types import LinkParams, RadioConfig, SignalSample
+from .core_types import LinkParams, SignalSample
 
 
 @dataclass(frozen=True)
@@ -67,9 +67,9 @@ def esp(sample: SignalSample) -> float:
     return sample.rssi_dbm + snr - 10 * math.log10(1 + 10 ** (0.1 * snr))
 
 
-def path_loss(params: LinkParams, config: RadioConfig, esp_dbm: float) -> float:
+def path_loss(link: LinkParams, esp_dbm: float) -> float:
     """Empirical path loss: transmit power plus antenna gains minus ESP."""
-    return config.tx_power_dbm + params.gt_dbi + params.gr_dbi - esp_dbm
+    return link.tx_power_dbm + link.gt_dbi + link.gr_dbi - esp_dbm
 
 
 def free_space_loss(distance_m: float, freq_hz: float, c_mps: float) -> float:
@@ -91,9 +91,9 @@ def free_space_loss(distance_m: float, freq_hz: float, c_mps: float) -> float:
     )
 
 
-def loss_breakdown(params: LinkParams, config: RadioConfig, sample: SignalSample) -> LossBreakdown:
+def loss_breakdown(link: LinkParams, sample: SignalSample) -> LossBreakdown:
     """Full budget for one sample: ESP -> path loss -> FSL -> excess."""
     esp_dbm = esp(sample)
-    pl_db = path_loss(params, config, esp_dbm)
-    fsl_db = free_space_loss(params.distance_m, config.freq_hz, params.c_mps)
+    pl_db = path_loss(link, esp_dbm)
+    fsl_db = free_space_loss(link.distance_m, link.freq_hz, link.c_mps)
     return LossBreakdown(esp_dbm=esp_dbm, path_loss_db=pl_db, fsl_db=fsl_db, excess_db=pl_db - fsl_db)

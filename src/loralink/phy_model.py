@@ -79,13 +79,13 @@ def coding_rate_index(cr: CodingRate) -> int:
 
     Only 4/8 has an exact transceiver equivalent (index 4, i.e. rate 4/8).
     The 5/8, 6/8 and 7/8 notations have no lossless register mapping, so the
-    mapping is refused rather than silently approximated; callers must pass
-    an explicit index for those rates.
+    mapping is refused rather than silently approximated; time_on_air
+    callers pass an explicit cr_index for those rates.
     """
     if cr.num == 4 and cr.den == 8:
         return 4
     raise AirtimeConfigError(
-        f"coding rate {cr} has no exact transceiver coding index; pass cr_index explicitly"
+        f"coding rate {cr} has no exact transceiver coding index; only 4/8 has one"
     )
 
 

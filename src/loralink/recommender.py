@@ -13,13 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .core_types import CodingRate, LinkParams, hz_to_khz_str
-from .dataset import (
-    CAMPAIGN_FREQ_HZ,
-    MeasurementTable,
-    MissingCellError,
-    evaluate_grid,
-    lookup,
-)
+from .dataset import MeasurementTable, MissingCellError, evaluate_grid, lookup
 
 RANK_METRICS = ("snr", "excess_loss", "rssi")
 
@@ -99,20 +93,14 @@ def _rank_key(cell: CellScore, order: tuple[str, ...]):
 
 
 def recommend_sf_bw(
-    table: MeasurementTable,
-    params: LinkParams,
-    tx_power_dbm: float,
-    constraints: SelectionConstraints | None = None,
-    freq_hz: float = CAMPAIGN_FREQ_HZ,
+    table: MeasurementTable, link: LinkParams, constraints: SelectionConstraints | None = None
 ) -> Recommendation:
     """Pick the best (SF, BW) cell of a complete measurement grid."""
     constraints = constraints if constraints is not None else SelectionConstraints()
     cells = [
         CellScore(record.sf, record.bw_hz, record.effective_cr, record.rssi_dbm,
                   record.snr_db, record.loss_pct, breakdown.excess_db)
-        for record, breakdown in evaluate_grid(
-            table, params, tx_power_dbm, freq_hz, require=("loss_pct",)
-        )
+        for record, breakdown in evaluate_grid(table, link, require=("loss_pct",))
     ]
     feasible = [
         c

@@ -19,6 +19,7 @@ tests/test_dataset.py and tests/test_cli.py.
 import itertools
 import math
 import random
+from dataclasses import replace
 from datetime import datetime, timezone
 
 import pytest
@@ -32,12 +33,7 @@ from loralink.core_types import (
     RadioConfig,
     SignalSample,
 )
-from loralink.dataset import (
-    CAMPAIGN_TX_POWER_DBM,
-    load_bundled_measurements,
-    load_expected_grid,
-    reconstruct_excess_loss,
-)
+from loralink.dataset import load_bundled_measurements, load_expected_grid, reconstruct_excess_loss
 from loralink.link_budget import esp, free_space_loss, packet_loss_pct
 from loralink.phy_model import FrameParams, monopole_dimensions, time_on_air
 from loralink.recommender import recommend_cr, recommend_sf_bw, select_cr
@@ -52,7 +48,7 @@ from loralink.tdma_sim import (
 )
 from loralink.uplink_bridge import DryRunTransport, bridge_sim_report
 
-CAMPAIGN = LinkParams()  # d=5000 m, 5.15/5.15 dBi, c=3e8
+CAMPAIGN = LinkParams()  # 20 dBm, 5.15/5.15 dBi, 5 km, 433 MHz, c=3e8
 
 
 def _verdict(label: str, ok: bool, detail: str = "") -> None:
@@ -63,7 +59,7 @@ def _verdict(label: str, ok: bool, detail: str = "") -> None:
 
 def _grid_and_expected():
     table = load_bundled_measurements()
-    grid = reconstruct_excess_loss(table, CAMPAIGN, CAMPAIGN_TX_POWER_DBM)
+    grid = reconstruct_excess_loss(table, CAMPAIGN)
     return grid, load_expected_grid()
 
 
@@ -95,7 +91,7 @@ class TestCriterion1TableReconstruction:
         expected = load_expected_grid()
 
         def max_dev(pt: float) -> float:
-            grid = reconstruct_excess_loss(table, CAMPAIGN, pt)
+            grid = reconstruct_excess_loss(table, replace(CAMPAIGN, tx_power_dbm=pt))
             return max(
                 abs(grid[i][j] - expected[i][j])
                 for i in range(6)
@@ -116,7 +112,7 @@ class TestCriterion1TableReconstruction:
         # the published-grid deviation is reported, not asserted (see the
         # module docstring).
         table = load_bundled_measurements()
-        grid = reconstruct_excess_loss(table, LinkParams(), 20.0)
+        grid = reconstruct_excess_loss(table, LinkParams())
         expected = load_expected_grid()
         chain_errors = []
         published_over = []
@@ -148,7 +144,7 @@ class TestCriterion1TableReconstruction:
 class TestCriterion2Recommendation:
     def test_c2_recommendation_reproduction(self, capsys):
         table = load_bundled_measurements()
-        rec = recommend_sf_bw(table, CAMPAIGN, CAMPAIGN_TX_POWER_DBM)
+        rec = recommend_sf_bw(table, CAMPAIGN)
         cr, _basis = select_cr(table, rec.sf, rec.bw_hz)
         api_ok = (rec.sf, rec.bw_hz, str(cr)) == (8, 62500, "4/8")
         assert recommend_cr(table, 8, 250000) == CodingRate(4, 8)
@@ -179,8 +175,7 @@ class TestCriterion3AirtimeOracle:
         payloads = (0, 1, 2, 16, 255)
         checked = 0
         for sf, bw, num in itertools.product(SF_VALUES, BW_HZ_VALUES, (4, 5, 6, 7)):
-            config = RadioConfig(sf=sf, bw_hz=bw, cr=CodingRate(num, 8),
-                                 tx_power_dbm=20.0, freq_hz=433e6)
+            config = RadioConfig(sf=sf, bw_hz=bw, cr=CodingRate(num, 8))
             for payload in payloads:
                 ours = time_on_air(config, FrameParams(payload_bytes=payload), cr_index=4)
                 reference = _oracle_time_on_air(sf, bw, 4, payload)
@@ -231,8 +226,7 @@ class TestCriterion4LinkBudgetProperties:
 
 
 def _random_nodes(rng, count):
-    config = RadioConfig(sf=7, bw_hz=500000, cr=CodingRate(4, 8),
-                         tx_power_dbm=20.0, freq_hz=433e6)
+    config = RadioConfig(sf=7, bw_hz=500000, cr=CodingRate(4, 8))
     frame = FrameParams(payload_bytes=2)
     return [NodeSpec(sync_word=0x1000 + i, config=config, frame=frame) for i in range(count)]
 
@@ -241,7 +235,7 @@ class TestCriterion5TdmaSimulator:
     def test_c5a_invariants_on_100_randomized_simulations(self):
         rng = random.Random(50_001)
         airtime = time_on_air(
-            RadioConfig(sf=7, bw_hz=500000, cr=CodingRate(4, 8), tx_power_dbm=20, freq_hz=433e6),
+            RadioConfig(sf=7, bw_hz=500000, cr=CodingRate(4, 8)),
             FrameParams(payload_bytes=2),
         )
         for _ in range(100):

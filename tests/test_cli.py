@@ -145,7 +145,7 @@ class TestReconstruct:
         assert "cell=sf=9,bw_khz=125" in summary
 
     def test_exactly_equal_expected_grid_passes(self, capsys, tmp_path):
-        grid = reconstruct_excess_loss(load_bundled_measurements(), LinkParams(), 20.0)
+        grid = reconstruct_excess_loss(load_bundled_measurements(), LinkParams())
         rows = [",".join([hz_to_khz_str(bw), *map(repr, row)])
                 for bw, row in zip(BW_HZ_VALUES, grid)]
         expected = tmp_path / "expected.csv"
@@ -348,8 +348,7 @@ class TestSimulate:
         code, _, _ = run(capsys, ["simulate", "--nodes", "3", "--duration-s", "20", "--seed", "8",
                                   "--drop", "0.1,0.5,0.9", "--output", str(report)])
         assert code == EXIT_OK
-        config = RadioConfig(sf=8, bw_hz=62500, cr=CodingRate(4, 8), tx_power_dbm=20.0,
-                             freq_hz=433e6)
+        config = RadioConfig(sf=8, bw_hz=62500, cr=CodingRate(4, 8))
         nodes = [NodeSpec(0xA001 + i, config, FrameParams(payload_bytes=2)) for i in range(3)]
         schedule = build_schedule(nodes, default_slot_duration(nodes), 0.01)
         drops = {0xA001: 0.1, 0xA002: 0.5, 0xA003: 0.9}
@@ -383,6 +382,7 @@ class TestFailBeforeOutput:
         (["--nodes", "2", "--duration-s", "5", "--handshake-s", "5"], EXIT_DATA),
         (["--nodes", "9", "--duration-s", "60", "--uplink-log", "{tmp}/u.log"], EXIT_USAGE),
         (["--nodes", "2", "--duration-s", "5", "--slot-s", "0.05"], EXIT_DATA),  # airtime 0.1157 s
+        (["--nodes", "2", "--duration-s", "5", "--drop", "0.1_5"], EXIT_USAGE),
     ])
     def test_simulate(self, capsys, tmp_path, argv, code):
         out = tmp_path / "r.txt"
@@ -398,6 +398,7 @@ class TestFailBeforeOutput:
         ("9", [], EXIT_USAGE),
         ("2", ["--real"], EXIT_DATA),
         ("2", ["--map", "A001=K:1", "--map", "A001=J:2"], EXIT_USAGE),
+        ("2", ["--map", "A001=K:1_0", "--map", "A002=K:2"], EXIT_USAGE),
     ])
     def test_uplink(self, capsys, tmp_path, monkeypatch, nodes, argv, code):
         monkeypatch.delenv("UPLINK_API_KEY", raising=False)
@@ -552,6 +553,11 @@ class TestParserBasics:
         ["simulate", "--duration-s", "1", "--nodes", "0"],
         ["recommend", "--max-loss", "101"],
         ["simulate", "--duration-s", "1", "--seed", "-1"],
+        ["simulate", "--duration-s", "5", "--bw-khz", "1e99999"],
+        ["simulate", "--duration-s", "5", "--bw-khz", "1_25"],
+        ["simulate", "--duration-s", "5", "--frames-per-slot", "0"],
+        ["simulate", "--duration-s", "5", "--sf", "1_2"],
+        ["simulate", "--duration-s", "1_0"],
     ])
     def test_non_finite_and_negative_values_are_usage_errors(self, capsys, argv):
         code, out, err = run(capsys, argv)
@@ -559,6 +565,13 @@ class TestParserBasics:
         assert out == ""
         assert err.startswith(f"usage: loralink {argv[0]} ")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("rate", ["5/8", "6/8", "7/8"])
+    def test_coding_rate_without_a_transceiver_index_is_a_usage_error(self, capsys, rate):
+        code, out, err = run(capsys, ["simulate", "--duration-s", "5", "--cr", rate])
+        assert (code, out) == (EXIT_USAGE, "")
+        assert f"argument --cr: coding rate {rate} has no exact transceiver coding index; " \
+               "only 4/8 has one" in err
 
     @pytest.mark.parametrize("argv, type_name", [
         (["budget", "--rssi", "-92.8", "--snr", "8.4", *BUDGET_FLAGS, "--d", "abc"], "float"),

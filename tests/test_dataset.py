@@ -1,11 +1,11 @@
 import io
+import math
 import random
 
 import pytest
 
 from loralink.core_types import BW_HZ_VALUES, SF_VALUES, CodingRate, LinkParams
 from loralink.dataset import (
-    CAMPAIGN_TX_POWER_DBM,
     DuplicateRecordError,
     MeasurementParseError,
     MeasurementValidationError,
@@ -70,6 +70,18 @@ class TestLoad:
             table_from("8,125,,,-91,10,0", row)
         assert excinfo.value.line_no == 3
 
+    @pytest.mark.parametrize("row, column", [
+        ("1_2,1_25,,,-90,5,0", "sf"),
+        ("12,1_25,,,-90,5,0", "bw_khz"),
+        ("8,250,0_4,8,,9.75,", "coding rate"),
+        ("8,250,4,0_8,,9.75,", "coding rate"),
+        ("12,125,,,-9_0,5,0", "rssi_dbm"),
+    ])
+    def test_digit_separators_are_a_parse_error(self, row, column):
+        with pytest.raises(MeasurementParseError, match=f"malformed {column}") as excinfo:
+            table_from("8,125,,,-91,10,0", row)
+        assert excinfo.value.line_no == 3
+
     def test_missing_snr_is_an_error(self):
         with pytest.raises(MeasurementParseError):
             table_from("7,125,,,-87.28,,0")
@@ -121,7 +133,7 @@ class TestRoundTrip:
 
 class TestReconstruction:
     def test_anchor_cells_match_published_grid(self, field_table):
-        grid = reconstruct_excess_loss(field_table, LinkParams(), CAMPAIGN_TX_POWER_DBM)
+        grid = reconstruct_excess_loss(field_table, LinkParams())
         assert grid[0][0] == pytest.approx(24.532, abs=0.05)   # SF 7, BW 10.4
         assert grid[2][2] == pytest.approx(40.198, abs=0.05)   # SF 9, BW 62.5
         assert grid[5][5] == pytest.approx(39.175, abs=0.05)   # SF 12, BW 500
@@ -132,7 +144,7 @@ class TestReconstruction:
         # 0.050-0.081 dB, as much as or more than rounding their RSSI can
         # explain (worst cell: SF 7, BW 62.5). Which file is mistranscribed
         # is open until the Zenodo tables are in the repository; see README.
-        grid = reconstruct_excess_loss(field_table, LinkParams(), CAMPAIGN_TX_POWER_DBM)
+        grid = reconstruct_excess_loss(field_table, LinkParams())
         expected = load_expected_grid()
         max_dev = max(
             abs(grid[i][j] - expected[i][j])
@@ -140,6 +152,24 @@ class TestReconstruction:
             for j in range(len(SF_VALUES))
         )
         assert max_dev == pytest.approx(0.08125902784412986, abs=1e-9)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_any_link_follows_the_straight_line_budget_chain(self, field_table, seed):
+        rng = random.Random(seed)
+        link = LinkParams(
+            tx_power_dbm=rng.uniform(-10.0, 30.0), gt_dbi=rng.uniform(-5.0, 15.0),
+            gr_dbi=rng.uniform(-5.0, 15.0), distance_m=rng.uniform(1.0, 1e5),
+            freq_hz=rng.uniform(1e8, 6e9), c_mps=rng.uniform(2.9e8, 3.1e8),
+        )
+        grid = reconstruct_excess_loss(field_table, link)
+        for i, bw_hz in enumerate(BW_HZ_VALUES):
+            for j, sf in enumerate(SF_VALUES):
+                record = field_table.get(sf, bw_hz)
+                snr = record.snr_db
+                esp_dbm = record.rssi_dbm + snr - 10 * math.log10(1 + 10 ** (snr / 10))
+                path_loss_db = link.tx_power_dbm + link.gt_dbi + link.gr_dbi - esp_dbm
+                fsl_db = 20 * math.log10(4 * math.pi * link.distance_m * link.freq_hz / link.c_mps)
+                assert grid[i][j] == pytest.approx(path_loss_db - fsl_db, abs=1e-9), (sf, bw_hz)
 
     def test_order_insensitive(self, field_table):
         rows = []
@@ -149,8 +179,8 @@ class TestReconstruction:
         header, body = lines[0], lines[1:]
         random.Random(99).shuffle(body)
         shuffled = load_measurements(io.StringIO("\n".join([header] + body) + "\n"))
-        original = reconstruct_excess_loss(field_table, LinkParams(), 20.0)
-        reordered = reconstruct_excess_loss(shuffled, LinkParams(), 20.0)
+        original = reconstruct_excess_loss(field_table, LinkParams())
+        reordered = reconstruct_excess_loss(shuffled, LinkParams())
         assert original == reordered
 
     def test_missing_cell_is_named(self, field_table):
@@ -163,7 +193,7 @@ class TestReconstruction:
         ]
         table = load_measurements(io.StringIO("\n".join(pruned) + "\n"))
         with pytest.raises(MissingCellError) as excinfo:
-            reconstruct_excess_loss(table, LinkParams(), 20.0)
+            reconstruct_excess_loss(table, LinkParams())
         assert "sf=9" in str(excinfo.value)
         assert "62.5" in str(excinfo.value)
 

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from loralink.core_types import CodingRate, LinkParams, RadioConfig, SignalSample
+from loralink.core_types import LinkParams, SignalSample
 from loralink.link_budget import (
     esp,
     free_space_loss,
@@ -14,11 +14,7 @@ from loralink.link_budget import (
     snr_from_register,
 )
 
-CAMPAIGN = LinkParams()  # 5 km, 5.15/5.15 dBi, c=3e8, offset 157
-
-
-def campaign_config(sf=7, bw_hz=10400, pt=20.0):
-    return RadioConfig(sf=sf, bw_hz=bw_hz, cr=CodingRate(4, 8), tx_power_dbm=pt, freq_hz=433e6)
+CAMPAIGN = LinkParams()  # 20 dBm, 5.15/5.15 dBi, 5 km, 433 MHz, c=3e8
 
 
 class TestRegisterConversions:
@@ -106,10 +102,9 @@ class TestEsp:
 
 class TestPathLoss:
     def test_arithmetic(self):
-        config = campaign_config(pt=20.0)
-        assert path_loss(CAMPAIGN, config, -93.385) == pytest.approx(123.685, abs=1e-9)
-        zero = LinkParams(gt_dbi=0.0, gr_dbi=0.0)
-        assert path_loss(zero, campaign_config(pt=0.0), -50.0) == 50.0
+        assert path_loss(CAMPAIGN, -93.385) == pytest.approx(123.685, abs=1e-9)
+        zero = LinkParams(tx_power_dbm=0.0, gt_dbi=0.0, gr_dbi=0.0)
+        assert path_loss(zero, -50.0) == 50.0
 
 
 class TestFreeSpaceLoss:
@@ -159,23 +154,22 @@ class TestLossBreakdown:
             (SignalSample(-106.8, 4.85), 39.175),  # SF 12, BW 500
         ]
         for sample, published in cases:
-            breakdown = loss_breakdown(CAMPAIGN, campaign_config(), sample)
+            breakdown = loss_breakdown(CAMPAIGN, sample)
             assert breakdown.excess_db == pytest.approx(published, abs=0.05)
 
     def test_excess_is_pl_minus_fsl_exactly(self):
-        breakdown = loss_breakdown(CAMPAIGN, campaign_config(), SignalSample(-92.8, 8.4))
+        breakdown = loss_breakdown(CAMPAIGN, SignalSample(-92.8, 8.4))
         assert breakdown.excess_db == breakdown.path_loss_db - breakdown.fsl_db
 
     def test_esp_below_sample_rssi(self):
         sample = SignalSample(-92.8, 8.4)
-        breakdown = loss_breakdown(CAMPAIGN, campaign_config(), sample)
+        breakdown = loss_breakdown(CAMPAIGN, sample)
         assert breakdown.esp_dbm < sample.rssi_dbm
 
     def test_free_space_ideal_link_has_zero_excess(self):
-        config = campaign_config()
-        fsl = free_space_loss(CAMPAIGN.distance_m, config.freq_hz, CAMPAIGN.c_mps)
+        fsl = free_space_loss(CAMPAIGN.distance_m, CAMPAIGN.freq_hz, CAMPAIGN.c_mps)
         # pick rssi so that esp(rssi, 0) lands exactly on pt + gains - fsl
-        target_esp = config.tx_power_dbm + CAMPAIGN.gt_dbi + CAMPAIGN.gr_dbi - fsl
+        target_esp = CAMPAIGN.tx_power_dbm + CAMPAIGN.gt_dbi + CAMPAIGN.gr_dbi - fsl
         rssi = target_esp + 10 * math.log10(2)
-        breakdown = loss_breakdown(CAMPAIGN, config, SignalSample(rssi, 0.0))
+        breakdown = loss_breakdown(CAMPAIGN, SignalSample(rssi, 0.0))
         assert breakdown.excess_db == pytest.approx(0.0, abs=1e-9)

@@ -16,7 +16,7 @@ from loralink.phy_model import (
 
 
 def config(sf, bw_hz, cr=CodingRate(4, 8)):
-    return RadioConfig(sf=sf, bw_hz=bw_hz, cr=cr, tx_power_dbm=20.0, freq_hz=433e6)
+    return RadioConfig(sf=sf, bw_hz=bw_hz, cr=cr)
 
 
 class TestSymbolDuration:
@@ -115,7 +115,7 @@ class TestTimeOnAir:
             assert toas == sorted(toas, reverse=True)
 
     def test_ldro_leaves_no_bits_error(self):
-        cfg = RadioConfig(sf=2, bw_hz=125000, cr=CodingRate(4, 8), tx_power_dbm=0, freq_hz=433e6)
+        cfg = RadioConfig(sf=2, bw_hz=125000, cr=CodingRate(4, 8))
         frame = FrameParams(payload_bytes=2, low_data_rate_optimize=True)
         with pytest.raises(AirtimeConfigError):
             time_on_air(cfg, frame)

@@ -5,7 +5,6 @@ import pytest
 
 from loralink.core_types import BW_HZ_VALUES, SF_VALUES, CodingRate, LinkParams
 from loralink.dataset import (
-    CAMPAIGN_TX_POWER_DBM,
     MeasurementRecord,
     MeasurementTable,
     MissingCellError,
@@ -45,8 +44,8 @@ def _direct_excess(rssi, snr):
     import math
 
     esp = rssi + snr - 10 * math.log10(1 + 10 ** (0.1 * snr))
-    pl = CAMPAIGN_TX_POWER_DBM + PARAMS.gt_dbi + PARAMS.gr_dbi - esp
-    fsl = (20 * math.log10(PARAMS.distance_m) + 20 * math.log10(433e6)
+    pl = PARAMS.tx_power_dbm + PARAMS.gt_dbi + PARAMS.gr_dbi - esp
+    fsl = (20 * math.log10(PARAMS.distance_m) + 20 * math.log10(PARAMS.freq_hz)
            - 20 * math.log10(PARAMS.c_mps) + 20 * math.log10(4 * math.pi))
     return pl - fsl
 
@@ -109,7 +108,7 @@ class TestConstraints:
 
 class TestRecommendSfBw:
     def test_campaign_defaults_pick_sf8_bw62k5(self, field_table):
-        rec = recommend_sf_bw(field_table, PARAMS, CAMPAIGN_TX_POWER_DBM)
+        rec = recommend_sf_bw(field_table, PARAMS)
         assert (rec.sf, rec.bw_hz) == (8, 62500)
         assert rec.snr_db == 10.2
         assert rec.loss_pct == 0.0
@@ -117,17 +116,17 @@ class TestRecommendSfBw:
 
     def test_admitting_narrow_bands_moves_the_winner(self, field_table):
         constraints = SelectionConstraints(min_bw_hz=10400)
-        rec = recommend_sf_bw(field_table, PARAMS, CAMPAIGN_TX_POWER_DBM, constraints)
+        rec = recommend_sf_bw(field_table, PARAMS, constraints)
         assert (rec.sf, rec.bw_hz) == (8, 10400)
         assert rec.snr_db == 11.55
 
     def test_widest_band_only(self, field_table):
         constraints = SelectionConstraints(min_bw_hz=500000)
-        rec = recommend_sf_bw(field_table, PARAMS, CAMPAIGN_TX_POWER_DBM, constraints)
+        rec = recommend_sf_bw(field_table, PARAMS, constraints)
         assert (rec.sf, rec.bw_hz) == (10, 500000)
 
     def test_runners_up_are_ranked_and_feasible(self, field_table):
-        rec = recommend_sf_bw(field_table, PARAMS, CAMPAIGN_TX_POWER_DBM)
+        rec = recommend_sf_bw(field_table, PARAMS)
         assert all(cell.loss_pct == 0.0 for cell in rec.runners_up)
         assert all(cell.bw_hz >= 62500 for cell in rec.runners_up)
         snrs = [cell.snr_db for cell in rec.runners_up]
@@ -139,27 +138,22 @@ class TestRecommendSfBw:
         lossy = SelectionConstraints(max_loss_pct=0.0, min_bw_hz=10400)
         table = load_measurements(io.StringIO(_all_lossy_csv()))
         with pytest.raises(NoFeasibleConfigError) as excinfo:
-            recommend_sf_bw(table, PARAMS, CAMPAIGN_TX_POWER_DBM, lossy)
+            recommend_sf_bw(table, PARAMS, lossy)
         assert "max_loss_pct" in str(excinfo.value)
 
     def test_snr_shift_invariance(self, field_table):
-        baseline = recommend_sf_bw(field_table, PARAMS, CAMPAIGN_TX_POWER_DBM)
+        baseline = recommend_sf_bw(field_table, PARAMS)
         shifted_records = [
             MeasurementRecord(r.sf, r.bw_hz, r.cr, r.rssi_dbm, r.snr_db + 7.25, r.loss_pct)
             for r in field_table
         ]
-        shifted = recommend_sf_bw(
-            MeasurementTable(shifted_records), PARAMS, CAMPAIGN_TX_POWER_DBM
-        )
+        shifted = recommend_sf_bw(MeasurementTable(shifted_records), PARAMS)
         assert (shifted.sf, shifted.bw_hz) == (baseline.sf, baseline.bw_hz)
 
     def test_raising_min_bw_never_grows_the_feasible_set(self, field_table):
         sizes = []
         for min_bw in BW_HZ_VALUES:
-            rec = recommend_sf_bw(
-                field_table, PARAMS, CAMPAIGN_TX_POWER_DBM,
-                SelectionConstraints(min_bw_hz=min_bw),
-            )
+            rec = recommend_sf_bw(field_table, PARAMS, SelectionConstraints(min_bw_hz=min_bw))
             assert rec.bw_hz >= min_bw
             sizes.append(1 + len(rec.runners_up))
         assert sizes == sorted(sizes, reverse=True)
@@ -183,16 +177,16 @@ class TestRecommendSfBw:
             expected = brute_force_best(table, constraints)
             if expected is None:
                 with pytest.raises(NoFeasibleConfigError):
-                    recommend_sf_bw(table, PARAMS, CAMPAIGN_TX_POWER_DBM, constraints)
+                    recommend_sf_bw(table, PARAMS, constraints)
                 continue
-            rec = recommend_sf_bw(table, PARAMS, CAMPAIGN_TX_POWER_DBM, constraints)
+            rec = recommend_sf_bw(table, PARAMS, constraints)
             assert (rec.sf, rec.bw_hz) == expected
             checked += 1
         assert checked > 100
 
     def test_deterministic_repeat_calls(self, field_table):
-        a = recommend_sf_bw(field_table, PARAMS, CAMPAIGN_TX_POWER_DBM)
-        b = recommend_sf_bw(field_table, PARAMS, CAMPAIGN_TX_POWER_DBM)
+        a = recommend_sf_bw(field_table, PARAMS)
+        b = recommend_sf_bw(field_table, PARAMS)
         assert a == b
         assert repr(a) == repr(b)
 
@@ -202,10 +196,8 @@ class TestRecommendSfBw:
             for bw in BW_HZ_VALUES
             for sf in SF_VALUES
         ]
-        rec = recommend_sf_bw(
-            MeasurementTable(records), PARAMS, CAMPAIGN_TX_POWER_DBM,
-            SelectionConstraints(min_bw_hz=10400),
-        )
+        rec = recommend_sf_bw(MeasurementTable(records), PARAMS,
+                              SelectionConstraints(min_bw_hz=10400))
         assert (rec.sf, rec.bw_hz) == (7, 10400)
 
 

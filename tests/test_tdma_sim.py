@@ -23,7 +23,7 @@ from loralink.tdma_sim import (
     serialize_report,
 )
 
-FAST_CONFIG = RadioConfig(sf=7, bw_hz=500000, cr=CodingRate(4, 8), tx_power_dbm=20.0, freq_hz=433e6)
+FAST_CONFIG = RadioConfig(sf=7, bw_hz=500000, cr=CodingRate(4, 8))
 FRAME = FrameParams(payload_bytes=2)
 
 
@@ -78,7 +78,7 @@ class TestSchedule:
             SlotSchedule(1.0, 0.0, (0xA001, 0xBEEF, 0xA002, 0xBEEF))
 
     def test_slot_shorter_than_airtime_names_the_node(self):
-        slow = RadioConfig(sf=12, bw_hz=10400, cr=CodingRate(4, 8), tx_power_dbm=20, freq_hz=433e6)
+        slow = RadioConfig(sf=12, bw_hz=10400, cr=CodingRate(4, 8))
         nodes = [NodeSpec(sync_word=0xBEEF, config=slow, frame=FRAME)]
         with pytest.raises(InfeasibleSlotError) as excinfo:
             iter_events(nodes, build_schedule(nodes, 1.0, 0.0), {}, 1.0, 0)  # airtime is ~11.1 s
@@ -272,8 +272,7 @@ class TestRunSimulation:
 class TestDropModelFromTable:
     def test_published_cells(self, field_table):
         def node(sf, bw):
-            config = RadioConfig(sf=sf, bw_hz=bw, cr=CodingRate(4, 8),
-                                 tx_power_dbm=20.0, freq_hz=433e6)
+            config = RadioConfig(sf=sf, bw_hz=bw, cr=CodingRate(4, 8))
             return NodeSpec(sync_word=0x0001, config=config, frame=FRAME)
 
         assert drop_model_from_table(field_table, node(7, 10400)) == pytest.approx(0.54)
@@ -281,8 +280,7 @@ class TestDropModelFromTable:
         assert drop_model_from_table(field_table, node(7, 62500)) == pytest.approx(0.285)
 
     def test_missing_cell(self, field_table):
-        config = RadioConfig(sf=6, bw_hz=125000, cr=CodingRate(4, 8),
-                             tx_power_dbm=20.0, freq_hz=433e6)
+        config = RadioConfig(sf=6, bw_hz=125000, cr=CodingRate(4, 8))
         node = NodeSpec(sync_word=0x0001, config=config, frame=FRAME)
         with pytest.raises(LookupError):
             drop_model_from_table(field_table, node)

@@ -54,7 +54,6 @@ from .tdma_sim import (
     NodeSpec,
     SimReport,
     SlotSchedule,
-    build_schedule,
     drop_model_from_table,
     iter_events,
     iter_report,

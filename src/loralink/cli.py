@@ -28,6 +28,7 @@ from .core_types import (
     format_decimal,
     hz_to_khz_str,
     khz_str_to_hz,
+    parse_float,
     parse_int,
 )
 from .dataset import (
@@ -45,7 +46,7 @@ from .recommender import SelectionConstraints, recommend_sf_bw, select_cr
 from .tdma_sim import (
     NodeSpec,
     NodeStats,
-    build_schedule,
+    SlotSchedule,
     default_slot_duration,
     drop_model_from_table,
     format_sync_word,
@@ -103,35 +104,33 @@ def _cr_arg(text: str) -> CodingRate:
 
 
 def _checked(convert, accept, expected: str):
-    """An argparse type: convert, then refuse values that fail accept.
+    """An argparse type: a strict reader (parse_float, parse_int), then accept.
 
-    It keeps the name of convert, so text that does not convert reads
-    "invalid float value: 'x'" as with the bare type; so does text with a
-    digit separator, which int() and float() would read ('1_2' as 12).
+    Named after the builtin type, so text that does not convert ('x', '1_2',
+    non-ASCII digits) reads "invalid float value: 'x'" as with the bare type.
     """
     def parse(text: str):
-        if "_" in text:
-            raise ValueError(text)
         value = convert(text)
         if not accept(value):
             raise argparse.ArgumentTypeError(f"expected {expected}, got {text}")
         return value
 
-    parse.__name__ = convert.__name__
+    parse.__name__ = convert.__name__.removeprefix("parse_")
     return parse
 
 
-_finite_float = _checked(float, math.isfinite, "a finite number")
-_positive_float = _checked(float, lambda value: 0 < value < math.inf, "a positive value")
-_loss_pct_arg = _checked(float, lambda value: 0 <= value <= 100, "a loss percentage in [0, 100]")
-_non_negative_int = _checked(int, lambda value: value >= 0, "a non-negative integer")
-_nodes_arg = _checked(int, lambda value: value >= 1, "at least 1 node")
-_frames_arg = _checked(int, lambda value: value >= 1, "at least 1 frame per slot")
-_sf_arg = _checked(int, lambda value: 6 <= value <= 12, "a spreading factor in 6..12")
+_finite_float = _checked(parse_float, math.isfinite, "a finite number")
+_positive_float = _checked(parse_float, lambda value: 0 < value < math.inf, "a positive value")
+_non_negative_float = _checked(parse_float, lambda v: 0 <= v < math.inf, "a finite value >= 0")
+_loss_pct_arg = _checked(parse_float, lambda v: 0 <= v <= 100, "a loss percentage in [0, 100]")
+_non_negative_int = _checked(parse_int, lambda value: value >= 0, "a non-negative integer")
+_nodes_arg = _checked(parse_int, lambda value: value >= 1, "at least 1 node")
+_frames_arg = _checked(parse_int, lambda value: value >= 1, "at least 1 frame per slot")
+_sf_arg = _checked(parse_int, lambda value: 6 <= value <= 12, "a spreading factor in 6..12")
 # 255 is the largest length the LoRa PHY header can carry
-_payload_arg = _checked(int, lambda value: 0 <= value <= 255, "a payload of 0..255 bytes")
+_payload_arg = _checked(parse_int, lambda value: 0 <= value <= 255, "a payload of 0..255 bytes")
 # the SX127x preamble-length register is 16 bits wide
-_preamble_arg = _checked(int, lambda value: 0 <= value <= 65535, "a preamble of 0..65535 symbols")
+_preamble_arg = _checked(parse_int, lambda v: 0 <= v <= 65535, "a preamble of 0..65535 symbols")
 
 
 def _iso8601_arg(text: str) -> datetime:
@@ -277,13 +276,13 @@ def _simulate_flags(parser: argparse.ArgumentParser) -> None:
                         help="preamble symbols (default 8)")
     parser.add_argument("--slot-s", type=_positive_float, default=None,
                         help="slot duration in seconds (default: 2x airtime, ms-rounded)")
-    parser.add_argument("--guard-s", type=_finite_float, default=0.01,
+    parser.add_argument("--guard-s", type=_non_negative_float, default=0.01,
                         help="guard time between slots in seconds (default 0.01)")
     parser.add_argument("--duration-s", type=_positive_float, required=True,
                         help="virtual simulation duration in seconds")
     parser.add_argument("--frames-per-slot", type=_frames_arg, default=1,
                         help="frames per transmission opportunity (default 1)")
-    parser.add_argument("--handshake-s", type=_finite_float, default=0.0,
+    parser.add_argument("--handshake-s", type=_non_negative_float, default=0.0,
                         help="fixed connection-establishment latency per slot (default 0)")
     parser.add_argument("--drop", default=None, metavar="P[,P...]",
                         help="per-node drop probabilities (single value broadcasts)")
@@ -458,43 +457,40 @@ def cmd_recommend(args) -> int:
     return EXIT_OK
 
 
-def _simulate_drop_model(args, nodes) -> tuple[dict[int, float], str]:
+def _simulate_drops(args, config: RadioConfig) -> tuple[list[float], str]:
     if args.drop is not None and args.drop_from_fixture is not None:
         raise UsageError("--drop and --drop-from-fixture are mutually exclusive")
     if args.drop_from_fixture is not None:
         source = None if args.drop_from_fixture == "bundled" else args.drop_from_fixture
         table, name = _load_fixture(source)
-        return {n.sync_word: drop_model_from_table(table, n) for n in nodes}, f"fixture:{name}"
+        return [drop_model_from_table(table, config)] * args.nodes, f"fixture:{name}"
     text = args.drop if args.drop is not None else "0"
     try:
-        if "_" in text:
-            raise ValueError(text)
-        values = [float(part) for part in text.split(",")]
+        values = [parse_float(part) for part in text.split(",")]
     except ValueError:
         raise UsageError(f"malformed --drop list {text!r}") from None
     if len(values) == 1:
-        values = values * len(nodes)
-    if len(values) != len(nodes):
-        raise UsageError(f"--drop supplies {len(values)} value(s) for {len(nodes)} node(s)")
+        values = values * args.nodes
+    if len(values) != args.nodes:
+        raise UsageError(f"--drop supplies {len(values)} value(s) for {args.nodes} node(s)")
     if any(not 0 <= v <= 1 for v in values):
         raise UsageError("--drop probabilities must lie in [0, 1]")
-    return {n.sync_word: v for n, v in zip(nodes, values)}, text
+    return values, text
 
 
 def cmd_simulate(args) -> int:
     config = RadioConfig(sf=args.sf, bw_hz=args.bw_hz, cr=args.cr)
     frame = FrameParams(payload_bytes=args.payload_bytes, preamble_symbols=args.preamble)
-    nodes = [NodeSpec(sync_word=0xA001 + i, config=config, frame=frame)
-             for i in range(args.nodes)]
+    drops, drop_name = _simulate_drops(args, config)
+    nodes = tuple(NodeSpec(0xA001 + i, config, frame, p) for i, p in enumerate(drops))
     slot_s = args.slot_s if args.slot_s is not None else default_slot_duration(nodes)
-    schedule = build_schedule(nodes, slot_s, args.guard_s)
-    drop_model, drop_name = _simulate_drop_model(args, nodes)
-    simulate = partial(iter_events, nodes, schedule, drop_model, args.duration_s, args.seed,
+    schedule = SlotSchedule(nodes, slot_s, args.guard_s)
+    simulate = partial(iter_events, schedule, args.duration_s, args.seed,
                        frames_per_slot=args.frames_per_slot, handshake_s=args.handshake_s)
     stats: list[tuple[int, NodeStats]] = []
     events = simulate(stats=stats)  # checks the run before any output exists
     if args.uplink_log is not None:
-        key_map = _default_key_map(schedule.order)
+        key_map = _default_key_map([node.sync_word for node in nodes])
         # the log replays the deterministic simulation instead of keeping the report
         updates = iter_bridge(simulate(), key_map)
 

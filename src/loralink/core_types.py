@@ -163,12 +163,24 @@ def hz_to_khz_str(bw_hz: float) -> str:
     return format_decimal(Decimal(str(bw_hz)) / 1000)
 
 
+def _plain_number_text(text: str) -> bool:
+    # int(), float() and Decimal() also read Python's digit separators and
+    # non-ASCII digits ('1_2' and an Arabic-Indic one-two both as 12)
+    return "_" not in text and text.isascii()
+
+
 def parse_int(text: str) -> int:
-    """A decimal integer from outside text; int() without the digit
-    separators of Python source ('1_2' is malformed, not 12)."""
-    if "_" in text:
+    """A decimal integer from outside text: int() on ASCII text without '_'."""
+    if not _plain_number_text(text):
         raise ValueError(f"invalid literal for int() with base 10: {text!r}")
     return int(text)
+
+
+def parse_float(text: str) -> float:
+    """A float from outside text: float() on ASCII text without '_'."""
+    if not _plain_number_text(text):
+        raise ValueError(f"could not convert string to float: {text!r}")
+    return float(text)
 
 
 _KHZ_EXPONENT_LIMIT = 300
@@ -180,7 +192,7 @@ def khz_str_to_hz(text: str) -> float:
     ValueError for anything but a positive decimal number whose decimal
     exponent lies within +-300.
     """
-    if "_" in text:  # Decimal() would read '1_25' as 125
+    if not _plain_number_text(text):
         raise ValueError(f"malformed bandwidth in kHz: {text!r}")
     try:
         value = Decimal(text)

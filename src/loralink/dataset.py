@@ -30,6 +30,7 @@ from .core_types import (
     format_decimal,
     hz_to_khz_str,
     khz_str_to_hz,
+    parse_float,
     parse_int,
     validate_measurement_grid,
 )
@@ -132,10 +133,10 @@ def lookup(table: MeasurementTable, sf: int, bw_hz: float, *,
 def _parse_float(text: str, line_no: int, column: str) -> float:
     """One numeric field of either CSV: a finite float, else a parse error."""
     try:
-        value = float(text)
+        value = parse_float(text)
     except ValueError:
         value = math.nan
-    if "_" in text or not math.isfinite(value):
+    if not math.isfinite(value):
         raise MeasurementParseError(
             line_no, f"malformed {column}: {text!r} (expected a finite number)"
         )

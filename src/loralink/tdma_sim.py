@@ -14,7 +14,8 @@ state-advance rule), which makes reports byte-reproducible:
     standing in for an ultrasonic range sensor.
 
 Changing only the seed changes drop outcomes and payload values but never
-the transmission timeline, which is fixed by the schedule.
+the transmission timeline, which is fixed by the schedule: a SlotSchedule
+holds the NodeSpecs in slot order, each with its own drop probability.
 
 The pipeline streams: iter_events produces the timeline one event at a
 time, report_lines turns any event stream into report text, and
@@ -27,9 +28,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .core_types import RadioConfig, format_decimal
+from .core_types import RadioConfig, format_decimal, parse_int
 from .dataset import MeasurementTable, lookup
 from .link_budget import packet_loss_pct
 from .phy_model import FrameParams, time_on_air
@@ -70,7 +71,7 @@ def parse_sync_word(text: str) -> int:
 
 @dataclass(frozen=True)
 class NodeSpec:
-    """One sensor node: identity, radio configuration, frame shape.
+    """One sensor node: identity, radio configuration, frame shape, drop probability.
 
     payload_source maps a per-node frame index to an integer sensor
     reading; None selects the seeded synthetic generator described in the
@@ -80,36 +81,40 @@ class NodeSpec:
     sync_word: int
     config: RadioConfig
     frame: FrameParams
+    drop_probability: float = 0.0
     payload_source: Callable[[int], int] | None = None
 
     def __post_init__(self) -> None:
-        format_sync_word(self.sync_word)  # raises for a value outside 16 bits
+        name = format_sync_word(self.sync_word)  # raises for a value outside 16 bits
+        if not 0.0 <= self.drop_probability <= 1.0:
+            raise ValueError(f"drop probability for {name} outside [0, 1]: "
+                             f"{self.drop_probability!r}")
 
 
 @dataclass(frozen=True)
 class SlotSchedule:
-    """Round-robin slot plan: equal slots separated by guard time."""
+    """Round-robin plan: one equal slot per node, in order, separated by guard time."""
 
+    nodes: tuple[NodeSpec, ...]
     slot_duration_s: float
     guard_s: float
-    order: tuple[int, ...]
 
     def __post_init__(self) -> None:
         if self.slot_duration_s <= 0:
             raise ValueError(f"slot_duration_s must be positive, got {self.slot_duration_s!r}")
         if self.guard_s < 0:
             raise ValueError(f"guard_s must be >= 0, got {self.guard_s!r}")
-        if not self.order:
-            raise ValueError("schedule order must not be empty")
+        if not self.nodes:
+            raise ValueError("a schedule needs at least one node")
         seen: set[int] = set()
-        for sync_word in self.order:
+        for sync_word in (node.sync_word for node in self.nodes):
             if sync_word in seen:
                 raise ScheduleConflictError(f"duplicate sync word {format_sync_word(sync_word)}")
             seen.add(sync_word)
 
     @property
     def period_s(self) -> float:
-        return len(self.order) * (self.slot_duration_s + self.guard_s)
+        return len(self.nodes) * (self.slot_duration_s + self.guard_s)
 
 
 class SimEvent(NamedTuple):
@@ -152,24 +157,12 @@ class SimReport:
         raise KeyError(f"no stats for sync word {format_sync_word(sync_word)}")
 
 
-def node_airtime_s(node: NodeSpec) -> float:
-    return time_on_air(node.config, node.frame)
-
-
 def default_slot_duration(nodes: Sequence[NodeSpec]) -> float:
     """Twice the longest node airtime, rounded up to a whole millisecond."""
     if not nodes:
         raise ValueError("need at least one node")
-    longest = max(node_airtime_s(node) for node in nodes)
+    longest = max(time_on_air(node.config, node.frame) for node in nodes)
     return math.ceil(2 * longest * 1000) / 1000
-
-
-def build_schedule(nodes: Sequence[NodeSpec], slot_duration_s: float, guard_s: float) -> SlotSchedule:
-    """Round-robin schedule over the nodes in input order.
-
-    Whether each node's transmissions fit the slot is checked by iter_events.
-    """
-    return SlotSchedule(slot_duration_s, guard_s, tuple(node.sync_word for node in nodes))
 
 
 def default_payload_source(seed: int, sync_word: int) -> Callable[[int], int]:
@@ -182,30 +175,22 @@ def default_payload_source(seed: int, sync_word: int) -> Callable[[int], int]:
     return reading
 
 
-def drop_model_from_table(table: MeasurementTable, node: NodeSpec) -> float:
-    """Loss probability for a node from the measured cell of its configuration."""
-    cell = lookup(table, node.config.sf, node.config.bw_hz, require=("loss_pct",))
+def drop_model_from_table(table: MeasurementTable, config: RadioConfig) -> float:
+    """Loss probability of a configuration, from its measured cell."""
+    cell = lookup(table, config.sf, config.bw_hz, require=("loss_pct",))
     return cell.loss_pct / 100.0
 
 
-def iter_events(
-    nodes: Sequence[NodeSpec],
-    schedule: SlotSchedule,
-    drop_model: Mapping[int, float],
-    duration_s: float,
-    seed: int,
-    *,
-    frames_per_slot: int = 1,
-    handshake_s: float = 0.0,
-    stats: list[tuple[int, NodeStats]] | None = None,
-) -> Iterator[SimEvent]:
+def iter_events(schedule: SlotSchedule, duration_s: float, seed: int, *,
+                frames_per_slot: int = 1, handshake_s: float = 0.0,
+                stats: list[tuple[int, NodeStats]] | None = None) -> Iterator[SimEvent]:
     """Check a run, then return the generator of its timeline events.
 
     The virtual clock runs from 0 to duration_s. Every slot that opens
     before duration_s runs to completion. Within a slot the owning node
     sends frames_per_slot frames back to back after an optional fixed
     handshake latency; each reception is independently dropped with the
-    node's probability. Identical inputs (seed included) produce an
+    node's drop_probability. Identical inputs (seed included) produce an
     identical stream.
 
     Every check raises here, before the first event exists. When the
@@ -213,48 +198,28 @@ def iter_events(
     in schedule order, to `stats` if one is given. Memory does not grow
     with duration_s.
     """
-    if duration_s <= 0:
-        raise ValueError(f"duration_s must be positive, got {duration_s!r}")
+    if not 0 < duration_s < math.inf:
+        raise ValueError(f"duration_s must be positive and finite, got {duration_s!r}")
     if frames_per_slot < 1:
         raise ValueError(f"frames_per_slot must be >= 1, got {frames_per_slot!r}")
-    if handshake_s < 0:
-        raise ValueError(f"handshake_s must be >= 0, got {handshake_s!r}")
-    # the schedule's sync words are unique, so this also refuses repeated nodes
-    if sorted(node.sync_word for node in nodes) != sorted(schedule.order):
-        raise ValueError("schedule order does not match the node set")
-    by_sync = {node.sync_word: node for node in nodes}
-    for node in nodes:
-        p = drop_model.get(node.sync_word, 0.0)
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(
-                f"drop probability for {format_sync_word(node.sync_word)} "
-                f"outside [0, 1]: {p!r}"
-            )
-
+    if not 0 <= handshake_s < math.inf:
+        raise ValueError(f"handshake_s must be finite and >= 0, got {handshake_s!r}")
     slot_ns = round(schedule.slot_duration_s * NS_PER_S)
     handshake_ns = round(handshake_s * NS_PER_S)
-    airtime_ns: dict[int, int] = {}
-    for node in nodes:
-        ns = round(node_airtime_s(node) * NS_PER_S)
-        if handshake_ns + frames_per_slot * ns > slot_ns:
-            raise InfeasibleSlotError(
-                f"node {format_sync_word(node.sync_word)}: handshake plus "
-                f"{frames_per_slot} frame(s) of {ns} ns exceed the {slot_ns} ns slot"
-            )
-        airtime_ns[node.sync_word] = ns
-
     # one entry per slot position: sync word, payload source, airtime in ns,
     # drop draw, drop probability
-    plan = [
-        (
-            sync,
-            by_sync[sync].payload_source or default_payload_source(seed, sync),
-            airtime_ns[sync],
-            SplitMix64(substream_seed(seed, sync, _DROP_STREAM_TAG)).next_unit,
-            drop_model.get(sync, 0.0),
-        )
-        for sync in schedule.order
-    ]
+    plan = []
+    for node in schedule.nodes:
+        sync = node.sync_word
+        airtime_ns = round(time_on_air(node.config, node.frame) * NS_PER_S)
+        if handshake_ns + frames_per_slot * airtime_ns > slot_ns:
+            raise InfeasibleSlotError(
+                f"node {format_sync_word(sync)}: handshake plus {frames_per_slot} "
+                f"frame(s) of {airtime_ns} ns exceed the {slot_ns} ns slot"
+            )
+        plan.append((sync, node.payload_source or default_payload_source(seed, sync), airtime_ns,
+                     SplitMix64(substream_seed(seed, sync, _DROP_STREAM_TAG)).next_unit,
+                     node.drop_probability))
     stride_ns = slot_ns + round(schedule.guard_s * NS_PER_S)
     return _timeline(plan, slot_ns, stride_ns, handshake_ns, round(duration_s * NS_PER_S),
                      frames_per_slot, stats)
@@ -291,21 +256,12 @@ def _timeline(plan, slot_ns, stride_ns, handshake_ns, duration_ns, frames_per_sl
         )
 
 
-def run_simulation(
-    nodes: Sequence[NodeSpec],
-    schedule: SlotSchedule,
-    drop_model: Mapping[int, float],
-    duration_s: float,
-    seed: int,
-    *,
-    frames_per_slot: int = 1,
-    handshake_s: float = 0.0,
-) -> SimReport:
+def run_simulation(schedule: SlotSchedule, duration_s: float, seed: int, *,
+                   frames_per_slot: int = 1, handshake_s: float = 0.0) -> SimReport:
     """The whole of iter_events(...) held in memory as a SimReport."""
     stats: list[tuple[int, NodeStats]] = []
-    timeline = tuple(iter_events(nodes, schedule, drop_model, duration_s, seed,
-                                 frames_per_slot=frames_per_slot, handshake_s=handshake_s,
-                                 stats=stats))
+    timeline = tuple(iter_events(schedule, duration_s, seed, frames_per_slot=frames_per_slot,
+                                 handshake_s=handshake_s, stats=stats))
     return SimReport(timeline=timeline, stats=tuple(stats))
 
 
@@ -355,9 +311,9 @@ def _add_summary(summary: dict[int, tuple[int, NodeStats]], parts: list[str],
     fields = dict(part.partition("=")[::2] for part in parts[2:])
     try:
         node = NodeStats(
-            packets_sent=int(fields["sent"]),
-            packets_received=int(fields["received"]),
-            packets_lost=int(fields["lost"]),
+            packets_sent=parse_int(fields["sent"]),
+            packets_received=parse_int(fields["received"]),
+            packets_lost=parse_int(fields["lost"]),
         )
     except (KeyError, ValueError) as exc:
         raise ValueError(f"line {line_no}: malformed summary line {line!r}") from exc
@@ -425,6 +381,10 @@ def iter_report(
             raise ValueError(f"line {line_no}: malformed event line {raw.strip()!r}")
         if kind not in EVENT_KINDS:
             raise ValueError(f"line {line_no}: unknown event kind {kind!r}")
+        # int() would read '1_15' as 115 and non-ASCII digits as ASCII ones;
+        # parts[-1] is the detail, or a sync word that cannot hold a '_'
+        if "_" in t_text or "_" in parts[-1] or not raw.isascii():
+            raise ValueError(f"line {line_no}: malformed number in {raw.strip()!r}")
         try:
             t_ns = int(t_text)
         except ValueError as exc:

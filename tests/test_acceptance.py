@@ -42,7 +42,7 @@ from loralink.tdma_sim import (
     SimEvent,
     NodeStats,
     SimReport,
-    build_schedule,
+    SlotSchedule,
     run_simulation,
     serialize_report,
 )
@@ -225,10 +225,11 @@ class TestCriterion4LinkBudgetProperties:
         _verdict("4d (packet-loss boundary identities)", True)
 
 
-def _random_nodes(rng, count):
+def _nodes(drops):
+    """One node per drop probability, from sync word 1000 on."""
     config = RadioConfig(sf=7, bw_hz=500000, cr=CodingRate(4, 8))
     frame = FrameParams(payload_bytes=2)
-    return [NodeSpec(sync_word=0x1000 + i, config=config, frame=frame) for i in range(count)]
+    return tuple(NodeSpec(0x1000 + i, config, frame, p) for i, p in enumerate(drops))
 
 
 class TestCriterion5TdmaSimulator:
@@ -239,14 +240,12 @@ class TestCriterion5TdmaSimulator:
             FrameParams(payload_bytes=2),
         )
         for _ in range(100):
-            nodes = _random_nodes(rng, rng.randint(2, 10))
+            count = rng.randint(2, 10)
             slot = airtime * rng.uniform(1.0, 4.0)
             guard = rng.uniform(0.0, 0.1)
-            schedule = build_schedule(nodes, slot, guard)
-            drop = {n.sync_word: rng.random() for n in nodes}
+            schedule = SlotSchedule(_nodes([rng.random() for _ in range(count)]), slot, guard)
             duration = schedule.period_s * rng.uniform(0.5, 3.0)
-            report = run_simulation(nodes, schedule, drop, duration,
-                                    seed=rng.randint(0, 2**63))
+            report = run_simulation(schedule, duration, seed=rng.randint(0, 2**63))
             # conservation
             for _, stats in report.stats:
                 assert stats.packets_sent == stats.packets_received + stats.packets_lost
@@ -264,11 +263,9 @@ class TestCriterion5TdmaSimulator:
         _verdict("5a (mutual exclusion + conservation on 100 randomized sims)", True)
 
     def test_c5b_byte_identical_reports(self):
-        nodes = _random_nodes(random.Random(1), 4)
-        schedule = build_schedule(nodes, 0.05, 0.002)
-        drop = {n.sync_word: 0.25 for n in nodes}
-        first = serialize_report(run_simulation(nodes, schedule, drop, 30.0, seed=12345))
-        second = serialize_report(run_simulation(nodes, schedule, drop, 30.0, seed=12345))
+        schedule = SlotSchedule(_nodes([0.25] * 4), 0.05, 0.002)
+        first = serialize_report(run_simulation(schedule, 30.0, seed=12345))
+        second = serialize_report(run_simulation(schedule, 30.0, seed=12345))
         ok = first == second
         _verdict("5b (identical inputs -> byte-identical serialized reports)", ok)
         assert ok
@@ -276,13 +273,10 @@ class TestCriterion5TdmaSimulator:
     def test_c5c_convergence_to_measured_loss_rate(self):
         p = 0.166  # the measured SF 7 / BW 125 kHz loss rate
         opportunities = 20_000
-        nodes = _random_nodes(random.Random(2), 1)
+        nodes = _nodes([p])
         slot_s = 0.01
-        schedule = build_schedule(nodes, slot_s, 0.0)
-        report = run_simulation(
-            nodes, schedule, {nodes[0].sync_word: p},
-            duration_s=opportunities * slot_s, seed=7,
-        )
+        schedule = SlotSchedule(nodes, slot_s, 0.0)
+        report = run_simulation(schedule, duration_s=opportunities * slot_s, seed=7)
         stats = report.node_stats(nodes[0].sync_word)
         assert stats.packets_sent == opportunities
         band = 3 * math.sqrt(p * (1 - p) / opportunities)

@@ -22,7 +22,7 @@ from loralink.dataset import (
 from loralink.phy_model import FrameParams
 from loralink.tdma_sim import (
     NodeSpec,
-    build_schedule,
+    SlotSchedule,
     default_slot_duration,
     run_simulation,
     serialize_report,
@@ -349,10 +349,10 @@ class TestSimulate:
                                   "--drop", "0.1,0.5,0.9", "--output", str(report)])
         assert code == EXIT_OK
         config = RadioConfig(sf=8, bw_hz=62500, cr=CodingRate(4, 8))
-        nodes = [NodeSpec(0xA001 + i, config, FrameParams(payload_bytes=2)) for i in range(3)]
-        schedule = build_schedule(nodes, default_slot_duration(nodes), 0.01)
-        drops = {0xA001: 0.1, 0xA002: 0.5, 0xA003: 0.9}
-        text = serialize_report(run_simulation(nodes, schedule, drops, 20.0, seed=8))
+        nodes = tuple(NodeSpec(0xA001 + i, config, FrameParams(payload_bytes=2), p)
+                      for i, p in enumerate((0.1, 0.5, 0.9)))
+        schedule = SlotSchedule(nodes, default_slot_duration(nodes), 0.01)
+        text = serialize_report(run_simulation(schedule, 20.0, seed=8))
         manifest, body = report.read_bytes().split(b"\n", 1)
         assert manifest.startswith(b"# manifest simulate ")
         assert body == text.encode()
@@ -383,6 +383,7 @@ class TestFailBeforeOutput:
         (["--nodes", "9", "--duration-s", "60", "--uplink-log", "{tmp}/u.log"], EXIT_USAGE),
         (["--nodes", "2", "--duration-s", "5", "--slot-s", "0.05"], EXIT_DATA),  # airtime 0.1157 s
         (["--nodes", "2", "--duration-s", "5", "--drop", "0.1_5"], EXIT_USAGE),
+        (["--nodes", "2", "--duration-s", "5", "--drop", "0.\u0665"], EXIT_USAGE),
     ])
     def test_simulate(self, capsys, tmp_path, argv, code):
         out = tmp_path / "r.txt"
@@ -489,6 +490,18 @@ class TestUplink:
         assert code == EXIT_DATA
         assert "A002" in err
 
+    def test_edited_number_is_a_data_error_naming_its_line(self, capsys, tmp_path):
+        report = tmp_path / "report.txt"
+        run(capsys, ["simulate", "--nodes", "1", "--duration-s", "1", "--seed", "5",
+                     "--output", str(report)])
+        lines = report.read_text().splitlines(keepends=True)
+        line_no = next(i for i, line in enumerate(lines, start=1) if " tx_start " in line)
+        lines[line_no - 1] = lines[line_no - 1].replace(" tx_start A001 ", " tx_start A001 0_")
+        report.write_text("".join(lines))
+        code, _, err = run(capsys, ["uplink", "--report", str(report)])
+        assert code == EXIT_DATA
+        assert err.startswith(f"error: line {line_no}: malformed number in ")
+
     def test_real_mode_without_key_is_an_error(self, capsys, tmp_path, monkeypatch):
         monkeypatch.delenv("UPLINK_API_KEY", raising=False)
         report = tmp_path / "report.txt"
@@ -558,6 +571,13 @@ class TestParserBasics:
         ["simulate", "--duration-s", "5", "--frames-per-slot", "0"],
         ["simulate", "--duration-s", "5", "--sf", "1_2"],
         ["simulate", "--duration-s", "1_0"],
+        ["simulate", "--duration-s", "5", "--guard-s", "-0.01"],
+        ["simulate", "--duration-s", "5", "--handshake-s", "-0.1"],
+        ["simulate", "--duration-s", "5", "--bw-khz", "\u0661\u0662\u0665"],
+        ["simulate", "--duration-s", "5", "--sf", "\u0668"],
+        ["simulate", "--duration-s", "\u0665"],
+        ["budget", "--rssi", "-92.8", "--snr", "8.4", *BUDGET_FLAGS,
+         "--d", "\u0665\u0660\u0660\u0660"],
     ])
     def test_non_finite_and_negative_values_are_usage_errors(self, capsys, argv):
         code, out, err = run(capsys, argv)

@@ -15,6 +15,8 @@ from loralink.core_types import (
     format_decimal,
     hz_to_khz_str,
     khz_str_to_hz,
+    parse_float,
+    parse_int,
     validate_measurement_grid,
 )
 
@@ -140,6 +142,26 @@ class TestDecimalRendering:
             khz_str_to_hz("ten")
         with pytest.raises(ValueError):
             khz_str_to_hz("-10")
-        for text in ("1_25", "1e99999", "1e-99999", "1e999999999999999999"):
+        for text in ("1_25", "1e99999", "1e-99999", "1e999999999999999999",
+                     "\u0661\u0662\u0665"):
             with pytest.raises(ValueError, match="malformed|out of range"):
                 khz_str_to_hz(text)
+
+
+class TestStrictNumberReaders:
+    def test_plain_ascii_numbers_read_as_the_builtins_do(self):
+        assert parse_int("-12") == -12
+        assert parse_float("5000") == 5000.0
+        assert parse_float("1e-3") == 0.001
+        assert parse_float("inf") == float("inf")  # finiteness is the caller's check
+
+    # int() and float() read each of these as 12 or 1.5
+    @pytest.mark.parametrize("text", ["1_2", "\u0661\u0662", "\uff11\uff12", "\u00a012"])
+    def test_int_refuses_separators_and_non_ascii(self, text):
+        with pytest.raises(ValueError, match="invalid literal for int"):
+            parse_int(text)
+
+    @pytest.mark.parametrize("text", ["1_2", "1.5_0", "\u0661.\u0665", "\uff11\uff12"])
+    def test_float_refuses_separators_and_non_ascii(self, text):
+        with pytest.raises(ValueError, match="could not convert string to float"):
+            parse_float(text)

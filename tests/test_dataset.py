@@ -76,6 +76,10 @@ class TestLoad:
         ("8,250,0_4,8,,9.75,", "coding rate"),
         ("8,250,4,0_8,,9.75,", "coding rate"),
         ("12,125,,,-9_0,5,0", "rssi_dbm"),
+        # Arabic-Indic digits, which int(), float() and Decimal() all read
+        ("\u0661\u0662,\u0661\u0662\u0665,,,-\u0669\u0660,5,0", "sf"),
+        ("12,\u0661\u0662\u0665,,,-90,5,0", "bw_khz"),
+        ("12,125,,,-\u0669\u0660,5,0", "rssi_dbm"),
     ])
     def test_digit_separators_are_a_parse_error(self, row, column):
         with pytest.raises(MeasurementParseError, match=f"malformed {column}") as excinfo:

@@ -1,4 +1,5 @@
 import io
+import math
 import random
 
 import pytest
@@ -10,7 +11,6 @@ from loralink.tdma_sim import (
     NodeSpec,
     ScheduleConflictError,
     SlotSchedule,
-    build_schedule,
     default_slot_duration,
     drop_model_from_table,
     format_sync_word,
@@ -27,8 +27,14 @@ FAST_CONFIG = RadioConfig(sf=7, bw_hz=500000, cr=CodingRate(4, 8))
 FRAME = FrameParams(payload_bytes=2)
 
 
-def make_nodes(count, config=FAST_CONFIG, frame=FRAME):
-    return [NodeSpec(sync_word=0xA001 + i, config=config, frame=frame) for i in range(count)]
+def make_nodes(count, drops=()):
+    """count nodes from A001 on; the i-th loses frames with probability drops[i] (default 0)."""
+    drops = [*drops] + [0.0] * (count - len(drops))
+    return tuple(NodeSpec(0xA001 + i, FAST_CONFIG, FRAME, p) for i, p in enumerate(drops))
+
+
+def node(sync_word):
+    return NodeSpec(sync_word=sync_word, config=FAST_CONFIG, frame=FRAME)
 
 
 class TestSyncWords:
@@ -55,33 +61,40 @@ class TestSyncWords:
             parse_sync_word(text)
 
 
+class TestNodeSpec:
+    def test_drop_probability_defaults_to_zero(self):
+        assert node(0xA001).drop_probability == 0.0
+        assert NodeSpec(0xA001, FAST_CONFIG, FRAME, 1.0).drop_probability == 1.0
+
+    @pytest.mark.parametrize("p", [1.5, -0.1, math.nan])
+    def test_drop_probability_outside_unit_interval_names_the_node(self, p):
+        with pytest.raises(ValueError, match=r"drop probability for A001 outside \[0, 1\]"):
+            NodeSpec(0xA001, FAST_CONFIG, FRAME, drop_probability=p)
+
+
 class TestSchedule:
     def test_round_robin_period(self):
         nodes = make_nodes(2)
-        schedule = build_schedule(nodes, 1.0, 0.1)
-        assert schedule.order == (0xA001, 0xA002)
+        schedule = SlotSchedule(nodes, 1.0, 0.1)
+        assert [n.sync_word for n in schedule.nodes] == [0xA001, 0xA002]
         assert schedule.period_s == pytest.approx(2.2)
-        single = build_schedule(make_nodes(1), 0.5, 0.0)
+        single = SlotSchedule(make_nodes(1), 0.5, 0.0)
         assert single.period_s == pytest.approx(0.5)
 
     def test_duplicate_sync_word_conflict(self):
-        nodes = [
-            NodeSpec(sync_word=0x1A2B, config=FAST_CONFIG, frame=FRAME),
-            NodeSpec(sync_word=0x1A2B, config=FAST_CONFIG, frame=FRAME),
-        ]
         with pytest.raises(ScheduleConflictError) as excinfo:
-            build_schedule(nodes, 1.0, 0.0)
+            SlotSchedule((node(0x1A2B), node(0x1A2B)), 1.0, 0.0)
         assert "1A2B" in str(excinfo.value)
 
     def test_schedule_names_its_repeated_sync_word(self):
         with pytest.raises(ScheduleConflictError, match="duplicate sync word BEEF"):
-            SlotSchedule(1.0, 0.0, (0xA001, 0xBEEF, 0xA002, 0xBEEF))
+            SlotSchedule(tuple(map(node, (0xA001, 0xBEEF, 0xA002, 0xBEEF))), 1.0, 0.0)
 
     def test_slot_shorter_than_airtime_names_the_node(self):
         slow = RadioConfig(sf=12, bw_hz=10400, cr=CodingRate(4, 8))
-        nodes = [NodeSpec(sync_word=0xBEEF, config=slow, frame=FRAME)]
+        nodes = (NodeSpec(sync_word=0xBEEF, config=slow, frame=FRAME),)
         with pytest.raises(InfeasibleSlotError) as excinfo:
-            iter_events(nodes, build_schedule(nodes, 1.0, 0.0), {}, 1.0, 0)  # airtime is ~11.1 s
+            iter_events(SlotSchedule(nodes, 1.0, 0.0), 1.0, 0)  # airtime is ~11.1 s
         assert "BEEF" in str(excinfo.value)
 
     def test_default_slot_duration(self):
@@ -93,18 +106,22 @@ class TestSchedule:
 
     def test_schedule_validation(self):
         with pytest.raises(ValueError):
-            SlotSchedule(0.0, 0.0, (1,))
+            SlotSchedule((node(1),), 0.0, 0.0)
         with pytest.raises(ValueError):
-            SlotSchedule(1.0, -0.1, (1,))
+            SlotSchedule((node(1),), 1.0, -0.1)
         with pytest.raises(ScheduleConflictError):
-            SlotSchedule(1.0, 0.0, (1, 1))
+            SlotSchedule((node(1), node(1)), 1.0, 0.0)
+        # the schedule is the node set: none, or one node twice, is refused here
+        with pytest.raises(ValueError, match="at least one node"):
+            SlotSchedule((), 0.1, 0.0)
+        with pytest.raises(ScheduleConflictError, match="A002"):
+            SlotSchedule(make_nodes(2) + make_nodes(2)[1:], 0.1, 0.0)  # two nodes on A002
 
 
 class TestRunSimulation:
     def test_two_nodes_five_rounds_each(self):
-        nodes = make_nodes(2)
-        schedule = build_schedule(nodes, 1.0, 0.0)
-        report = run_simulation(nodes, schedule, {}, 10.0, seed=7)
+        schedule = SlotSchedule(make_nodes(2), 1.0, 0.0)
+        report = run_simulation(schedule, 10.0, seed=7)
         for sync in (0xA001, 0xA002):
             stats = report.node_stats(sync)
             assert stats.packets_sent == 5
@@ -112,52 +129,44 @@ class TestRunSimulation:
             assert stats.packets_lost == 0
 
     def test_certain_loss(self):
-        nodes = make_nodes(2)
-        schedule = build_schedule(nodes, 1.0, 0.0)
-        report = run_simulation(nodes, schedule, {0xA001: 1.0}, 10.0, seed=7)
+        lossy_node = NodeSpec(0xA001, FAST_CONFIG, FRAME, drop_probability=1.0)
+        schedule = SlotSchedule((lossy_node, node(0xA002)), 1.0, 0.0)
+        report = run_simulation(schedule, 10.0, seed=7)
         lossy = report.node_stats(0xA001)
         assert lossy.packets_received == 0
         assert lossy.packets_lost == lossy.packets_sent == 5
         assert report.node_stats(0xA002).packets_received == 5
 
     def test_conservation_and_timeline_monotonicity(self):
-        nodes = make_nodes(3)
-        schedule = build_schedule(nodes, 0.5, 0.02)
-        report = run_simulation(nodes, schedule, {s: 0.3 for s in schedule.order}, 30.0, seed=3)
+        schedule = SlotSchedule(make_nodes(3, drops=[0.3] * 3), 0.5, 0.02)
+        report = run_simulation(schedule, 30.0, seed=3)
         for _, stats in report.stats:
             assert stats.packets_sent == stats.packets_received + stats.packets_lost
         times = [event.t_ns for event in report.timeline]
         assert times == sorted(times)
 
     def test_fairness_after_whole_periods(self):
-        nodes = make_nodes(4)
-        schedule = build_schedule(nodes, 0.25, 0.01)
-        report = run_simulation(nodes, schedule, {}, schedule.period_s * 6, seed=1)
+        schedule = SlotSchedule(make_nodes(4), 0.25, 0.01)
+        report = run_simulation(schedule, schedule.period_s * 6, seed=1)
         sent = [stats.packets_sent for _, stats in report.stats]
         assert len(set(sent)) == 1 and sent[0] == 6
 
     def test_mid_period_fairness_gap_at_most_one(self):
-        nodes = make_nodes(3)
-        schedule = build_schedule(nodes, 0.4, 0.0)
-        report = run_simulation(nodes, schedule, {}, schedule.period_s * 2.5, seed=1)
+        schedule = SlotSchedule(make_nodes(3), 0.4, 0.0)
+        report = run_simulation(schedule, schedule.period_s * 2.5, seed=1)
         sent = [stats.packets_sent for _, stats in report.stats]
         assert max(sent) - min(sent) <= 1
 
     def test_determinism_byte_identical(self):
-        nodes = make_nodes(2)
-        schedule = build_schedule(nodes, 0.1, 0.005)
-        kwargs = dict(drop_model={0xA001: 0.25, 0xA002: 0.5}, duration_s=20.0, seed=99)
-        first = serialize_report(run_simulation(nodes, schedule, **kwargs))
-        second = serialize_report(run_simulation(nodes, schedule, **kwargs))
+        schedule = SlotSchedule(make_nodes(2, drops=[0.25, 0.5]), 0.1, 0.005)
+        kwargs = dict(duration_s=20.0, seed=99)
+        first = serialize_report(run_simulation(schedule, **kwargs))
+        second = serialize_report(run_simulation(schedule, **kwargs))
         assert first == second
 
     def test_seed_changes_drops_but_not_transmission_times(self):
-        nodes = make_nodes(2)
-        schedule = build_schedule(nodes, 0.1, 0.0)
-        reports = [
-            run_simulation(nodes, schedule, {s: 0.5 for s in schedule.order}, 30.0, seed=s)
-            for s in (1, 2)
-        ]
+        schedule = SlotSchedule(make_nodes(2, drops=[0.5, 0.5]), 0.1, 0.0)
+        reports = [run_simulation(schedule, 30.0, seed=s) for s in (1, 2)]
         tx = [
             [(e.t_ns, e.kind, e.sync_word) for e in r.timeline if e.kind in ("tx_start", "tx_end")]
             for r in reports
@@ -173,15 +182,12 @@ class TestRunSimulation:
         rng = random.Random(2718)
         for _ in range(25):
             n = rng.randint(2, 6)
-            nodes = make_nodes(n)
             airtime = time_on_air(FAST_CONFIG, FRAME)
             slot = airtime * rng.uniform(1.0, 3.0)
             guard = rng.uniform(0.0, 0.05)
-            schedule = build_schedule(nodes, slot, guard)
-            drop = {s: rng.random() for s in schedule.order}
+            schedule = SlotSchedule(make_nodes(n, [rng.random() for _ in range(n)]), slot, guard)
             report = run_simulation(
-                nodes, schedule, drop, schedule.period_s * rng.uniform(1.0, 4.0),
-                seed=rng.randint(0, 2**32),
+                schedule, schedule.period_s * rng.uniform(1.0, 4.0), seed=rng.randint(0, 2**32),
             )
             intervals = []
             open_tx = {}
@@ -196,74 +202,63 @@ class TestRunSimulation:
                     assert s2 >= e1
 
     def test_handshake_and_frames_per_slot(self):
-        nodes = make_nodes(1)
         airtime = time_on_air(FAST_CONFIG, FRAME)
-        schedule = build_schedule(nodes, airtime * 4 + 0.01, 0.0)
+        schedule = SlotSchedule(make_nodes(1), airtime * 4 + 0.01, 0.0)
         report = run_simulation(
-            nodes, schedule, {}, schedule.period_s * 2, seed=5,
-            frames_per_slot=3, handshake_s=0.001,
+            schedule, schedule.period_s * 2, seed=5, frames_per_slot=3, handshake_s=0.001,
         )
         assert report.node_stats(0xA001).packets_sent == 6
         first_tx = next(e for e in report.timeline if e.kind == "tx_start")
         assert first_tx.t_ns == 1_000_000  # handshake delay
         with pytest.raises(InfeasibleSlotError):
-            run_simulation(nodes, schedule, {}, 1.0, seed=5, frames_per_slot=50)
+            run_simulation(schedule, 1.0, seed=5, frames_per_slot=50)
 
     def test_input_validation(self):
-        nodes = make_nodes(2)
-        schedule = build_schedule(nodes, 1.0, 0.0)
+        schedule = SlotSchedule(make_nodes(2), 1.0, 0.0)
         with pytest.raises(ValueError):
-            run_simulation(nodes, schedule, {0xA001: 1.5}, 10.0, seed=0)
+            make_nodes(2, drops=[1.5])
         with pytest.raises(ValueError):
-            run_simulation(nodes, schedule, {}, 0.0, seed=0)
+            run_simulation(schedule, 0.0, seed=0)
         with pytest.raises(ValueError):
-            run_simulation(nodes[:1], schedule, {}, 10.0, seed=0)
+            SlotSchedule((), 1.0, 0.0)
 
     @pytest.mark.parametrize("change", [
         {"frames_per_slot": 50},
         {"frames_per_slot": 0},
         {"handshake_s": -0.1},
         {"handshake_s": 0.5},
-        {"drop_model": {0xA001: 1.5}},
+        {"duration_s": math.nan},
         {"duration_s": 0.0},
-        {"nodes": make_nodes(1)},
-        {"nodes": make_nodes(2) + make_nodes(2)[1:]},  # two nodes on A002
+        {"duration_s": math.inf},
+        {"handshake_s": math.inf},
     ])
     def test_iter_events_checks_before_the_first_event(self, change):
-        nodes = make_nodes(2)
-        kwargs = dict(nodes=nodes, schedule=build_schedule(nodes, 0.1, 0.0),
-                      drop_model={}, duration_s=1.0, seed=5)
+        kwargs = dict(schedule=SlotSchedule(make_nodes(2), 0.1, 0.0), duration_s=1.0, seed=5)
         kwargs.update(change)
         with pytest.raises(ValueError):
             iter_events(**kwargs)  # raises on the call, before any next()
 
     def test_iter_events_fills_stats_when_exhausted(self):
-        nodes = make_nodes(2)
-        schedule = build_schedule(nodes, 0.1, 0.0)
+        schedule = SlotSchedule(make_nodes(2, drops=[0.5]), 0.1, 0.0)
         stats = []
-        events = iter_events(nodes, schedule, {0xA001: 0.5}, 3.0, seed=4, stats=stats)
+        events = iter_events(schedule, 3.0, seed=4, stats=stats)
         first = next(events)
         assert first == (0, "slot_open", 0xA001, None) and stats == []
         rest = list(events)
-        report = run_simulation(nodes, schedule, {0xA001: 0.5}, 3.0, seed=4)
+        report = run_simulation(schedule, 3.0, seed=4)
         assert (first, *rest) == report.timeline
         assert tuple(stats) == report.stats
 
     def test_custom_payload_source(self):
-        nodes = [
-            NodeSpec(sync_word=0xC0DE, config=FAST_CONFIG, frame=FRAME,
-                     payload_source=lambda i: 100 + i)
-        ]
-        schedule = build_schedule(nodes, 0.1, 0.0)
+        nodes = (NodeSpec(sync_word=0xC0DE, config=FAST_CONFIG, frame=FRAME,
+                          payload_source=lambda i: 100 + i),)
         # slots open at 0, 0.1 and 0.2; the next would open exactly at the horizon
-        report = run_simulation(nodes, schedule, {}, 0.3, seed=0)
+        report = run_simulation(SlotSchedule(nodes, 0.1, 0.0), 0.3, seed=0)
         payloads = [e.detail for e in report.timeline if e.kind == "rx_ok"]
         assert payloads == [100, 101, 102]
 
     def test_default_payloads_are_sensor_like(self):
-        nodes = make_nodes(1)
-        schedule = build_schedule(nodes, 0.1, 0.0)
-        report = run_simulation(nodes, schedule, {}, 5.0, seed=42)
+        report = run_simulation(SlotSchedule(make_nodes(1), 0.1, 0.0), 5.0, seed=42)
         payloads = [e.detail for e in report.timeline if e.kind == "tx_start"]
         assert all(2 <= p <= 400 for p in payloads)
         assert len(set(payloads)) > 1
@@ -271,26 +266,23 @@ class TestRunSimulation:
 
 class TestDropModelFromTable:
     def test_published_cells(self, field_table):
-        def node(sf, bw):
-            config = RadioConfig(sf=sf, bw_hz=bw, cr=CodingRate(4, 8))
-            return NodeSpec(sync_word=0x0001, config=config, frame=FRAME)
+        def config(sf, bw):
+            return RadioConfig(sf=sf, bw_hz=bw, cr=CodingRate(4, 8))
 
-        assert drop_model_from_table(field_table, node(7, 10400)) == pytest.approx(0.54)
-        assert drop_model_from_table(field_table, node(9, 125000)) == 0.0
-        assert drop_model_from_table(field_table, node(7, 62500)) == pytest.approx(0.285)
+        assert drop_model_from_table(field_table, config(7, 10400)) == pytest.approx(0.54)
+        assert drop_model_from_table(field_table, config(9, 125000)) == 0.0
+        assert drop_model_from_table(field_table, config(7, 62500)) == pytest.approx(0.285)
 
     def test_missing_cell(self, field_table):
         config = RadioConfig(sf=6, bw_hz=125000, cr=CodingRate(4, 8))
-        node = NodeSpec(sync_word=0x0001, config=config, frame=FRAME)
         with pytest.raises(LookupError):
-            drop_model_from_table(field_table, node)
+            drop_model_from_table(field_table, config)
 
 
 class TestSerialization:
     def test_round_trip(self):
-        nodes = make_nodes(2)
-        schedule = build_schedule(nodes, 0.1, 0.001)
-        report = run_simulation(nodes, schedule, {0xA001: 0.4}, 3.0, seed=21)
+        schedule = SlotSchedule(make_nodes(2, drops=[0.4]), 0.1, 0.001)
+        report = run_simulation(schedule, 3.0, seed=21)
         text = serialize_report(report)
         parsed = parse_report(text)
         assert parsed.timeline == report.timeline
@@ -298,9 +290,7 @@ class TestSerialization:
         assert serialize_report(parsed) == text
 
     def test_event_line_shape(self):
-        nodes = make_nodes(1)
-        schedule = build_schedule(nodes, 0.1, 0.0)
-        report = run_simulation(nodes, schedule, {}, 0.15, seed=0)
+        report = run_simulation(SlotSchedule(make_nodes(1), 0.1, 0.0), 0.15, seed=0)
         lines = serialize_report(report).splitlines()
         assert lines[0].split()[1] == "slot_open"
         assert lines[0].split()[2] == "A001"
@@ -317,9 +307,8 @@ class TestSerialization:
 
 
 def sample_report_text():
-    nodes = make_nodes(2)
-    schedule = build_schedule(nodes, 0.1, 0.001)
-    return serialize_report(run_simulation(nodes, schedule, {0xA001: 0.4}, 1.0, seed=21))
+    schedule = SlotSchedule(make_nodes(2, drops=[0.4]), 0.1, 0.001)
+    return serialize_report(run_simulation(schedule, 1.0, seed=21))
 
 
 def retell(text, old, new):
@@ -351,8 +340,14 @@ class TestReportChecks:
         lambda t: t + [l for l in t.splitlines() if l.startswith("node A001")][0] + "\n",
         lambda t: t + "99000000000 slot_open A001\n",
         lambda t: swap(t, 1, 2),
+        # int() reads each of these edits as the number it replaces
+        lambda t: retell(t, "0 tx_start A001", lambda l: l.replace(" 84", " 8_4")),
+        lambda t: retell(t, "0 tx_start A001", lambda l: l.replace(" 84", " \u0668\u0664")),
+        lambda t: retell(t, "node A002", lambda l: l.replace(" sent=5", " sent=0_5")),
+        lambda t: retell(t, "node A002", lambda l: l.replace(" sent=5", " sent=\u0665")),
     ], ids=["sent", "received", "lost", "missing-node", "repeated-node",
-            "event-after-summary", "decreasing-time"])
+            "event-after-summary", "decreasing-time", "event-digit-separator",
+            "event-non-ascii-digits", "summary-digit-separator", "summary-non-ascii-digits"])
     def test_tampered_report_is_rejected(self, tamper):
         text = sample_report_text()
         tampered = tamper(text)

@@ -4,14 +4,15 @@ Every run resolves all of its parameters up front into a manifest that is
 echoed as '#' comment lines at the top of each output, so results are
 reproducible from the output alone.
 
-Exit codes: 0 success; 2 usage error; 3 data/validation error; 4 tolerance
-exceeded.
+Exit codes: 0 success; 2 usage error; 3 data/validation error, or a
+stdout closed before all output was written; 4 tolerance exceeded.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from contextlib import contextmanager
 from datetime import datetime, timezone
@@ -588,7 +589,8 @@ def cmd_uplink(args) -> int:
         summary = read_summary(report)
         report.seek(0)
         key_map = _parse_key_map(args.map, summary)
-        updates = iter_bridge(iter_report(report), key_map, epoch=args.epoch)
+        # the bridge reads only rx_ok events; the other lines are checked, not built
+        updates = iter_bridge(iter_report(report, kinds=("rx_ok",)), key_map, epoch=args.epoch)
         spacing = args.min_spacing_s
         if spacing is None:
             spacing = DEFAULT_REAL_SPACING_S if args.real else 0.0
@@ -632,7 +634,17 @@ def main(argv=None) -> int:
 
 
 def entrypoint() -> None:
-    sys.exit(main())
+    code = main()
+    try:
+        sys.stdout.flush()
+    except OSError as exc:
+        # a reader that closed stdout early (`... | head -1`); point stdout at
+        # devnull so the interpreter's own flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if code != EXIT_DATA:  # one error line per run
+            print(f"error: {exc}", file=sys.stderr)
+            code = EXIT_DATA
+    sys.exit(code)
 
 
 if __name__ == "__main__":

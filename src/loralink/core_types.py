@@ -164,14 +164,19 @@ def hz_to_khz_str(bw_hz: float) -> str:
 
 
 def _plain_number_text(text: str) -> bool:
-    # int(), float() and Decimal() also read Python's digit separators and
+    # float() and Decimal() also read Python's digit separators and
     # non-ASCII digits ('1_2' and an Arabic-Indic one-two both as 12)
     return "_" not in text and text.isascii()
 
 
 def parse_int(text: str) -> int:
-    """A decimal integer from outside text: int() on ASCII text without '_'."""
-    if not _plain_number_text(text):
+    """A decimal integer from outside text: an optional '-', then ASCII digits.
+
+    int() also reads a '+', surrounding whitespace, '_' separators and
+    non-ASCII digits.
+    """
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
         raise ValueError(f"invalid literal for int() with base 10: {text!r}")
     return int(text)
 

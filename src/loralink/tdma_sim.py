@@ -20,8 +20,10 @@ holds the NodeSpecs in slot order, each with its own drop probability.
 The pipeline streams: iter_events produces the timeline one event at a
 time, report_lines turns any event stream into report text, and
 iter_report reads report text back into events, so no stage holds more
-than one event. run_simulation, serialize_report and parse_report are thin
-wrappers that materialise those streams.
+than one event. iter_report checks every line but builds only the event
+kinds its caller asks for: the uplink bridge asks for rx_ok alone.
+run_simulation, serialize_report and parse_report are thin wrappers that
+materialise those streams, every kind included.
 """
 
 from __future__ import annotations
@@ -100,10 +102,12 @@ class SlotSchedule:
     guard_s: float
 
     def __post_init__(self) -> None:
-        if self.slot_duration_s <= 0:
-            raise ValueError(f"slot_duration_s must be positive, got {self.slot_duration_s!r}")
-        if self.guard_s < 0:
-            raise ValueError(f"guard_s must be >= 0, got {self.guard_s!r}")
+        if not 0 < self.slot_duration_s < math.inf:
+            raise ValueError(
+                f"slot_duration_s must be positive and finite, got {self.slot_duration_s!r}"
+            )
+        if not 0 <= self.guard_s < math.inf:
+            raise ValueError(f"guard_s must be finite and >= 0, got {self.guard_s!r}")
         if not self.nodes:
             raise ValueError("a schedule needs at least one node")
         seen: set[int] = set()
@@ -341,18 +345,32 @@ def read_summary(lines: Iterable[str]) -> dict[int, NodeStats]:
 
 
 def iter_report(
-    lines: Iterable[str], stats: list[tuple[int, NodeStats]] | None = None
+    lines: Iterable[str], stats: list[tuple[int, NodeStats]] | None = None, *,
+    kinds: Iterable[str] = EVENT_KINDS,
 ) -> Iterator[SimEvent]:
-    """Events of a serialized report, parsed and checked line by line.
+    """Check `kinds`, then return the generator of a serialized report's
+    events of those kinds, parsed and checked line by line.
 
-    Comment lines starting with '#' and blank lines are ignored. Summary
-    lines are appended to `stats`, if given, as they are read. Raises
-    ValueError when a line is malformed, a timestamp decreases, an event
-    follows the summary block, or the summary block (when there is one)
-    misses a node that has events, repeats a node, or disagrees with the
-    events: sent must be the node's tx_start count, received its rx_ok
-    count and lost their difference.
+    Every line is checked, whatever its kind; only the events of `kinds`
+    are built and yielded. Comment lines starting with '#' and blank
+    lines are ignored. Summary lines are appended to `stats`, if given, as
+    they are read. A name in `kinds` that is no event kind raises
+    ValueError here, before any line is read. The generator raises
+    ValueError when a line is malformed (numbers are ASCII digits, with no
+    '_' or '+'), a timestamp decreases, an event follows the summary block,
+    or the summary block (when there is one) misses a node that has
+    events, repeats a node, or disagrees with the events: sent must be the
+    node's tx_start count, received its rx_ok count and lost their
+    difference.
     """
+    wanted = frozenset(kinds)
+    if not wanted.issubset(EVENT_KINDS):
+        unknown = sorted(wanted.difference(EVENT_KINDS))
+        raise ValueError(f"unknown event kind(s) {unknown}; expected some of {EVENT_KINDS}")
+    return _report_events(lines, stats, wanted)
+
+
+def _report_events(lines, stats, wanted):
     summary: dict[int, tuple[int, NodeStats]] = {}
     words: dict[str, tuple[int, list[int]]] = {}  # sync text -> (sync, [sent, received])
     tallies: dict[int, list[int]] = {}
@@ -381,9 +399,10 @@ def iter_report(
             raise ValueError(f"line {line_no}: malformed event line {raw.strip()!r}")
         if kind not in EVENT_KINDS:
             raise ValueError(f"line {line_no}: unknown event kind {kind!r}")
-        # int() would read '1_15' as 115 and non-ASCII digits as ASCII ones;
-        # parts[-1] is the detail, or a sync word that cannot hold a '_'
-        if "_" in t_text or "_" in parts[-1] or not raw.isascii():
+        # int() would read '1_15' and '+115' as 115 and non-ASCII digits as
+        # ASCII ones; parts[-1] is the detail, or a sync word that cannot
+        # hold a '_'
+        if "_" in t_text or "_" in parts[-1] or "+" in raw or not raw.isascii():
             raise ValueError(f"line {line_no}: malformed number in {raw.strip()!r}")
         try:
             t_ns = int(t_text)
@@ -401,7 +420,8 @@ def iter_report(
             tally[0] += 1
         elif kind == "rx_ok":
             tally[1] += 1
-        yield SimEvent(t_ns, kind, sync, detail)
+        if kind in wanted:
+            yield SimEvent(t_ns, kind, sync, detail)
     if summary:
         _check_summary(summary, tallies)
 

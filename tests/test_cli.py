@@ -548,6 +548,30 @@ class TestParserBasics:
                               check=True, timeout=60, env={**os.environ, "PYTHONPATH": src})
         assert done.stdout.strip() == "[]"
 
+    @pytest.mark.parametrize("argv, read_first_line", [
+        # the run itself fails writing its long report after `head -1` leaves
+        (["simulate", "--duration-s", "600"], True),
+        # the short output sits in the buffer until the flush at exit
+        (["sweep", "--metric", "rssi"], False),
+    ], ids=["during-the-run", "at-the-final-flush"])
+    def test_closed_stdout_exits_3_with_one_error_line(self, argv, read_first_line):
+        src = str(Path(loralink.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        env.pop("PYTHONUNBUFFERED", None)  # the block-buffered stdout of a pipe
+        read_end, write_end = os.pipe()
+        if not read_first_line:
+            os.close(read_end)  # closed before the child writes a byte
+        child = subprocess.Popen([sys.executable, "-m", "loralink.cli", *argv], stdout=write_end,
+                                 stderr=subprocess.PIPE, env=env, text=True)
+        os.close(write_end)
+        if read_first_line:
+            with open(read_end, encoding="utf-8") as reader:
+                assert reader.readline().startswith("# manifest ")
+        err = child.stderr.read()
+        child.stderr.close()
+        assert child.wait(timeout=60) == EXIT_DATA
+        assert err == "error: [Errno 32] Broken pipe\n"
+
     @pytest.mark.parametrize("argv", [
         ["budget", "--rssi", "-92.8", "--snr", "8.4", *BUDGET_FLAGS, "--d", "nan"],
         ["budget", "--rssi", "-92.8", "--snr", "8.4", *BUDGET_FLAGS, "--gt", "inf"],
@@ -576,6 +600,7 @@ class TestParserBasics:
         ["simulate", "--duration-s", "5", "--bw-khz", "\u0661\u0662\u0665"],
         ["simulate", "--duration-s", "5", "--sf", "\u0668"],
         ["simulate", "--duration-s", "\u0665"],
+        ["simulate", "--duration-s", "1", "--seed", "+5"],
         ["budget", "--rssi", "-92.8", "--snr", "8.4", *BUDGET_FLAGS,
          "--d", "\u0665\u0660\u0660\u0660"],
     ])

@@ -156,7 +156,8 @@ class TestStrictNumberReaders:
         assert parse_float("inf") == float("inf")  # finiteness is the caller's check
 
     # int() and float() read each of these as 12 or 1.5
-    @pytest.mark.parametrize("text", ["1_2", "\u0661\u0662", "\uff11\uff12", "\u00a012"])
+    @pytest.mark.parametrize("text", ["1_2", "\u0661\u0662", "\uff11\uff12", "\u00a012",
+                                      "+12", " 12", "12 "])
     def test_int_refuses_separators_and_non_ascii(self, text):
         with pytest.raises(ValueError, match="invalid literal for int"):
             parse_int(text)

@@ -7,6 +7,7 @@ import pytest
 from loralink.core_types import CodingRate, RadioConfig
 from loralink.phy_model import FrameParams, time_on_air
 from loralink.tdma_sim import (
+    EVENT_KINDS,
     InfeasibleSlotError,
     NodeSpec,
     ScheduleConflictError,
@@ -96,6 +97,15 @@ class TestSchedule:
         with pytest.raises(InfeasibleSlotError) as excinfo:
             iter_events(SlotSchedule(nodes, 1.0, 0.0), 1.0, 0)  # airtime is ~11.1 s
         assert "BEEF" in str(excinfo.value)
+
+    @pytest.mark.parametrize("slot_s, guard_s", [
+        (math.nan, 0.0), (math.inf, 0.0), (-math.inf, 0.0),
+        (0.1, math.nan), (0.1, math.inf), (0.1, -math.inf),
+    ])
+    def test_non_finite_slot_or_guard_is_refused_by_the_schedule(self, slot_s, guard_s):
+        # not later, as an OverflowError or a NaN conversion in iter_events
+        with pytest.raises(ValueError, match="slot_duration_s|guard_s"):
+            SlotSchedule(make_nodes(2), slot_s, guard_s)
 
     def test_default_slot_duration(self):
         nodes = make_nodes(2)
@@ -345,18 +355,42 @@ class TestReportChecks:
         lambda t: retell(t, "0 tx_start A001", lambda l: l.replace(" 84", " \u0668\u0664")),
         lambda t: retell(t, "node A002", lambda l: l.replace(" sent=5", " sent=0_5")),
         lambda t: retell(t, "node A002", lambda l: l.replace(" sent=5", " sent=\u0665")),
+        lambda t: retell(t, "0 tx_start A001", lambda l: "+" + l),
+        lambda t: retell(t, "0 tx_start A001", lambda l: l.replace(" 84", " +84")),
+        lambda t: retell(t, "node A002", lambda l: l.replace(" sent=5", " sent=+5")),
     ], ids=["sent", "received", "lost", "missing-node", "repeated-node",
             "event-after-summary", "decreasing-time", "event-digit-separator",
-            "event-non-ascii-digits", "summary-digit-separator", "summary-non-ascii-digits"])
+            "event-non-ascii-digits", "summary-digit-separator", "summary-non-ascii-digits",
+            "plus-timestamp", "plus-detail", "plus-summary-count"])
     def test_tampered_report_is_rejected(self, tamper):
         text = sample_report_text()
         tampered = tamper(text)
         assert tampered != text
         with pytest.raises(ValueError):
             parse_report(tampered)
-        with pytest.raises(ValueError):
-            for _ in iter_report(tampered.splitlines()):
-                pass
+        # every line is checked whichever kinds are built, and fails the same way
+        messages = set()
+        for kinds in (EVENT_KINDS, ("rx_ok",), ()):
+            with pytest.raises(ValueError) as caught:
+                for _ in iter_report(tampered.splitlines(), kinds=kinds):
+                    pass
+            messages.add(str(caught.value))
+        assert len(messages) == 1, messages
+
+    @pytest.mark.parametrize("kinds", [("rx_ok",), (), EVENT_KINDS, ("tx_end", "slot_open")])
+    def test_iter_report_builds_only_the_kinds_asked_for(self, kinds):
+        lines = sample_report_text().splitlines()
+        full_stats, stats = [], []
+        wanted = [event for event in iter_report(lines, full_stats) if event.kind in kinds]
+        assert list(iter_report(lines, stats, kinds=kinds)) == wanted
+        assert stats == full_stats and stats
+        # a one-shot iterable of kinds is read once, not used up by the check
+        assert list(iter_report(lines, kinds=iter(kinds))) == wanted
+
+    @pytest.mark.parametrize("kinds", [("rx_okk",), ("rx_ok", "node"), "rx_ok"])
+    def test_unknown_kind_raises_on_the_call(self, kinds):
+        with pytest.raises(ValueError, match="unknown event kind"):
+            iter_report(["0 slot_open A001\n"], kinds=kinds)  # before any next()
 
     def test_read_summary_reads_only_the_node_lines(self):
         text = sample_report_text()

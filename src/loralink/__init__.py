@@ -44,12 +44,7 @@ from .dataset import (
     lookup,
     reconstruct_excess_loss,
 )
-from .recommender import (
-    Recommendation,
-    SelectionConstraints,
-    recommend_cr,
-    recommend_sf_bw,
-)
+from .recommender import SelectionConstraints, recommend_sf_bw
 from .tdma_sim import (
     NodeSpec,
     SimReport,

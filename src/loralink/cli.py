@@ -134,6 +134,15 @@ _payload_arg = _checked(parse_int, lambda value: 0 <= value <= 255, "a payload o
 _preamble_arg = _checked(parse_int, lambda v: 0 <= v <= 65535, "a preamble of 0..65535 symbols")
 
 
+def _order_arg(text: str) -> tuple[str, ...]:
+    """Comma-separated ranking metrics, checked by SelectionConstraints."""
+    order = tuple(metric.strip() for metric in text.split(",") if metric.strip())
+    try:
+        return SelectionConstraints(tie_break_order=order).tie_break_order
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
 def _iso8601_arg(text: str) -> datetime:
     try:
         moment = datetime.fromisoformat(text.replace("Z", "+00:00"))
@@ -253,7 +262,7 @@ def _recommend_flags(parser: argparse.ArgumentParser) -> None:
                         help="hard packet-loss ceiling in percent (default 0)")
     parser.add_argument("--min-bw-khz", type=_khz_arg, default=62500.0, dest="min_bw_hz",
                         metavar="KHZ", help="minimum admissible bandwidth (default 62.5)")
-    parser.add_argument("--order", default=",".join(SelectionConstraints().tie_break_order),
+    parser.add_argument("--order", type=_order_arg, default=SelectionConstraints().tie_break_order,
                         help="comma-separated ranking metrics (snr, excess_loss, rssi)")
     parser.add_argument("--top", type=_non_negative_int, default=5,
                         help="runner-up rows to print (default 5)")
@@ -313,7 +322,7 @@ def _uplink_flags(parser: argparse.ArgumentParser) -> None:
                         help="wall-clock instant of virtual time zero (default Unix epoch)")
     parser.add_argument("--real", action="store_true",
                         help="actually send over HTTP (requires UPLINK_API_KEY)")
-    parser.add_argument("--min-spacing-s", type=_finite_float, default=None,
+    parser.add_argument("--min-spacing-s", type=_non_negative_float, default=None,
                         help="minimum spacing between sends (default 0 dry-run, 15 real)")
     _add_globals(parser, fixture=False)
     parser.set_defaults(func=cmd_uplink)
@@ -428,31 +437,32 @@ def cmd_reconstruct(args) -> int:
 
 def cmd_recommend(args) -> int:
     table, fixture_name = _load_fixture(args.fixture)
-    order = tuple(metric.strip() for metric in args.order.split(",") if metric.strip())
     constraints = SelectionConstraints(
-        max_loss_pct=args.max_loss, min_bw_hz=args.min_bw_hz, tie_break_order=order
+        max_loss_pct=args.max_loss, min_bw_hz=args.min_bw_hz, tie_break_order=args.order
     )
     link = _link_params(args)
-    rec = recommend_sf_bw(table, link, constraints)
-    cr, cr_basis = select_cr(table, rec.sf, rec.bw_hz)
+    (winner, budget), *runners_up = recommend_sf_bw(table, link, constraints)
+    cr, cr_basis = select_cr(table, winner.sf, winner.bw_hz)
 
     manifest = _manifest_line("recommend", {
         "fixture": fixture_name, "max_loss_pct": args.max_loss,
-        "min_bw_khz": hz_to_khz_str(args.min_bw_hz), "order": ",".join(order),
+        "min_bw_khz": hz_to_khz_str(args.min_bw_hz), "order": ",".join(args.order),
         **_link_manifest(link), "seed": args.seed, "output": args.output or "-",
     })
     with _open_output(args.output) as out:
         print(manifest, file=out)
-        print(f"sf={rec.sf} bw_khz={hz_to_khz_str(rec.bw_hz)} cr={cr}", file=out)
-        print(f"rssi_dbm={format_decimal(rec.rssi_dbm)} snr_db={format_decimal(rec.snr_db)} "
-              f"loss_pct={format_decimal(rec.loss_pct)} excess_db={rec.excess_db:.3f}", file=out)
+        print(f"sf={winner.sf} bw_khz={hz_to_khz_str(winner.bw_hz)} cr={cr}", file=out)
+        print(f"rssi_dbm={format_decimal(winner.rssi_dbm)} "
+              f"snr_db={format_decimal(winner.snr_db)} "
+              f"loss_pct={format_decimal(winner.loss_pct)} excess_db={budget.excess_db:.3f}",
+              file=out)
         if cr_basis is not None:
             print(f"cr_basis=sweep@sf={cr_basis[0]},bw_khz={hz_to_khz_str(cr_basis[1])}", file=out)
         else:
             print("cr_basis=winner-row", file=out)
-        for rank, cell in enumerate(rec.runners_up[: args.top], start=2):
+        for rank, (cell, cell_budget) in enumerate(runners_up[: args.top], start=2):
             print(f"rank={rank} sf={cell.sf} bw_khz={hz_to_khz_str(cell.bw_hz)} "
-                  f"snr_db={format_decimal(cell.snr_db)} excess_db={cell.excess_db:.3f} "
+                  f"snr_db={format_decimal(cell.snr_db)} excess_db={cell_budget.excess_db:.3f} "
                   f"rssi_dbm={format_decimal(cell.rssi_dbm)} "
                   f"loss_pct={format_decimal(cell.loss_pct)}", file=out)
     return EXIT_OK
@@ -594,8 +604,6 @@ def cmd_uplink(args) -> int:
         spacing = args.min_spacing_s
         if spacing is None:
             spacing = DEFAULT_REAL_SPACING_S if args.real else 0.0
-        if spacing < 0:
-            raise ValueError(f"min_spacing_s must be >= 0, got {spacing!r}")
         transport = HttpTransport(min_spacing_s=spacing) if args.real else None
         manifest = _manifest_line("uplink", {
             "report": args.report,

@@ -5,15 +5,18 @@ violate the hard constraints (loss ceiling, minimum bandwidth), then order
 the survivors by the configured metric list. Metric directions are fixed:
 snr high-to-low, excess_loss low-to-high, rssi high-to-low. Exact metric
 ties fall back to lower SF, then lower bandwidth, so results are fully
-deterministic.
+deterministic. The ranked cells are `dataset.evaluate_grid`'s own
+(record, budget chain) pairs; `select_cr` pairs the winner with the best
+coding rate of the table's CR sweep.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .core_types import CodingRate, LinkParams, hz_to_khz_str
-from .dataset import MeasurementTable, MissingCellError, evaluate_grid, lookup
+from .core_types import CodingRate, LinkParams
+from .dataset import MeasurementRecord, MeasurementTable, evaluate_grid, lookup
+from .link_budget import LossBreakdown
 
 RANK_METRICS = ("snr", "excess_loss", "rssi")
 
@@ -51,65 +54,31 @@ class SelectionConstraints:
             raise ValueError("tie_break_order must not repeat metrics")
 
 
-@dataclass(frozen=True)
-class CellScore:
-    """One feasible grid cell with every ranking metric attached."""
-
-    sf: int
-    bw_hz: float
-    cr: CodingRate
-    rssi_dbm: float
-    snr_db: float
-    loss_pct: float
-    excess_db: float
-
-
-@dataclass(frozen=True)
-class Recommendation:
-    """The winning cell plus the remaining feasible cells in rank order."""
-
-    sf: int
-    bw_hz: float
-    cr: CodingRate
-    rssi_dbm: float
-    snr_db: float
-    loss_pct: float
-    excess_db: float
-    runners_up: tuple[CellScore, ...] = field(default_factory=tuple)
-
-
-def _rank_key(cell: CellScore, order: tuple[str, ...]):
-    parts: list[float] = []
-    for metric in order:
-        if metric == "snr":
-            parts.append(-cell.snr_db)
-        elif metric == "excess_loss":
-            parts.append(cell.excess_db)
-        elif metric == "rssi":
-            parts.append(-cell.rssi_dbm)
-    parts.append(cell.sf)
-    parts.append(cell.bw_hz)
-    return tuple(parts)
+def _rank_key(cell: tuple[MeasurementRecord, LossBreakdown], order: tuple[str, ...]):
+    record, budget = cell
+    metrics = {"snr": -record.snr_db, "excess_loss": budget.excess_db, "rssi": -record.rssi_dbm}
+    return (*(metrics[metric] for metric in order), record.sf, record.bw_hz)
 
 
 def recommend_sf_bw(
     table: MeasurementTable, link: LinkParams, constraints: SelectionConstraints | None = None
-) -> Recommendation:
-    """Pick the best (SF, BW) cell of a complete measurement grid."""
+) -> list[tuple[MeasurementRecord, LossBreakdown]]:
+    """The feasible cells of a complete measurement grid, best first.
+
+    Each cell is the (record, budget chain) pair of `evaluate_grid`; the
+    recommended (SF, BW) is the record of element [0]. Use `select_cr` for
+    the coding rate to pair with it.
+    """
     constraints = constraints if constraints is not None else SelectionConstraints()
-    cells = [
-        CellScore(record.sf, record.bw_hz, record.effective_cr, record.rssi_dbm,
-                  record.snr_db, record.loss_pct, breakdown.excess_db)
-        for record, breakdown in evaluate_grid(table, link, require=("loss_pct",))
-    ]
+    cells = evaluate_grid(table, link, require=("loss_pct",))
     feasible = [
-        c
-        for c in cells
-        if c.loss_pct <= constraints.max_loss_pct and c.bw_hz >= constraints.min_bw_hz
+        (record, budget)
+        for record, budget in cells
+        if record.loss_pct <= constraints.max_loss_pct and record.bw_hz >= constraints.min_bw_hz
     ]
     if not feasible:
-        loss_ok = sum(1 for c in cells if c.loss_pct <= constraints.max_loss_pct)
-        bw_ok = sum(1 for c in cells if c.bw_hz >= constraints.min_bw_hz)
+        loss_ok = sum(1 for record, _ in cells if record.loss_pct <= constraints.max_loss_pct)
+        bw_ok = sum(1 for record, _ in cells if record.bw_hz >= constraints.min_bw_hz)
         if loss_ok == 0:
             binding = f"max_loss_pct={constraints.max_loss_pct}"
         elif bw_ok == 0:
@@ -120,36 +89,7 @@ def recommend_sf_bw(
                 f"min_bw_hz={constraints.min_bw_hz} leaves {bw_ok}, intersection empty)"
             )
         raise NoFeasibleConfigError(f"no feasible configuration; binding constraint: {binding}")
-    ranked = sorted(feasible, key=lambda c: _rank_key(c, constraints.tie_break_order))
-    winner = ranked[0]
-    return Recommendation(
-        sf=winner.sf,
-        bw_hz=winner.bw_hz,
-        cr=winner.cr,
-        rssi_dbm=winner.rssi_dbm,
-        snr_db=winner.snr_db,
-        loss_pct=winner.loss_pct,
-        excess_db=winner.excess_db,
-        runners_up=tuple(ranked[1:]),
-    )
-
-
-def recommend_cr(table: MeasurementTable, at_sf: int, at_bw_hz: float) -> CodingRate:
-    """Best coding rate among the explicit CR-sweep records at one cell.
-
-    Maximum SNR wins; exact ties break toward the smaller numerator.
-    """
-    sweep = [
-        record
-        for record in table
-        if record.sf == at_sf and record.bw_hz == at_bw_hz and record.cr is not None
-    ]
-    if not sweep:
-        raise MissingCellError(
-            f"no coding-rate sweep records at sf={at_sf}, bw_khz={hz_to_khz_str(at_bw_hz)}"
-        )
-    best = min(sweep, key=lambda r: (-r.snr_db, r.cr.ratio, r.cr.num))
-    return best.cr
+    return sorted(feasible, key=lambda cell: _rank_key(cell, constraints.tie_break_order))
 
 
 def select_cr(
@@ -157,17 +97,20 @@ def select_cr(
 ) -> tuple[CodingRate, tuple[int, float] | None]:
     """Coding rate to pair with a chosen (SF, BW), plus where it came from.
 
-    Prefers a CR sweep at the winning cell; otherwise uses the table's sole
-    swept cell (campaigns typically sweep CR at one configuration only); if
-    several cells were swept, the lowest (sf, bw) one wins; with no sweep at
-    all, falls back to the winner row's effective CR. The second element is
-    the (sf, bw_hz) cell the sweep came from, or None for the fallback.
+    The basis is a CR sweep at the winning cell if there is one; otherwise
+    the table's sole swept cell (campaigns typically sweep CR at one
+    configuration only), or the lowest (sf, bw) one if several cells were
+    swept. Within the basis cell the best SNR wins; exact ties go to the
+    lower rate, then the smaller numerator. With no sweep at all, the
+    winner row's effective CR is used. The second element is the
+    (sf, bw_hz) basis cell, or None for the fallback.
     """
-    swept_cells = sorted({(r.sf, r.bw_hz) for r in table if r.cr is not None})
-    if (winner_sf, winner_bw_hz) in swept_cells:
-        basis = (winner_sf, winner_bw_hz)
-    elif swept_cells:
-        basis = swept_cells[0]
-    else:
+    sweeps: dict[tuple[int, float], list[MeasurementRecord]] = {}
+    for record in table:
+        if record.cr is not None:
+            sweeps.setdefault((record.sf, record.bw_hz), []).append(record)
+    if not sweeps:
         return lookup(table, winner_sf, winner_bw_hz).effective_cr, None
-    return recommend_cr(table, basis[0], basis[1]), basis
+    basis = (winner_sf, winner_bw_hz) if (winner_sf, winner_bw_hz) in sweeps else min(sweeps)
+    best = min(sweeps[basis], key=lambda r: (-r.snr_db, r.cr.ratio, r.cr.num))
+    return best.cr, basis

@@ -36,7 +36,7 @@ from loralink.core_types import (
 from loralink.dataset import load_bundled_measurements, load_expected_grid, reconstruct_excess_loss
 from loralink.link_budget import esp, free_space_loss, packet_loss_pct
 from loralink.phy_model import FrameParams, monopole_dimensions, time_on_air
-from loralink.recommender import recommend_cr, recommend_sf_bw, select_cr
+from loralink.recommender import recommend_sf_bw, select_cr
 from loralink.tdma_sim import (
     NodeSpec,
     SimEvent,
@@ -144,10 +144,10 @@ class TestCriterion1TableReconstruction:
 class TestCriterion2Recommendation:
     def test_c2_recommendation_reproduction(self, capsys):
         table = load_bundled_measurements()
-        rec = recommend_sf_bw(table, CAMPAIGN)
-        cr, _basis = select_cr(table, rec.sf, rec.bw_hz)
-        api_ok = (rec.sf, rec.bw_hz, str(cr)) == (8, 62500, "4/8")
-        assert recommend_cr(table, 8, 250000) == CodingRate(4, 8)
+        winner, _ = recommend_sf_bw(table, CAMPAIGN)[0]
+        cr, _basis = select_cr(table, winner.sf, winner.bw_hz)
+        api_ok = (winner.sf, winner.bw_hz, str(cr)) == (8, 62500, "4/8")
+        assert select_cr(table, 8, 250000) == (CodingRate(4, 8), (8, 250000))
 
         exit_code = main(["recommend"])
         out = capsys.readouterr().out

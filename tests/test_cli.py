@@ -603,6 +603,8 @@ class TestParserBasics:
         ["simulate", "--duration-s", "1", "--seed", "+5"],
         ["budget", "--rssi", "-92.8", "--snr", "8.4", *BUDGET_FLAGS,
          "--d", "\u0665\u0660\u0660\u0660"],
+        # refused before the report is opened
+        ["uplink", "--report", "/nonexistent/report.txt", "--min-spacing-s", "-1"],
     ])
     def test_non_finite_and_negative_values_are_usage_errors(self, capsys, argv):
         code, out, err = run(capsys, argv)
@@ -610,6 +612,17 @@ class TestParserBasics:
         assert out == ""
         assert err.startswith(f"usage: loralink {argv[0]} ")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("order, message", [
+        ("snr,airtime", "unknown tie-break metric(s) ['airtime']; valid: snr, excess_loss, rssi"),
+        (",", "tie_break_order must not be empty"),
+        ("snr,snr", "tie_break_order must not repeat metrics"),
+    ])
+    def test_bad_order_is_refused_at_the_argument_type(self, capsys, order, message):
+        code, out, err = run(capsys, ["recommend", "--order", order])
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith("usage: loralink recommend ")
+        assert err.endswith(f"error: argument --order: {message}\n")
 
     @pytest.mark.parametrize("rate", ["5/8", "6/8", "7/8"])
     def test_coding_rate_without_a_transceiver_index_is_a_usage_error(self, capsys, rate):

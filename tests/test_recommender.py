@@ -7,14 +7,12 @@ from loralink.core_types import BW_HZ_VALUES, SF_VALUES, CodingRate, LinkParams
 from loralink.dataset import (
     MeasurementRecord,
     MeasurementTable,
-    MissingCellError,
+    evaluate_grid,
     load_measurements,
 )
 from loralink.recommender import (
-    CellScore,
     NoFeasibleConfigError,
     SelectionConstraints,
-    recommend_cr,
     recommend_sf_bw,
     select_cr,
 )
@@ -108,31 +106,32 @@ class TestConstraints:
 
 class TestRecommendSfBw:
     def test_campaign_defaults_pick_sf8_bw62k5(self, field_table):
-        rec = recommend_sf_bw(field_table, PARAMS)
-        assert (rec.sf, rec.bw_hz) == (8, 62500)
-        assert rec.snr_db == 10.2
-        assert rec.loss_pct == 0.0
-        assert str(rec.cr) == "4/8"
+        winner, _ = recommend_sf_bw(field_table, PARAMS)[0]
+        assert (winner.sf, winner.bw_hz) == (8, 62500)
+        assert winner.snr_db == 10.2
+        assert winner.loss_pct == 0.0
+        assert str(winner.effective_cr) == "4/8"
 
     def test_admitting_narrow_bands_moves_the_winner(self, field_table):
         constraints = SelectionConstraints(min_bw_hz=10400)
-        rec = recommend_sf_bw(field_table, PARAMS, constraints)
-        assert (rec.sf, rec.bw_hz) == (8, 10400)
-        assert rec.snr_db == 11.55
+        winner, _ = recommend_sf_bw(field_table, PARAMS, constraints)[0]
+        assert (winner.sf, winner.bw_hz) == (8, 10400)
+        assert winner.snr_db == 11.55
 
     def test_widest_band_only(self, field_table):
         constraints = SelectionConstraints(min_bw_hz=500000)
-        rec = recommend_sf_bw(field_table, PARAMS, constraints)
-        assert (rec.sf, rec.bw_hz) == (10, 500000)
+        winner, _ = recommend_sf_bw(field_table, PARAMS, constraints)[0]
+        assert (winner.sf, winner.bw_hz) == (10, 500000)
 
     def test_runners_up_are_ranked_and_feasible(self, field_table):
-        rec = recommend_sf_bw(field_table, PARAMS)
-        assert all(cell.loss_pct == 0.0 for cell in rec.runners_up)
-        assert all(cell.bw_hz >= 62500 for cell in rec.runners_up)
-        snrs = [cell.snr_db for cell in rec.runners_up]
-        assert rec.snr_db >= snrs[0]
+        ranked = recommend_sf_bw(field_table, PARAMS)
+        runners_up = ranked[1:]
+        assert all(cell.loss_pct == 0.0 for cell, _ in runners_up)
+        assert all(cell.bw_hz >= 62500 for cell, _ in runners_up)
+        snrs = [cell.snr_db for cell, _ in runners_up]
+        assert ranked[0][0].snr_db >= snrs[0]
         # 22 feasible cells: 4 bands x 6 SFs minus the two lossy SF-7 cells
-        assert 1 + len(rec.runners_up) == 22
+        assert 1 + len(runners_up) == 22
 
     def test_no_feasible_configuration_names_binding_constraint(self, field_table):
         lossy = SelectionConstraints(max_loss_pct=0.0, min_bw_hz=10400)
@@ -142,20 +141,20 @@ class TestRecommendSfBw:
         assert "max_loss_pct" in str(excinfo.value)
 
     def test_snr_shift_invariance(self, field_table):
-        baseline = recommend_sf_bw(field_table, PARAMS)
+        baseline, _ = recommend_sf_bw(field_table, PARAMS)[0]
         shifted_records = [
             MeasurementRecord(r.sf, r.bw_hz, r.cr, r.rssi_dbm, r.snr_db + 7.25, r.loss_pct)
             for r in field_table
         ]
-        shifted = recommend_sf_bw(MeasurementTable(shifted_records), PARAMS)
+        shifted, _ = recommend_sf_bw(MeasurementTable(shifted_records), PARAMS)[0]
         assert (shifted.sf, shifted.bw_hz) == (baseline.sf, baseline.bw_hz)
 
     def test_raising_min_bw_never_grows_the_feasible_set(self, field_table):
         sizes = []
         for min_bw in BW_HZ_VALUES:
-            rec = recommend_sf_bw(field_table, PARAMS, SelectionConstraints(min_bw_hz=min_bw))
-            assert rec.bw_hz >= min_bw
-            sizes.append(1 + len(rec.runners_up))
+            ranked = recommend_sf_bw(field_table, PARAMS, SelectionConstraints(min_bw_hz=min_bw))
+            assert ranked[0][0].bw_hz >= min_bw
+            sizes.append(len(ranked))
         assert sizes == sorted(sizes, reverse=True)
 
     def test_matches_brute_force_on_random_tables(self):
@@ -179,8 +178,8 @@ class TestRecommendSfBw:
                 with pytest.raises(NoFeasibleConfigError):
                     recommend_sf_bw(table, PARAMS, constraints)
                 continue
-            rec = recommend_sf_bw(table, PARAMS, constraints)
-            assert (rec.sf, rec.bw_hz) == expected
+            winner, _ = recommend_sf_bw(table, PARAMS, constraints)[0]
+            assert (winner.sf, winner.bw_hz) == expected
             checked += 1
         assert checked > 100
 
@@ -196,9 +195,23 @@ class TestRecommendSfBw:
             for bw in BW_HZ_VALUES
             for sf in SF_VALUES
         ]
-        rec = recommend_sf_bw(MeasurementTable(records), PARAMS,
-                              SelectionConstraints(min_bw_hz=10400))
-        assert (rec.sf, rec.bw_hz) == (7, 10400)
+        winner, _ = recommend_sf_bw(MeasurementTable(records), PARAMS,
+                                    SelectionConstraints(min_bw_hz=10400))[0]
+        assert (winner.sf, winner.bw_hz) == (7, 10400)
+
+    def test_ranked_pairs_are_the_grid_evaluators_own(self, field_table):
+        grid = evaluate_grid(field_table, PARAMS, require=("loss_pct",))
+        by_cell = {(record.sf, record.bw_hz): (record, budget) for record, budget in grid}
+        for constraints in (SelectionConstraints(), SelectionConstraints(
+                max_loss_pct=100, min_bw_hz=10400, tie_break_order=("rssi", "excess_loss"))):
+            ranked = recommend_sf_bw(field_table, PARAMS, constraints)
+            for record, budget in ranked:
+                assert (record, budget) == by_cell[record.sf, record.bw_hz]
+            # a filtered, sorted view: each feasible grid cell exactly once
+            feasible = {cell for cell, (record, _) in by_cell.items()
+                        if record.loss_pct <= constraints.max_loss_pct
+                        and record.bw_hz >= constraints.min_bw_hz}
+            assert sorted((r.sf, r.bw_hz) for r, _ in ranked) == sorted(feasible)
 
 
 def _all_lossy_csv() -> str:
@@ -210,14 +223,16 @@ def _all_lossy_csv() -> str:
 
 
 class TestRecommendCr:
+    """The coding rate select_cr picks within its basis cell."""
+
     def test_campaign_sweep_picks_4_8(self, field_table):
-        assert recommend_cr(field_table, 8, 250000) == CodingRate(4, 8)
+        assert select_cr(field_table, 8, 250000) == (CodingRate(4, 8), (8, 250000))
 
     def test_singleton_sweep(self):
         table = MeasurementTable(
             [MeasurementRecord(8, 250000, CodingRate(6, 8), None, 8.0, None)]
         )
-        assert recommend_cr(table, 8, 250000) == CodingRate(6, 8)
+        assert select_cr(table, 8, 250000) == (CodingRate(6, 8), (8, 250000))
 
     def test_tie_breaks_toward_smaller_numerator(self):
         table = MeasurementTable(
@@ -226,11 +241,7 @@ class TestRecommendCr:
                 MeasurementRecord(8, 250000, CodingRate(5, 8), None, 9.0, None),
             ]
         )
-        assert recommend_cr(table, 8, 250000) == CodingRate(5, 8)
-
-    def test_no_sweep_records_raises(self, field_table):
-        with pytest.raises(MissingCellError):
-            recommend_cr(field_table, 8, 62500)
+        assert select_cr(table, 8, 250000) == (CodingRate(5, 8), (8, 250000))
 
 
 class TestSelectCr:

@@ -144,13 +144,18 @@ def _order_arg(text: str) -> tuple[str, ...]:
 
 
 def _iso8601_arg(text: str) -> datetime:
+    """The instant in UTC; a naive timestamp is read as UTC."""
     try:
         moment = datetime.fromisoformat(text.replace("Z", "+00:00"))
     except ValueError:
         raise argparse.ArgumentTypeError(f"malformed ISO-8601 timestamp {text!r}") from None
     if moment.tzinfo is None:
-        moment = moment.replace(tzinfo=timezone.utc)
-    return moment
+        return moment.replace(tzinfo=timezone.utc)
+    try:
+        return moment.astimezone(timezone.utc)
+    except OverflowError:
+        raise argparse.ArgumentTypeError(
+            f"ISO-8601 timestamp {text!r} falls outside the years 1..9999 in UTC") from None
 
 
 def _manifest_value(value) -> str:

@@ -110,14 +110,12 @@ class LinkParams:
     c_mps: float = 3.0e8
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.tx_power_dbm):
-            raise ValueError("tx_power_dbm must be finite")
-        if self.distance_m <= 0:
-            raise ValueError(f"distance_m must be positive, got {self.distance_m!r}")
-        if not (self.freq_hz > 0 and math.isfinite(self.freq_hz)):
-            raise ValueError(f"freq_hz must be positive and finite, got {self.freq_hz!r}")
-        if self.c_mps <= 0:
-            raise ValueError(f"c_mps must be positive, got {self.c_mps!r}")
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
+        for name in ("distance_m", "freq_hz", "c_mps"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
 
 
 @dataclass(frozen=True)

@@ -60,10 +60,13 @@ def esp(sample: SignalSample) -> float:
     """Effective signal power in dBm: received power attributable to the
     signal alone, after removing the noise contribution bundled into RSSI.
 
-    ESP = RSSI + SNR - 10*log10(1 + 10^(0.1*SNR)); strictly below RSSI for
-    every finite SNR.
+    ESP = RSSI + SNR - 10*log10(1 + 10^(0.1*SNR)): below RSSI, by less than
+    float resolution once SNR is large. A positive SNR takes the equal form
+    RSSI - 10*log10(1 + 10^(-0.1*SNR)), whose power cannot overflow.
     """
     snr = sample.snr_db
+    if snr > 0:
+        return sample.rssi_dbm - 10 * math.log10(1 + 10 ** (-0.1 * snr))
     return sample.rssi_dbm + snr - 10 * math.log10(1 + 10 ** (0.1 * snr))
 
 
@@ -92,8 +95,18 @@ def free_space_loss(distance_m: float, freq_hz: float, c_mps: float) -> float:
 
 
 def loss_breakdown(link: LinkParams, sample: SignalSample) -> LossBreakdown:
-    """Full budget for one sample: ESP -> path loss -> FSL -> excess."""
+    """Full budget for one sample: ESP -> path loss -> FSL -> excess.
+
+    ValueError when a term leaves the float range (finite inputs near
+    1e308 can sum to an infinity).
+    """
     esp_dbm = esp(sample)
     pl_db = path_loss(link, esp_dbm)
     fsl_db = free_space_loss(link.distance_m, link.freq_hz, link.c_mps)
-    return LossBreakdown(esp_dbm=esp_dbm, path_loss_db=pl_db, fsl_db=fsl_db, excess_db=pl_db - fsl_db)
+    breakdown = LossBreakdown(esp_dbm=esp_dbm, path_loss_db=pl_db, fsl_db=fsl_db,
+                              excess_db=pl_db - fsl_db)
+    # fsl_db is finite for a valid LinkParams, and an infinite ESP or path
+    # loss leaves excess_db infinite or NaN
+    if not math.isfinite(breakdown.excess_db):
+        raise ValueError(f"link budget leaves the float range: {breakdown}")
+    return breakdown

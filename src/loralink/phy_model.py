@@ -31,15 +31,12 @@ class AirtimeConfigError(ValueError):
 class FrameParams:
     """Frame-level inputs to the airtime formula.
 
-    low_data_rate_optimize=None means "decide from the symbol duration"
-    (see LDRO_SYMBOL_THRESHOLD_S); pass an explicit bool to override.
+    Every frame has an explicit header and a payload CRC, as the reference
+    nodes send them; low-data-rate optimization follows the symbol duration.
     """
 
     payload_bytes: int
     preamble_symbols: int = 8
-    explicit_header: bool = True
-    crc_on: bool = True
-    low_data_rate_optimize: bool | None = None
 
     def __post_init__(self) -> None:
         if self.payload_bytes < 0:
@@ -67,10 +64,8 @@ def symbol_duration(config: RadioConfig) -> float:
     return (2 ** config.sf) / config.bw_hz
 
 
-def low_data_rate_optimize(config: RadioConfig, frame: FrameParams) -> bool:
-    """Resolve the effective LDRO flag (explicit override, else auto rule)."""
-    if frame.low_data_rate_optimize is not None:
-        return frame.low_data_rate_optimize
+def low_data_rate_optimize(config: RadioConfig) -> bool:
+    """Whether the modem switches LDRO on: symbols longer than 16 ms."""
     return symbol_duration(config) > LDRO_SYMBOL_THRESHOLD_S
 
 
@@ -94,21 +89,19 @@ def time_on_air(config: RadioConfig, frame: FrameParams, *, cr_index: int | None
 
     Preamble: (preamble_symbols + 4.25) symbol durations. Payload:
     8 + max(ceil((8*PL - 4*SF + 28 + 16*CRC - 20*IH) / (4*(SF - 2*DE)))
-            * (cr_index + 4), 0) symbols.
+            * (cr_index + 4), 0) symbols, with CRC = 1 and IH = 0 (FrameParams).
     """
     if cr_index is None:
         cr_index = coding_rate_index(config.cr)
     if cr_index not in (1, 2, 3, 4):
         raise AirtimeConfigError(f"cr_index must be 1..4, got {cr_index!r}")
-    de = 1 if low_data_rate_optimize(config, frame) else 0
+    de = 1 if low_data_rate_optimize(config) else 0
     denominator = 4 * (config.sf - 2 * de)
     if denominator <= 0:
         raise AirtimeConfigError(
             f"sf={config.sf} with low-data-rate optimization leaves no payload bits per symbol"
         )
-    crc = 1 if frame.crc_on else 0
-    ih = 0 if frame.explicit_header else 1
-    numerator = 8 * frame.payload_bytes - 4 * config.sf + 28 + 16 * crc - 20 * ih
+    numerator = 8 * frame.payload_bytes - 4 * config.sf + 28 + 16  # CRC = 1, IH = 0
     payload_symbols = 8 + max(-(-numerator // denominator) * (cr_index + 4), 0)
     t_sym = symbol_duration(config)
     return (frame.preamble_symbols + 4.25) * t_sym + payload_symbols * t_sym

@@ -9,9 +9,9 @@ state-advance rule), which makes reports byte-reproducible:
 
   * drop decisions for node N:   substream (seed, N, tag=1), one uniform
     draw per transmission opportunity, drop when u < p;
-  * synthetic payloads for node N: substream (seed, N, tag=2), reading i is
-    2 + mix64(base + (i + 1) * GOLDEN64) % 399  (centimetres, 2..400),
-    standing in for an ultrasonic range sensor.
+  * payloads for node N: substream (seed, N, tag=2) gives base, and the
+    node's n-th frame (n from 1) carries 2 + mix64(base + n * GOLDEN64) % 399
+    (centimetres, 2..400), standing in for an ultrasonic range sensor.
 
 Changing only the seed changes drop outcomes and payload values but never
 the transmission timeline, which is fixed by the schedule: a SlotSchedule
@@ -30,13 +30,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .core_types import RadioConfig, format_decimal, parse_int
 from .dataset import MeasurementTable, lookup
 from .link_budget import packet_loss_pct
 from .phy_model import FrameParams, time_on_air
-from .rng import GOLDEN64, MASK64, SplitMix64, mix64, substream_seed
+from .rng import GOLDEN64, SplitMix64, mix64, substream_seed
 
 EVENT_KINDS = ("slot_open", "tx_start", "tx_end", "rx_ok", "rx_drop", "slot_close")
 
@@ -75,16 +75,13 @@ def parse_sync_word(text: str) -> int:
 class NodeSpec:
     """One sensor node: identity, radio configuration, frame shape, drop probability.
 
-    payload_source maps a per-node frame index to an integer sensor
-    reading; None selects the seeded synthetic generator described in the
-    module docstring.
+    Its payloads are the seeded readings described in the module docstring.
     """
 
     sync_word: int
     config: RadioConfig
     frame: FrameParams
     drop_probability: float = 0.0
-    payload_source: Callable[[int], int] | None = None
 
     def __post_init__(self) -> None:
         name = format_sync_word(self.sync_word)  # raises for a value outside 16 bits
@@ -169,16 +166,6 @@ def default_slot_duration(nodes: Sequence[NodeSpec]) -> float:
     return math.ceil(2 * longest * 1000) / 1000
 
 
-def default_payload_source(seed: int, sync_word: int) -> Callable[[int], int]:
-    """Synthetic ultrasonic readings in cm, a pure function of (seed, node, index)."""
-    base = substream_seed(seed, sync_word, _PAYLOAD_STREAM_TAG)
-
-    def reading(index: int) -> int:
-        return 2 + mix64((base + (index + 1) * GOLDEN64) & MASK64) % 399
-
-    return reading
-
-
 def drop_model_from_table(table: MeasurementTable, config: RadioConfig) -> float:
     """Loss probability of a configuration, from its measured cell."""
     cell = lookup(table, config.sf, config.bw_hz, require=("loss_pct",))
@@ -210,8 +197,8 @@ def iter_events(schedule: SlotSchedule, duration_s: float, seed: int, *,
         raise ValueError(f"handshake_s must be finite and >= 0, got {handshake_s!r}")
     slot_ns = round(schedule.slot_duration_s * NS_PER_S)
     handshake_ns = round(handshake_s * NS_PER_S)
-    # one entry per slot position: sync word, payload source, airtime in ns,
-    # drop draw, drop probability
+    # one entry per slot position: sync word, payload stream base, airtime in
+    # ns, drop draw, drop probability
     plan = []
     for node in schedule.nodes:
         sync = node.sync_word
@@ -221,7 +208,7 @@ def iter_events(schedule: SlotSchedule, duration_s: float, seed: int, *,
                 f"node {format_sync_word(sync)}: handshake plus {frames_per_slot} "
                 f"frame(s) of {airtime_ns} ns exceed the {slot_ns} ns slot"
             )
-        plan.append((sync, node.payload_source or default_payload_source(seed, sync), airtime_ns,
+        plan.append((sync, substream_seed(seed, sync, _PAYLOAD_STREAM_TAG), airtime_ns,
                      SplitMix64(substream_seed(seed, sync, _DROP_STREAM_TAG)).next_unit,
                      node.drop_probability))
     stride_ns = slot_ns + round(schedule.guard_s * NS_PER_S)
@@ -234,12 +221,12 @@ def _timeline(plan, slot_ns, stride_ns, handshake_ns, duration_ns, frames_per_sl
     received = [0] * len(plan)
     position = open_ns = 0
     while open_ns < duration_ns:
-        sync, payload_of, airtime_ns, draw, p = plan[position]
+        sync, base, airtime_ns, draw, p = plan[position]
         yield SimEvent(open_ns, "slot_open", sync)
         t = open_ns + handshake_ns
         for _ in range(frames_per_slot):
-            payload = payload_of(sent[position])
             sent[position] += 1
+            payload = 2 + mix64(base + sent[position] * GOLDEN64) % 399
             yield SimEvent(t, "tx_start", sync, payload)
             t += airtime_ns
             yield SimEvent(t, "tx_end", sync)

@@ -1,8 +1,8 @@
 """ThingSpeak-style channel updates from simulation reports.
 
-Formatting is pure; actual delivery goes through a transport. The default
-DryRunTransport only logs request lines, so nothing in this module performs
-network I/O unless an HttpTransport is constructed explicitly.
+Formatting is pure; actual delivery goes through a transport. The
+DryRunTransport only writes each request line to a sink the caller gives, so
+nothing here performs network I/O unless an HttpTransport is constructed.
 """
 
 from __future__ import annotations
@@ -57,8 +57,8 @@ class ChannelUpdate:
 
 @lru_cache(maxsize=256)
 def iso_utc(moment: datetime) -> str:
-    """UTC ISO-8601 at second resolution with a Z suffix."""
-    return moment.astimezone(timezone.utc).replace(microsecond=0).strftime("%Y-%m-%dT%H:%M:%SZ")
+    """UTC ISO-8601 at second resolution with a Z suffix and a 4-digit year."""
+    return moment.astimezone(timezone.utc).isoformat(timespec="seconds").replace("+00:00", "Z")
 
 
 @lru_cache(maxsize=1024)
@@ -98,7 +98,8 @@ def iter_bridge(
     the event's virtual time offset against epoch, at second resolution.
     Each entry of key_map, and the epoch, is checked here, before the
     first update exists; an rx_ok of an unmapped sync word raises
-    UnmappedSyncWordError when the stream reaches it.
+    UnmappedSyncWordError when the stream reaches it, and one whose
+    created_at would fall after the year 9999 raises ValueError.
     """
     for api_key, field_index in key_map.values():
         ChannelUpdate(api_key, {field_index: 0}, epoch)  # raises InvalidUpdateError
@@ -119,7 +120,11 @@ def _updates(events, key_map, epoch):
             raise InvalidUpdateError(f"rx_ok event at {t_ns} ns carries no payload value")
         if t_ns // 1_000_000_000 != second:  # updates of one second share one created_at
             second = t_ns // 1_000_000_000
-            created_at = epoch + timedelta(seconds=second)
+            try:
+                created_at = epoch + timedelta(seconds=second)
+            except OverflowError:
+                raise ValueError(f"rx_ok event at {t_ns} ns falls after the year 9999 "
+                                 f"from epoch {iso_utc(epoch)}") from None
         yield ChannelUpdate(target[0], {target[1]: detail}, created_at)
 
 
@@ -137,23 +142,18 @@ class DryRunTransport:
 
     Log format: '<ISO8601> UPLINK GET <format_update(update)>'. The timestamp is the
     update's created_at when present (keeping dry runs deterministic),
-    otherwise the current UTC time. Each line goes to `write` (newline
-    added) when one is given and is kept in `lines` otherwise.
+    otherwise the current UTC time. Each line, newline added, goes to
+    `write`, for example a text file's write method.
     """
 
-    def __init__(self, write: Callable[[str], None] | None = None) -> None:
-        self.lines: list[str] = []
+    def __init__(self, write: Callable[[str], None]) -> None:
         self._write = write
 
     def send(self, update: ChannelUpdate) -> None:
         stamp = iso_utc(update.created_at) if update.created_at else iso_utc(
             datetime.now(timezone.utc)
         )
-        line = f"{stamp} UPLINK GET {format_update(update)}"
-        if self._write is None:
-            self.lines.append(line)
-        else:
-            self._write(line + "\n")
+        self._write(f"{stamp} UPLINK GET {format_update(update)}\n")
 
 
 class HttpTransport:

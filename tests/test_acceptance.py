@@ -322,7 +322,8 @@ class TestCriterion7UplinkBridge:
         )
         report = SimReport(timeline=timeline, stats=stats)
         updates = bridge_sim_report(report, {a: ("KEY1", 1), b: ("KEY1", 2)})
-        transport = DryRunTransport()
+        sink = []
+        transport = DryRunTransport(write=sink.append)
         for update in updates:
             transport.send(update)
         expected = [
@@ -335,6 +336,7 @@ class TestCriterion7UplinkBridge:
             "1970-01-01T00:00:07Z UPLINK GET /update?api_key=KEY1&field2=18"
             "&created_at=1970-01-01T00%3A00%3A07Z",
         ]
-        ok = transport.lines == expected
+        lines = [line + "\n" for line in expected]
+        ok = sink == lines
         _verdict("7 (4 rx_ok events -> 4 dry-run request lines, byte-for-byte)", ok)
-        assert transport.lines == expected
+        assert sink == lines

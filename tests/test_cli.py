@@ -289,6 +289,52 @@ class TestGridCellWithoutValue:
         assert "malformed rssi_dbm: 'nan'" in err
 
 
+def numbers(lines):
+    """Every token of the lines that reads as a float, inf and nan included."""
+    for line in lines:
+        for token in re.split(r"[ ,=]", line):
+            try:
+                yield float(token)
+            except ValueError:
+                pass
+
+
+class TestFloatRange:
+    """A large but finite input gives finite output or one data error, never a traceback."""
+
+    @pytest.mark.parametrize("argv, code", [
+        (["sweep", "--metric", "esp", "--fixture"], EXIT_OK),
+        (["sweep", "--metric", "excess", "--fixture"], EXIT_OK),
+        (["recommend", "--fixture"], EXIT_OK),
+        (["reconstruct", "--fixture"], EXIT_TOLERANCE),
+        (["budget", "--cell", "sf=8,bw_khz=62.5", *BUDGET_FLAGS, "--fixture"], EXIT_OK),
+    ], ids=["sweep-esp", "sweep-excess", "recommend", "reconstruct", "budget-cell"])
+    def test_huge_fixture_snr(self, capsys, tmp_path, argv, code):
+        fixture = write_fixture(tmp_path / "snr.csv",
+                                replacing("8,62.5,,,-91.8,10.2,0", "8,62.5,,,-91.8,4000,0"))
+        got, out, err = run(capsys, [*argv, fixture])
+        assert (got, err) == (code, "")
+        assert all(map(math.isfinite, numbers(result_lines(out))))
+
+    def test_huge_direct_snr(self, capsys):
+        code, out, err = run(capsys, ["budget", "--rssi", "-50", "--snr", "4000", "--pt", "20",
+                                      "--gt", "5", "--gr", "5", "--d", "5000", "--f", "433e6"])
+        assert (code, err) == (EXIT_OK, "")
+        assert result_lines(out)[0] == "esp_dbm=-50.000"
+        assert all(map(math.isfinite, numbers(result_lines(out))))
+
+    @pytest.mark.parametrize("argv", [
+        ["--rssi", "-50", "--snr", "4", *BUDGET_FLAGS, "--pt", "1e308", "--gt", "1e308",
+         "--gr", "1e308"],
+        ["--rssi=-1e308", "--snr=-1e308", *BUDGET_FLAGS],
+    ], ids=["gains", "sample"])
+    def test_budget_beyond_the_float_range_is_a_data_error(self, capsys, argv):
+        code, out, err = run(capsys, ["budget", *argv])
+        assert (code, out) == (EXIT_DATA, "")
+        assert err.startswith("error: link budget leaves the float range")
+        assert err.count("\n") == 1
+
+
 class TestSimulate:
     def test_hand_enumerated_schedule(self, capsys):
         code, out, _ = run(
@@ -481,6 +527,26 @@ class TestUplink:
         assert all("api_key=MYKEY&field3=" in l for l in lines)
         assert all("created_at=2024-05-01" in l for l in lines)
 
+    def test_epoch_is_echoed_in_utc(self, capsys, tmp_path):
+        report = tmp_path / "report.txt"
+        run(capsys, ["simulate", "--nodes", "1", "--duration-s", "1", "--output", str(report)])
+        code, out, _ = run(capsys, ["uplink", "--report", str(report),
+                                    "--epoch", "0001-01-01T00:00:00-01:00"])
+        assert code == EXIT_OK
+        assert " epoch=0001-01-01T01:00:00Z " in out.splitlines()[0]
+
+    def test_created_at_past_year_9999_is_a_data_error(self, capsys, tmp_path):
+        report = tmp_path / "report.txt"
+        run(capsys, ["simulate", "--nodes", "1", "--duration-s", "3", "--output", str(report)])
+        code, out, err = run(capsys, ["uplink", "--report", str(report),
+                                      "--epoch", "9999-12-31T23:59:59Z"])
+        assert code == EXIT_DATA
+        lines = result_lines(out)
+        # the updates of the last second of 9999 are written before the fault
+        assert lines and all(line.startswith("9999-12-31T23:59:59Z UPLINK GET ") for line in lines)
+        assert re.fullmatch(r"error: rx_ok event at \d+ ns falls after the year 9999 from "
+                            r"epoch 9999-12-31T23:59:59Z\n", err)
+
     def test_unmapped_node_is_data_error(self, capsys, tmp_path):
         report = tmp_path / "report.txt"
         run(capsys, ["simulate", "--nodes", "2", "--duration-s", "2", "--seed", "5",
@@ -605,6 +671,9 @@ class TestParserBasics:
          "--d", "\u0665\u0660\u0660\u0660"],
         # refused before the report is opened
         ["uplink", "--report", "/nonexistent/report.txt", "--min-spacing-s", "-1"],
+        # outside the years 1..9999 once converted to UTC
+        ["uplink", "--report", "/nonexistent/report.txt", "--epoch", "0001-01-01T00:00:00+01:00"],
+        ["uplink", "--report", "/nonexistent/report.txt", "--epoch", "9999-12-31T23:00:00-05:00"],
     ])
     def test_non_finite_and_negative_values_are_usage_errors(self, capsys, argv):
         code, out, err = run(capsys, argv)

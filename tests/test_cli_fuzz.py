@@ -5,9 +5,11 @@ contract.
 built from each subcommand's own flags, given plausible or hostile values
 (NaN, infinities, negatives, '_' separators, a leading '+', empty text,
 non-ASCII digits, overflowing exponents) and mixed with stray tokens.
-Every run must end in exit 0, 2, 3 or 4 without a traceback. Path flags
-name only entries of a fresh temporary directory: a copy of the bundled
-fixture, a missing file, or the directory itself.
+Most argvs start from the required flags; `budget`'s read a fixture cell
+or a direct `--rssi`/`--snr` sample. Every run must end in exit 0, 2, 3
+or 4 without a traceback. Path flags name only entries of a fresh
+temporary directory: a copy of the bundled fixture, a missing file, or the
+directory itself.
 
 `simulate` and `uplink` are left out: with no cap yet on the number of
 events a run may produce, a drawn `--duration-s` could stall the test.
@@ -45,13 +47,14 @@ PLAUSIBLE = {
     "--top": ("0", "3", "40"),
     "--metric": ("rssi", "snr", "loss", "esp", "path_loss", "fsl", "excess", "bogus"),
 }
-# required flags, so that most drawn runs get past the parser
+# required flags, so that most drawn runs get past the parser: one of each
+# subcommand's alternatives (budget reads a fixture cell or a direct sample)
+LINK = ["--pt", "20", "--gt", "5.15", "--gr", "5.15", "--d", "5000", "--f", "433e6"]
 BASE = {
-    "budget": ["--pt", "20", "--gt", "5.15", "--gr", "5.15", "--d", "5000", "--f", "433e6",
-               "--cell", "sf=8,bw_khz=62.5"],
-    "reconstruct": [],
-    "recommend": [],
-    "sweep": ["--metric", "excess"],
+    "budget": ([*LINK, "--cell", "sf=8,bw_khz=62.5"], [*LINK, "--rssi", "-92.8", "--snr", "8.4"]),
+    "reconstruct": ([],),
+    "recommend": ([],),
+    "sweep": (["--metric", "excess"],),
 }
 STRAY = ("extra", "--bogus", "-x", "--", "recommend", "--help", "--pt=5", "--order=", "-h")
 
@@ -74,7 +77,7 @@ def argvs(draw):
     Later flags override the base ones, so a drawn value replaces a valid one.
     """
     name = draw(st.sampled_from(PLANNING))
-    argv = [name, *(BASE[name] if draw(st.integers(0, 3)) else [])]
+    argv = [name, *(draw(st.sampled_from(BASE[name])) if draw(st.integers(0, 3)) else [])]
     for _ in range(draw(st.integers(0, 5))):
         flag = draw(st.sampled_from(FLAGS[name]))
         if flag in PATH_FLAGS:

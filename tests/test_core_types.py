@@ -1,4 +1,5 @@
 import itertools
+import math
 from dataclasses import fields
 
 import pytest
@@ -72,6 +73,13 @@ class TestInvariants:
             LinkParams(freq_hz=0)
         with pytest.raises(ValueError):
             LinkParams(tx_power_dbm=float("inf"))
+
+    @pytest.mark.parametrize("field", ["tx_power_dbm", "gt_dbi", "gr_dbi", "distance_m",
+                                       "freq_hz", "c_mps"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_link_params_refuse_non_finite_fields(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            LinkParams(**{field: value})
 
     def test_signal_sample_requires_finite(self):
         with pytest.raises(ValueError):

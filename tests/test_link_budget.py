@@ -90,6 +90,19 @@ class TestEsp:
             hi = lo + rng.uniform(0.01, 10.0)
             assert esp(SignalSample(rssi, lo)) < esp(SignalSample(rssi, hi))
 
+    def test_positive_snr_form_equals_the_definition(self):
+        rng = random.Random(17)
+        for _ in range(1_000):
+            rssi = rng.uniform(-150.0, -20.0)
+            snr = rng.uniform(0.0, 300.0)
+            definition = rssi + snr - 10 * math.log10(1 + 10 ** (0.1 * snr))
+            assert esp(SignalSample(rssi, snr)) == pytest.approx(definition, abs=1e-9)
+
+    @pytest.mark.parametrize("snr, expected", [(4000.0, -50.0), (-4000.0, -4050.0)])
+    def test_extreme_snr_stays_finite(self, snr, expected):
+        # 10^(0.1*4000) overflows a float; the noise term is below resolution
+        assert esp(SignalSample(-50.0, snr)) == expected
+
     def test_shifts_one_to_one_with_rssi(self):
         rng = random.Random(13)
         for _ in range(1_000):
@@ -165,6 +178,14 @@ class TestLossBreakdown:
         sample = SignalSample(-92.8, 8.4)
         breakdown = loss_breakdown(CAMPAIGN, sample)
         assert breakdown.esp_dbm < sample.rssi_dbm
+
+    @pytest.mark.parametrize("link, sample", [
+        (LinkParams(tx_power_dbm=1e308, gt_dbi=1e308, gr_dbi=1e308), SignalSample(-50.0, 4.0)),
+        (CAMPAIGN, SignalSample(-1e308, -1e308)),
+    ])
+    def test_budget_beyond_the_float_range_is_refused(self, link, sample):
+        with pytest.raises(ValueError, match="float range"):
+            loss_breakdown(link, sample)
 
     def test_free_space_ideal_link_has_zero_excess(self):
         fsl = free_space_loss(CAMPAIGN.distance_m, CAMPAIGN.freq_hz, CAMPAIGN.c_mps)

@@ -33,14 +33,9 @@ class TestSymbolDuration:
 
 class TestLowDataRateOptimize:
     def test_auto_rule_follows_symbol_duration(self):
-        frame = FrameParams(payload_bytes=2)
-        assert low_data_rate_optimize(config(11, 125000), frame)  # 16.384 ms > 16 ms
-        assert not low_data_rate_optimize(config(10, 125000), frame)
-        assert low_data_rate_optimize(config(8, 10400), frame)  # 24.6 ms
-
-    def test_explicit_override_wins(self):
-        frame = FrameParams(payload_bytes=2, low_data_rate_optimize=False)
-        assert not low_data_rate_optimize(config(12, 10400), frame)
+        assert low_data_rate_optimize(config(11, 125000))  # 16.384 ms > 16 ms
+        assert not low_data_rate_optimize(config(10, 125000))
+        assert low_data_rate_optimize(config(8, 10400))  # 24.6 ms
 
 
 class TestCodingRateIndex:
@@ -115,10 +110,9 @@ class TestTimeOnAir:
             assert toas == sorted(toas, reverse=True)
 
     def test_ldro_leaves_no_bits_error(self):
-        cfg = RadioConfig(sf=2, bw_hz=125000, cr=CodingRate(4, 8))
-        frame = FrameParams(payload_bytes=2, low_data_rate_optimize=True)
+        cfg = RadioConfig(sf=2, bw_hz=200, cr=CodingRate(4, 8))  # 20 ms symbols: LDRO on
         with pytest.raises(AirtimeConfigError):
-            time_on_air(cfg, frame)
+            time_on_air(cfg, FrameParams(payload_bytes=2))
 
     def test_frame_params_validation(self):
         with pytest.raises(ValueError):

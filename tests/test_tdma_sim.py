@@ -259,14 +259,6 @@ class TestRunSimulation:
         assert (first, *rest) == report.timeline
         assert tuple(stats) == report.stats
 
-    def test_custom_payload_source(self):
-        nodes = (NodeSpec(sync_word=0xC0DE, config=FAST_CONFIG, frame=FRAME,
-                          payload_source=lambda i: 100 + i),)
-        # slots open at 0, 0.1 and 0.2; the next would open exactly at the horizon
-        report = run_simulation(SlotSchedule(nodes, 0.1, 0.0), 0.3, seed=0)
-        payloads = [e.detail for e in report.timeline if e.kind == "rx_ok"]
-        assert payloads == [100, 101, 102]
-
     def test_default_payloads_are_sensor_like(self):
         report = run_simulation(SlotSchedule(make_nodes(1), 0.1, 0.0), 5.0, seed=42)
         payloads = [e.detail for e in report.timeline if e.kind == "tx_start"]

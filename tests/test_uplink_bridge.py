@@ -129,11 +129,12 @@ class TestFormatUpdate:
                               tzinfo=timezone(timedelta(hours=5)))
         expected, stamp = reference_request(api_key, 4, text, created_at)
         update = ChannelUpdate(api_key, {4: value}, created_at)
-        transport = DryRunTransport()
+        sink = []
+        transport = DryRunTransport(write=sink.append)
         for _ in range(2):  # the second pass reads the encodings from the caches
             assert format_update(update) == expected
             transport.send(update)
-        assert transport.lines == [f"{stamp} UPLINK GET {expected}"] * 2
+        assert sink == [f"{stamp} UPLINK GET {expected}\n"] * 2
         assert stamp == "2024-03-01T05:00:59Z"
 
 
@@ -204,20 +205,22 @@ class TestBridge:
 class TestDryRunTransport:
     def test_one_line_per_update_matching_rx_ok_count(self):
         updates = bridge_sim_report(hand_report(), KEY_MAP)
-        transport = DryRunTransport()
+        sink = []
+        transport = DryRunTransport(write=sink.append)
         for update in updates:
             transport.send(update)
-        assert len(transport.lines) == 4
+        assert len(sink) == 4
         rx_ok_count = sum(1 for e in hand_report().timeline if e.kind == "rx_ok")
-        assert len(transport.lines) == rx_ok_count
+        assert len(sink) == rx_ok_count
 
     def test_line_format_uses_created_at(self):
         update = ChannelUpdate("KEY1", {1: 42}, datetime(1970, 1, 1, 0, 0, 1, tzinfo=UTC))
-        transport = DryRunTransport()
+        sink = []
+        transport = DryRunTransport(write=sink.append)
         transport.send(update)
-        assert transport.lines == [
+        assert sink == [
             "1970-01-01T00:00:01Z UPLINK GET /update?api_key=KEY1&field1=42"
-            "&created_at=1970-01-01T00%3A00%3A01Z"
+            "&created_at=1970-01-01T00%3A00%3A01Z\n"
         ]
 
     def test_write_callback(self):
@@ -225,12 +228,13 @@ class TestDryRunTransport:
         transport = DryRunTransport(write=sink.append)
         transport.send(ChannelUpdate("KEY1", {1: 1}, datetime(1970, 1, 1, tzinfo=UTC)))
         assert len(sink) == 1 and sink[0].endswith("\n")
-        assert transport.lines == []
+        assert not hasattr(transport, "lines")  # nothing is kept in memory
 
     def test_falls_back_to_wall_clock(self):
-        transport = DryRunTransport()
+        sink = []
+        transport = DryRunTransport(write=sink.append)
         transport.send(ChannelUpdate("KEY1", {1: 1}))
-        stamp = transport.lines[0].split(" ", 1)[0]
+        stamp = sink[0].split(" ", 1)[0]
         assert stamp.endswith("Z") and "T" in stamp
 
 
@@ -270,10 +274,11 @@ class TestHttpTransport:
         assert transport.send(update) == "42"
         assert requests == [("https://example.test/update?api_key=SECRET&field3=7"
                              "&created_at=2024-05-01T12%3A00%3A00Z", 3.0)]
-        dry_run = DryRunTransport()
+        sink = []
+        dry_run = DryRunTransport(write=sink.append)
         dry_run.send(replace(update, api_key="SECRET"))
         url = urllib.parse.urlsplit(requests[0][0])
-        assert dry_run.lines[0].split(" GET ", 1)[1] == f"{url.path}?{url.query}"
+        assert sink[0].split(" GET ", 1)[1] == f"{url.path}?{url.query}\n"
 
     def test_iso_helper(self):
         assert iso_utc(datetime(2024, 5, 1, 12, 0, 0, tzinfo=UTC)) == "2024-05-01T12:00:00Z"

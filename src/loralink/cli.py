@@ -16,7 +16,7 @@ import os
 import sys
 from contextlib import contextmanager
 from datetime import datetime, timezone
-from functools import partial
+from functools import cache, partial
 from typing import Sequence
 
 from .core_types import (
@@ -346,31 +346,42 @@ SUBCOMMANDS = {
 
 
 def build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
-    """The parser for argv.
+    """The parser for argv, built once per process and shared.
 
     When argv starts with a subcommand name, only that subcommand's parser
     is built; otherwise (help, no subcommand, an unknown one) all of them
     are. Usage lines and error messages are the same either way.
+
+    Callers must not change the returned parser: the next call gets the same
+    object. Reusing it is safe because argparse keeps no state between
+    parses, makes its help formatter (and so reads COLUMNS) when it formats,
+    and looks up sys.stdout and sys.stderr when it prints.
     """
+    return _parser(argv[0] if argv and argv[0] in SUBCOMMANDS else None)
+
+
+@cache
+def _parser(name: str | None) -> argparse.ArgumentParser:
+    """The parser of subcommand name alone, or of all of them for None."""
     parser = argparse.ArgumentParser(
         prog="loralink",
         description="LoRa link-quality toolkit",
         epilog="Exit codes: 0 success, 2 usage error, 3 data/validation error, "
                "4 tolerance exceeded.",
     )
-    if argv and argv[0] in SUBCOMMANDS:
-        names = [argv[0]]
+    if name is not None:
+        names = [name]
         # the parent's usage line (printed for unrecognized arguments) still
         # lists every subcommand
         metavar = "{" + ",".join(SUBCOMMANDS) + "}"
     else:
         names, metavar = list(SUBCOMMANDS), None
     sub = parser.add_subparsers(dest="subcommand", required=True, metavar=metavar)
-    for name in names:
-        help_text, add_flags = SUBCOMMANDS[name]
+    for subcommand in names:
+        help_text, add_flags = SUBCOMMANDS[subcommand]
         # whole flags only: a prefix of a flag (simulate --f for
         # --frames-per-slot) is an unrecognized argument, not that flag
-        add_flags(sub.add_parser(name, help=help_text, allow_abbrev=False))
+        add_flags(sub.add_parser(subcommand, help=help_text, allow_abbrev=False))
     return parser
 
 

@@ -78,8 +78,8 @@ class RadioConfig:
     def __post_init__(self) -> None:
         if not isinstance(self.sf, int) or self.sf < 1:
             raise ValueError(f"sf must be a positive integer, got {self.sf!r}")
-        if self.bw_hz <= 0:
-            raise ValueError(f"bw_hz must be positive, got {self.bw_hz!r}")
+        if not 0 < self.bw_hz < math.inf:
+            raise ValueError(f"bw_hz must be positive and finite, got {self.bw_hz!r}")
 
 
 # Fixed constants of the 433 MHz field campaign behind the bundled fixture.

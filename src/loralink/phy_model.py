@@ -4,6 +4,7 @@ nominal bit rate, quarter-wave monopole dimensioning.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .core_types import CodingRate, RadioConfig
@@ -114,8 +115,8 @@ def nominal_bit_rate(config: RadioConfig) -> float:
 
 def monopole_dimensions(freq_hz: float, c_mps: float = 3.0e8) -> MonopoleDesign:
     """Dimension a quarter-wave monopole with a 4-radial ground plane."""
-    if freq_hz <= 0:
-        raise ValueError(f"freq_hz must be positive, got {freq_hz!r}")
+    if not 0 < freq_hz < math.inf:
+        raise ValueError(f"freq_hz must be positive and finite, got {freq_hz!r}")
     if c_mps <= 0:
         raise ValueError(f"c_mps must be positive, got {c_mps!r}")
     quarter_wave = c_mps / (4 * freq_hz)

@@ -163,13 +163,24 @@ def default_slot_duration(nodes: Sequence[NodeSpec]) -> float:
     if not nodes:
         raise ValueError("need at least one node")
     longest = max(time_on_air(node.config, node.frame) for node in nodes)
-    return math.ceil(2 * longest * 1000) / 1000
+    slot_ms = 2 * longest * 1000
+    if not math.isfinite(slot_ms):
+        raise ValueError(f"twice the longest airtime, {longest!r} s, is too long for a slot")
+    return math.ceil(slot_ms) / 1000
 
 
 def drop_model_from_table(table: MeasurementTable, config: RadioConfig) -> float:
     """Loss probability of a configuration, from its measured cell."""
     cell = lookup(table, config.sf, config.bw_hz, require=("loss_pct",))
     return cell.loss_pct / 100.0
+
+
+def _ns(seconds: float, name: str) -> int:
+    """seconds in whole nanoseconds; ValueError where that count is not finite."""
+    ns = seconds * NS_PER_S
+    if not math.isfinite(ns):
+        raise ValueError(f"{name} of {seconds!r} s is too long to count in nanoseconds")
+    return round(ns)
 
 
 def iter_events(schedule: SlotSchedule, duration_s: float, seed: int, *,
@@ -195,14 +206,15 @@ def iter_events(schedule: SlotSchedule, duration_s: float, seed: int, *,
         raise ValueError(f"frames_per_slot must be >= 1, got {frames_per_slot!r}")
     if not 0 <= handshake_s < math.inf:
         raise ValueError(f"handshake_s must be finite and >= 0, got {handshake_s!r}")
-    slot_ns = round(schedule.slot_duration_s * NS_PER_S)
-    handshake_ns = round(handshake_s * NS_PER_S)
+    slot_ns = _ns(schedule.slot_duration_s, "slot_duration_s")
+    handshake_ns = _ns(handshake_s, "handshake_s")
     # one entry per slot position: sync word, payload stream base, airtime in
     # ns, drop draw, drop probability
     plan = []
     for node in schedule.nodes:
         sync = node.sync_word
-        airtime_ns = round(time_on_air(node.config, node.frame) * NS_PER_S)
+        airtime_ns = _ns(time_on_air(node.config, node.frame),
+                         f"node {format_sync_word(sync)} airtime")
         if handshake_ns + frames_per_slot * airtime_ns > slot_ns:
             raise InfeasibleSlotError(
                 f"node {format_sync_word(sync)}: handshake plus {frames_per_slot} "
@@ -211,8 +223,8 @@ def iter_events(schedule: SlotSchedule, duration_s: float, seed: int, *,
         plan.append((sync, substream_seed(seed, sync, _PAYLOAD_STREAM_TAG), airtime_ns,
                      SplitMix64(substream_seed(seed, sync, _DROP_STREAM_TAG)).next_unit,
                      node.drop_probability))
-    stride_ns = slot_ns + round(schedule.guard_s * NS_PER_S)
-    return _timeline(plan, slot_ns, stride_ns, handshake_ns, round(duration_s * NS_PER_S),
+    stride_ns = slot_ns + _ns(schedule.guard_s, "guard_s")
+    return _timeline(plan, slot_ns, stride_ns, handshake_ns, _ns(duration_s, "duration_s"),
                      frames_per_slot, stats)
 
 

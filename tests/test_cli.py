@@ -1,6 +1,8 @@
 import io
+import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -11,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import loralink
+from loralink import cli
 from loralink.cli import EXIT_DATA, EXIT_OK, EXIT_TOLERANCE, EXIT_USAGE, main
 from loralink.core_types import BW_HZ_VALUES, CodingRate, LinkParams, RadioConfig, hz_to_khz_str
 from loralink.dataset import (
@@ -439,6 +442,23 @@ class TestFailBeforeOutput:
         assert stdout == ""
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("argv", [
+        ["--duration-s", "1", "--slot-s", "1e300"],
+        ["--duration-s", "1", "--guard-s", "1e300"],
+        ["--duration-s", "1", "--handshake-s", "1e300"],
+        ["--duration-s", "1e300"],
+        ["--duration-s", "1", "--bw-khz", "1e-300"],  # the airtime overflows in nanoseconds
+        # twice the airtime overflows in milliseconds, in the default slot duration
+        ["--duration-s", "1", "--sf", "12", "--preamble", "65535", "--bw-khz", "1e-300"],
+    ], ids=" ".join)
+    def test_simulate_times_too_long_to_count_are_data_errors(self, capsys, tmp_path, argv):
+        out = tmp_path / "r.txt"
+        code, stdout, err = run(capsys, ["simulate", *argv, "--output", str(out)])
+        assert (code, stdout) == (EXIT_DATA, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("nodes, argv, code", [
         ("2", ["--map", "A001=KEY:1"], EXIT_DATA),
         ("2", ["--map", "A001=KEY:1", "--map", "A002=KEY:9"], EXIT_DATA),
@@ -576,6 +596,63 @@ class TestUplink:
         code, _, err = run(capsys, ["uplink", "--report", str(report), "--real"])
         assert code == EXIT_DATA
         assert "UPLINK_API_KEY" in err
+
+
+class TestReusedParser:
+    """build_parser hands every call in a process the same parser per subcommand."""
+
+    GOLDEN = json.loads(Path(__file__).with_name("cli_golden.json").read_text(encoding="utf-8"))
+    PLANNING = ("budget", "recommend", "reconstruct", "sweep")
+
+    def test_repeated_planning_queries_give_the_same_bytes(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        golden = {tuple(case["argv"]): case for case in self.GOLDEN.values()
+                  if case["argv"] and case["argv"][0] in self.PLANNING}
+        assert {argv[0] for argv in golden} == set(self.PLANNING)
+        usage_errors = [
+            ["budget", "--rssi", "-92.8", *BUDGET_FLAGS],
+            ["recommend", "--max-loss", "101"],
+            ["reconstruct", "--tolerance", "0"],
+            ["sweep"],
+        ]
+        argvs = [list(argv) for argv in golden] + usage_errors
+        random.Random(0).shuffle(argvs)
+        cli._parser.cache_clear()
+        first = [run(capsys, argv) for argv in argvs]
+        second = [run(capsys, argv) for argv in argvs]
+        assert first == second
+        for argv, (code, out, err) in zip(argvs, first):
+            if tuple(argv) in golden:
+                case = golden[tuple(argv)]
+                assert (code, out, err) == (case["code"], case["stdout"], case["stderr"]), argv
+            else:
+                assert code == EXIT_USAGE and out == "", argv
+        assert cli._parser.cache_info().currsize == len(self.PLANNING)
+
+    def test_help_width_is_read_per_call(self, capsys, monkeypatch):
+        results = []
+        for columns in ("80", "120", "80"):
+            monkeypatch.setenv("COLUMNS", columns)
+            results.append(run(capsys, ["recommend", "--help"]))
+        narrow, wide, narrow_again = results
+        assert narrow == narrow_again == (EXIT_OK, self.GOLDEN["help_recommend"]["stdout"], "")
+        assert wide[0] == EXIT_OK and wide[1] != narrow[1]
+        assert max(map(len, wide[1].splitlines())) > 80
+
+    def test_repeated_map_flags_do_not_leak_between_calls(self, capsys, tmp_path):
+        report = tmp_path / "report.txt"
+        run(capsys, ["simulate", "--nodes", "2", "--duration-s", "2", "--seed", "5",
+                     "--output", str(report)])
+        for maps in (["A001=K1:2", "A002=K2:5"], ["A002=K3:1", "A001=K4:7"]):
+            argv = ["uplink", "--report", str(report)]
+            for item in maps:
+                argv += ["--map", item]
+            code, out, _ = run(capsys, argv)
+            assert code == EXIT_OK
+            assert f" map={';'.join(maps)} " in out.splitlines()[0]
+            keys = {re.search(r"api_key=(\w+)", line)[1] for line in out.splitlines()
+                    if "UPLINK" in line}
+            assert keys == {item.split("=")[1].split(":")[0] for item in maps}
 
 
 class TestParserBasics:

@@ -56,6 +56,11 @@ class TestInvariants:
         with pytest.raises(ValueError):
             make_config(bw_hz=0)
 
+    @pytest.mark.parametrize("bw_hz", [math.nan, math.inf])
+    def test_radio_config_rejects_non_finite_bandwidth(self, bw_hz):
+        with pytest.raises(ValueError, match="bw_hz must be positive and finite"):
+            make_config(bw_hz=bw_hz)
+
     def test_freeform_config_is_constructible(self):
         # off-grid values are allowed at construction; only the grid check rejects them
         make_config(sf=6, bw_hz=130000)

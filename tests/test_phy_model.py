@@ -160,3 +160,8 @@ class TestMonopole:
             monopole_dimensions(0)
         with pytest.raises(ValueError):
             monopole_dimensions(433e6, c_mps=-1)
+
+    @pytest.mark.parametrize("freq_hz", [math.nan, math.inf])
+    def test_non_finite_frequency_is_a_domain_error(self, freq_hz):
+        with pytest.raises(ValueError, match="freq_hz must be positive and finite"):
+            monopole_dimensions(freq_hz)

@@ -125,7 +125,8 @@ _positive_float = _checked(parse_float, lambda value: 0 < value < math.inf, "a p
 _non_negative_float = _checked(parse_float, lambda v: 0 <= v < math.inf, "a finite value >= 0")
 _loss_pct_arg = _checked(parse_float, lambda v: 0 <= v <= 100, "a loss percentage in [0, 100]")
 _non_negative_int = _checked(parse_int, lambda value: value >= 0, "a non-negative integer")
-_nodes_arg = _checked(parse_int, lambda value: value >= 1, "at least 1 node")
+# one sync word each, from A001 to FFFF
+_nodes_arg = _checked(parse_int, lambda value: 1 <= value <= 0xFFFF - 0xA000, "1..24575 nodes")
 _frames_arg = _checked(parse_int, lambda value: value >= 1, "at least 1 frame per slot")
 _sf_arg = _checked(parse_int, lambda value: 6 <= value <= 12, "a spreading factor in 6..12")
 # 255 is the largest length the LoRa PHY header can carry

@@ -279,12 +279,12 @@ def bundled_expected_grid_text() -> str:
 def load_expected_grid(source=None) -> list[list[float]]:
     """Load an excess-loss grid CSV (rows BW ascending, columns SF 7..12).
 
-    source=None loads the grid published with the bundled measurements.
+    source=None loads the grid published with the bundled measurements,
+    parsed once per process; each call gets its own copy.
     """
     if source is None:
-        lines: Iterable[str] = io.StringIO(bundled_expected_grid_text())
-    else:
-        lines = _iter_source_lines(source)
+        return [row.copy() for row in _bundled_expected_grid()]
+    lines = _iter_source_lines(source)
     columns = tuple(f"sf{sf}" for sf in SF_VALUES)
     rows: dict[float, list[float]] = {}
     row_lines: dict[float, int] = {}
@@ -305,6 +305,11 @@ def load_expected_grid(source=None) -> list[list[float]]:
             f"{', '.join(hz_to_khz_str(b) for b in missing)}"
         )
     return [rows[bw] for bw in BW_HZ_VALUES]
+
+
+@functools.cache
+def _bundled_expected_grid() -> list[list[float]]:
+    return load_expected_grid(io.StringIO(bundled_expected_grid_text()))
 
 
 def grid_records(table: MeasurementTable, require: tuple[str, ...] = ()) -> list[MeasurementRecord]:

@@ -7,8 +7,9 @@ exact event ordering; every random choice flows through SplitMix64
 substreams derived from the run seed (see loralink.rng for the exact
 state-advance rule), which makes reports byte-reproducible:
 
-  * drop decisions for node N:   substream (seed, N, tag=1), one uniform
-    draw per transmission opportunity, drop when u < p;
+  * drop decisions for node N: substream (seed, N, tag=1) gives drop_seed; the
+    node's n-th frame draws u = (mix64(drop_seed + n * GOLDEN64) >> 11) / 2^53,
+    output n of that SplitMix64 stream, and is dropped when u < p;
   * payloads for node N: substream (seed, N, tag=2) gives base, and the
     node's n-th frame (n from 1) carries 2 + mix64(base + n * GOLDEN64) % 399
     (centimetres, 2..400), standing in for an ultrasonic range sensor.
@@ -30,13 +31,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .core_types import RadioConfig, format_decimal, parse_int
 from .dataset import MeasurementTable, lookup
 from .link_budget import packet_loss_pct
 from .phy_model import FrameParams, time_on_air
-from .rng import GOLDEN64, SplitMix64, mix64, substream_seed
+from .rng import GOLDEN64, mix64, substream_seed
 
 EVENT_KINDS = ("slot_open", "tx_start", "tx_end", "rx_ok", "rx_drop", "slot_close")
 
@@ -209,7 +211,7 @@ def iter_events(schedule: SlotSchedule, duration_s: float, seed: int, *,
     slot_ns = _ns(schedule.slot_duration_s, "slot_duration_s")
     handshake_ns = _ns(handshake_s, "handshake_s")
     # one entry per slot position: sync word, payload stream base, airtime in
-    # ns, drop draw, drop probability
+    # ns, drop stream base, drop limit (u < p exactly when u * 2**53 < limit)
     plan = []
     for node in schedule.nodes:
         sync = node.sync_word
@@ -221,33 +223,35 @@ def iter_events(schedule: SlotSchedule, duration_s: float, seed: int, *,
                 f"frame(s) of {airtime_ns} ns exceed the {slot_ns} ns slot"
             )
         plan.append((sync, substream_seed(seed, sync, _PAYLOAD_STREAM_TAG), airtime_ns,
-                     SplitMix64(substream_seed(seed, sync, _DROP_STREAM_TAG)).next_unit,
-                     node.drop_probability))
+                     substream_seed(seed, sync, _DROP_STREAM_TAG),
+                     node.drop_probability * 2.0 ** 53))
     stride_ns = slot_ns + _ns(schedule.guard_s, "guard_s")
     return _timeline(plan, slot_ns, stride_ns, handshake_ns, _ns(duration_s, "duration_s"),
                      frames_per_slot, stats)
 
 
 def _timeline(plan, slot_ns, stride_ns, handshake_ns, duration_ns, frames_per_slot, stats):
+    event = partial(tuple.__new__, SimEvent)  # SimEvent(...) minus its Python-level call
     sent = [0] * len(plan)
     received = [0] * len(plan)
     position = open_ns = 0
     while open_ns < duration_ns:
-        sync, base, airtime_ns, draw, p = plan[position]
-        yield SimEvent(open_ns, "slot_open", sync)
+        sync, base, airtime_ns, drop_base, limit = plan[position]
+        yield event((open_ns, "slot_open", sync, None))
         t = open_ns + handshake_ns
         for _ in range(frames_per_slot):
-            sent[position] += 1
-            payload = 2 + mix64(base + sent[position] * GOLDEN64) % 399
-            yield SimEvent(t, "tx_start", sync, payload)
+            n = sent[position] = sent[position] + 1
+            payload = 2 + mix64(base + n * GOLDEN64) % 399
+            yield event((t, "tx_start", sync, payload))
             t += airtime_ns
-            yield SimEvent(t, "tx_end", sync)
-            if draw() < p:
-                yield SimEvent(t, "rx_drop", sync, payload)
+            yield event((t, "tx_end", sync, None))
+            # a node with p = 0 skips its draws: draw n depends on n alone
+            if limit and mix64(drop_base + n * GOLDEN64) >> 11 < limit:
+                yield event((t, "rx_drop", sync, payload))
             else:
                 received[position] += 1
-                yield SimEvent(t, "rx_ok", sync, payload)
-        yield SimEvent(open_ns + slot_ns, "slot_close", sync)
+                yield event((t, "rx_ok", sync, payload))
+        yield event((open_ns + slot_ns, "slot_close", sync, None))
         open_ns += stride_ns
         position += 1
         if position == len(plan):
@@ -374,6 +378,7 @@ def _report_events(lines, stats, wanted):
     words: dict[str, tuple[int, list[int]]] = {}  # sync text -> (sync, [sent, received])
     tallies: dict[int, list[int]] = {}
     last_t = 0
+    event = partial(tuple.__new__, SimEvent)  # SimEvent(...) minus its Python-level call
     for line_no, raw in enumerate(lines, start=1):
         parts = raw.split()
         if not parts or parts[0].startswith("#"):
@@ -420,7 +425,7 @@ def _report_events(lines, stats, wanted):
         elif kind == "rx_ok":
             tally[1] += 1
         if kind in wanted:
-            yield SimEvent(t_ns, kind, sync, detail)
+            yield event((t_ns, kind, sync, detail))
     if summary:
         _check_summary(summary, tallies)
 

@@ -375,6 +375,14 @@ class TestSimulate:
         )
         assert code == EXIT_USAGE
 
+    def test_largest_node_count_takes_every_sync_word_to_ffff(self, capsys):
+        code, out, _ = run(capsys, ["simulate", "--nodes", "24575", "--duration-s", "1"])
+        assert code == EXIT_OK
+        manifest = out.splitlines()[0]
+        assert " nodes=24575 sync_words=A001,A002," in manifest
+        assert ",FFFE,FFFF sf=8 " in manifest
+        assert out.endswith("node FFFF sent=0 received=0 lost=0 loss_pct=0\n")
+
     def test_report_and_uplink_log_files(self, capsys, tmp_path):
         report = tmp_path / "report.txt"
         log = tmp_path / "uplink.txt"
@@ -751,6 +759,10 @@ class TestParserBasics:
         # outside the years 1..9999 once converted to UTC
         ["uplink", "--report", "/nonexistent/report.txt", "--epoch", "0001-01-01T00:00:00+01:00"],
         ["uplink", "--report", "/nonexistent/report.txt", "--epoch", "9999-12-31T23:00:00-05:00"],
+        # more nodes than the sync words A001..FFFF
+        ["simulate", "--duration-s", "1", "--nodes", "99999999999999999999"],
+        ["simulate", "--duration-s", "1", "--nodes", "10000000000000"],
+        ["simulate", "--duration-s", "1", "--nodes", "24576"],
     ])
     def test_non_finite_and_negative_values_are_usage_errors(self, capsys, argv):
         code, out, err = run(capsys, argv)

@@ -1,5 +1,5 @@
-"""Argv fuzz of the planning subcommands: every argv keeps the exit-code
-contract.
+"""Argv fuzz of the planning subcommands and `simulate`: every argv keeps
+the exit-code contract.
 
 `budget`, `reconstruct`, `recommend` and `sweep` are driven with argvs
 built from each subcommand's own flags, given plausible or hostile values
@@ -11,8 +11,12 @@ or 4 without a traceback. Path flags name only entries of a fresh
 temporary directory: a copy of the bundled fixture, a missing file, or the
 directory itself.
 
-`simulate` and `uplink` are left out: with no cap yet on the number of
-events a run may produce, a drawn `--duration-s` could stall the test.
+`simulate` is driven the same way over its own flags, with huge integers
+besides. It has no cap yet on the number of events a run may produce, so
+the plausible values keep every accepted run to a few thousand events:
+`--duration-s` at most 2, `--frames-per-slot` at most 4 and `--slot-s` at
+most 5. `uplink` is left out until that cap exists (ROADMAP item 4): it
+would read the reports such runs write.
 """
 
 import argparse
@@ -95,16 +99,71 @@ def argvs(draw):
     return argv
 
 
-@settings(max_examples=300, derandomize=True, database=None, deadline=None)
-@given(argvs())
-def test_planning_argv_keeps_the_exit_code_contract(argv):
+def run_in_tmp(argv, path_flags):
+    """(exit code, stderr) of main(argv), path values naming entries of a
+    fresh temporary directory that holds a copy of the bundled fixture."""
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         (Path(tmp) / "fixture.csv").write_text(bundled_measurements_text(), encoding="utf-8")
-        # path values name entries of the temporary directory
-        argv = [str(Path(tmp) / value) if value in PATH_NAMES and argv[i - 1] in PATH_FLAGS
+        argv = [str(Path(tmp) / value) if value in PATH_NAMES and argv[i - 1] in path_flags
                 else value for i, value in enumerate(argv)]
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
-    assert code in (EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_TOLERANCE), (code, err.getvalue())
-    assert "Traceback" not in err.getvalue()
+    return code, err.getvalue()
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(argvs())
+def test_planning_argv_keeps_the_exit_code_contract(argv):
+    code, err = run_in_tmp(argv, PATH_FLAGS)
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_TOLERANCE), (code, err)
+    assert "Traceback" not in err
+
+
+SIMULATE_FLAGS = flags_of("simulate")
+SIMULATE_PATH_FLAGS = ("--drop-from-fixture", "--output", "--uplink-log")
+# past an index-sized integer, past 64 bits, one node past sync word FFFF
+HUGE = ("99999999999999999999", "18446744073709551616", "24576", "65536")
+# a huge value of these would be accepted and make a run of unbounded length
+RUN_LENGTH_FLAGS = ("--duration-s", "--frames-per-slot")
+SIMULATE_PLAUSIBLE = {
+    "--nodes": ("1", "2", "8", "9", "24"), "--sf": ("6", "7", "12", "13"),
+    "--bw-khz": ("62.5", "500", "10.4", "7"), "--cr": ("4/8", "4/5", "5/8", "4/0", "x"),
+    "--payload-bytes": ("0", "2", "255", "256"), "--preamble": ("0", "8", "65535", "65536"),
+    "--slot-s": ("0.5", "1.2", "5", "0.001"), "--guard-s": ("0", "0.01", "1"),
+    "--duration-s": ("0.5", "1", "2", "1e-9"), "--frames-per-slot": ("1", "2", "4", "0"),
+    "--handshake-s": ("0", "0.05", "5"),
+    "--drop": ("0", "0.5", "1", "5e-324", "0,1", "0.1,0.2,0.3", "1.5", "0.1,", ",", "nan"),
+    "--drop-from-fixture": ("bundled", *PATH_NAMES), "--seed": ("0", "18446744073709551615"),
+}
+
+
+@st.composite
+def simulate_argvs(draw):
+    """A simulate argv from its required --duration-s (mostly), then drawn flags."""
+    argv = ["simulate", *(["--duration-s", "1"] if draw(st.integers(0, 5)) else [])]
+    for _ in range(draw(st.integers(0, 5))):
+        flag = draw(st.sampled_from(SIMULATE_FLAGS))
+        source = draw(st.integers(0, 4))
+        if flag in ("--output", "--uplink-log"):
+            values = st.sampled_from(PATH_NAMES)
+        elif source >= 2:
+            values = st.sampled_from(SIMULATE_PLAUSIBLE.get(flag, ("1",)))
+        elif source and flag not in RUN_LENGTH_FLAGS:
+            values = st.sampled_from(HUGE)
+        else:
+            values = st.sampled_from(HOSTILE)
+        argv.append(flag)
+        if draw(st.integers(0, 9)):
+            argv.append(draw(values))
+        if not draw(st.integers(0, 9)):
+            argv.append(draw(st.sampled_from(STRAY)))
+    return argv
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(simulate_argvs())
+def test_simulate_argv_keeps_the_exit_code_contract(argv):
+    code, err = run_in_tmp(argv, SIMULATE_PATH_FLAGS)
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_DATA), (code, err)
+    assert "Traceback" not in err

@@ -208,6 +208,15 @@ class TestReconstruction:
         with pytest.raises(MissingCellError):
             load_expected_grid(io.StringIO(partial))
 
+    def test_bundled_expected_grid_is_a_fresh_copy_per_call(self):
+        first = load_expected_grid()
+        assert first == load_expected_grid(io.StringIO(bundled_expected_grid_text()))
+        first[0][0] = math.nan
+        first[1].clear()
+        again = load_expected_grid()
+        assert again == load_expected_grid(io.StringIO(bundled_expected_grid_text()))
+        assert again[0] is not first[0]
+
     def test_expected_grid_refuses_a_repeated_bandwidth_row(self):
         text = bundled_expected_grid_text() + "62.5,1,2,3,4,5,6\n"
         first = next(i for i, line in enumerate(text.splitlines(), start=1)

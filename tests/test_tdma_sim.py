@@ -6,11 +6,13 @@ import pytest
 
 from loralink.core_types import CodingRate, RadioConfig
 from loralink.phy_model import FrameParams, time_on_air
+from loralink.rng import SplitMix64, substream_seed
 from loralink.tdma_sim import (
     EVENT_KINDS,
     InfeasibleSlotError,
     NodeSpec,
     ScheduleConflictError,
+    SimEvent,
     SlotSchedule,
     default_slot_duration,
     drop_model_from_table,
@@ -36,6 +38,13 @@ def make_nodes(count, drops=()):
 
 def node(sync_word):
     return NodeSpec(sync_word=sync_word, config=FAST_CONFIG, frame=FRAME)
+
+
+def drop_draws(seed, sync_word, count):
+    """The first count draws of a node's drop stream (substream tag 1), in the
+    sequential SplitMix64 form."""
+    stream = SplitMix64(substream_seed(seed, sync_word, 1))
+    return [stream.next_unit() for _ in range(count)]
 
 
 class TestSyncWords:
@@ -259,11 +268,51 @@ class TestRunSimulation:
         assert (first, *rest) == report.timeline
         assert tuple(stats) == report.stats
 
+    def test_events_are_sim_events_with_named_fields(self):
+        schedule = SlotSchedule(make_nodes(2, drops=[0.5]), 0.1, 0.0)
+        run = dict(duration_s=3.0, seed=4, frames_per_slot=2, handshake_s=0.01)
+        events = list(iter_events(schedule, **run))
+        lines = serialize_report(run_simulation(schedule, **run)).splitlines()
+        parsed = list(iter_report(lines))
+        assert parsed == events and {e.kind for e in events} == set(EVENT_KINDS)
+        for event in (*events, *parsed, *iter_report(lines, kinds=("rx_ok",))):
+            assert type(event) is SimEvent
+            assert event == SimEvent(event.t_ns, event.kind, event.sync_word, event.detail)
+            assert (event.detail is None) == (event.kind in ("slot_open", "tx_end", "slot_close"))
+
     def test_default_payloads_are_sensor_like(self):
         report = run_simulation(SlotSchedule(make_nodes(1), 0.1, 0.0), 5.0, seed=42)
         payloads = [e.detail for e in report.timeline if e.kind == "tx_start"]
         assert all(2 <= p <= 400 for p in payloads)
         assert len(set(payloads)) > 1
+
+
+class TestDropDraws:
+    """Frame n of a node is dropped when draw n of its drop stream is below p."""
+
+    EDGES = (0.0, 1.0, 5e-324, 0.5, 1 - 2**-53)
+    FRAMES = 60  # per node
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+    @pytest.mark.parametrize("frames_per_slot, handshake_s", [(1, 0.0), (3, 0.02)])
+    def test_outcomes_follow_the_sequential_stream(self, seed, frames_per_slot, handshake_s):
+        # the last node's p is its own k-th draw, so frame k sits on the u < p boundary
+        boundary = 0xA001 + len(self.EDGES)
+        draws = drop_draws(seed, boundary, self.FRAMES)
+        k = next(i for i, u in enumerate(draws) if 0.2 < u < 0.5)
+        nodes = make_nodes(len(self.EDGES) + 1, [*self.EDGES, draws[k]])
+        schedule = SlotSchedule(nodes, 0.1, 0.0)
+        duration_s = schedule.period_s * self.FRAMES / frames_per_slot
+        outcomes = {n.sync_word: [] for n in nodes}
+        for event in iter_events(schedule, duration_s, seed,
+                                 frames_per_slot=frames_per_slot, handshake_s=handshake_s):
+            if event.kind in ("rx_ok", "rx_drop"):
+                outcomes[event.sync_word].append(event.kind == "rx_drop")
+        for n in nodes:
+            want = [u < n.drop_probability for u in drop_draws(seed, n.sync_word, self.FRAMES)]
+            assert outcomes[n.sync_word] == want, (format_sync_word(n.sync_word), n)
+        assert outcomes[boundary][k] is False
+        assert 0 < sum(outcomes[boundary]) < self.FRAMES
 
 
 class TestDropModelFromTable:

@@ -164,7 +164,8 @@ def default_slot_duration(nodes: Sequence[NodeSpec]) -> float:
     """Twice the longest node airtime, rounded up to a whole millisecond."""
     if not nodes:
         raise ValueError("need at least one node")
-    longest = max(time_on_air(node.config, node.frame) for node in nodes)
+    pairs = dict.fromkeys((node.config, node.frame) for node in nodes)  # each distinct once
+    longest = max(time_on_air(config, frame) for config, frame in pairs)
     slot_ms = 2 * longest * 1000
     if not math.isfinite(slot_ms):
         raise ValueError(f"twice the longest airtime, {longest!r} s, is too long for a slot")
@@ -213,10 +214,14 @@ def iter_events(schedule: SlotSchedule, duration_s: float, seed: int, *,
     # one entry per slot position: sync word, payload stream base, airtime in
     # ns, drop stream base, drop limit (u < p exactly when u * 2**53 < limit)
     plan = []
+    airtimes: dict[tuple[RadioConfig, FrameParams], int] = {}  # one per distinct pair
     for node in schedule.nodes:
         sync = node.sync_word
-        airtime_ns = _ns(time_on_air(node.config, node.frame),
-                         f"node {format_sync_word(sync)} airtime")
+        pair = node.config, node.frame
+        airtime_ns = airtimes.get(pair)
+        if airtime_ns is None:
+            airtime_ns = airtimes[pair] = _ns(time_on_air(*pair),
+                                              f"node {format_sync_word(sync)} airtime")
         if handshake_ns + frames_per_slot * airtime_ns > slot_ns:
             raise InfeasibleSlotError(
                 f"node {format_sync_word(sync)}: handshake plus {frames_per_slot} "
@@ -379,9 +384,12 @@ def _report_events(lines, stats, wanted):
     tallies: dict[int, list[int]] = {}
     last_t = 0
     event = partial(tuple.__new__, SimEvent)  # SimEvent(...) minus its Python-level call
+    # kind -> (its tally slot: 0 counts tx_start, 1 rx_ok; whether it is built)
+    roles = {kind: ({"tx_start": 0, "rx_ok": 1}.get(kind), kind in wanted)
+             for kind in EVENT_KINDS}
     for line_no, raw in enumerate(lines, start=1):
         parts = raw.split()
-        if not parts or parts[0].startswith("#"):
+        if not parts or parts[0][0] == "#":
             continue
         if parts[0] == "node":
             sync, node = _add_summary(summary, parts, line_no, raw)
@@ -401,7 +409,8 @@ def _report_events(lines, stats, wanted):
             detail = None
         else:
             raise ValueError(f"line {line_no}: malformed event line {raw.strip()!r}")
-        if kind not in EVENT_KINDS:
+        role = roles.get(kind)
+        if role is None:
             raise ValueError(f"line {line_no}: unknown event kind {kind!r}")
         # int() would read '1_15' and '+115' as 115 and non-ASCII digits as
         # ASCII ones; parts[-1] is the detail, or a sync word that cannot
@@ -420,11 +429,10 @@ def _report_events(lines, stats, wanted):
             sync = parse_sync_word(sync_text)
             word = words[sync_text] = (sync, tallies.setdefault(sync, [0, 0]))
         sync, tally = word
-        if kind == "tx_start":
-            tally[0] += 1
-        elif kind == "rx_ok":
-            tally[1] += 1
-        if kind in wanted:
+        slot, built = role
+        if slot is not None:
+            tally[slot] += 1
+        if built:
             yield event((t_ns, kind, sync, detail))
     if summary:
         _check_summary(summary, tallies)

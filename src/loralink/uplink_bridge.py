@@ -1,5 +1,8 @@
 """ThingSpeak-style channel updates from simulation reports.
 
+A ChannelUpdate is a named tuple that checks itself when constructed.
+iter_bridge reads its key map once, when called, checks every entry and
+the epoch, and then builds its updates without checking each again.
 Formatting is pure; actual delivery goes through a transport. The
 DryRunTransport only writes each request line to a sink the caller gives, so
 nothing here performs network I/O unless an HttpTransport is constructed.
@@ -10,10 +13,9 @@ from __future__ import annotations
 import os
 import time
 import urllib.parse
-from dataclasses import dataclass, replace
 from datetime import datetime, timedelta, timezone
-from functools import lru_cache
-from typing import Callable, Iterable, Iterator, Mapping
+from functools import lru_cache, partial
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .core_types import format_decimal
 from .tdma_sim import SimEvent, SimReport, format_sync_word
@@ -35,24 +37,34 @@ class UnmappedSyncWordError(LookupError):
     """A report event's sync word has no channel mapping."""
 
 
-@dataclass(frozen=True)
-class ChannelUpdate:
-    """One channel update: write key, field values, optional UTC timestamp."""
-
+class _UpdateFields(NamedTuple):
     api_key: str
     fields: Mapping[int, float | int | str]
     created_at: datetime | None = None
 
-    def __post_init__(self) -> None:
-        if not self.api_key:
+
+class ChannelUpdate(_UpdateFields):
+    """One channel update: write key, field values, optional UTC timestamp.
+
+    A named tuple whose constructor raises InvalidUpdateError for an empty
+    key, no fields, a field index outside 1..8 or a naive created_at.
+    `_replace` builds a copy without these checks.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, api_key: str, fields: Mapping[int, float | int | str],
+                created_at: datetime | None = None) -> ChannelUpdate:
+        if not api_key:
             raise InvalidUpdateError("api_key must not be empty")
-        if not self.fields:
+        if not fields:
             raise InvalidUpdateError("update must carry at least one field")
-        bad = [i for i in self.fields if not (isinstance(i, int) and 1 <= i <= 8)]
+        bad = [i for i in fields if not (isinstance(i, int) and 1 <= i <= 8)]
         if bad:
             raise InvalidUpdateError(f"field indices must be integers 1..8, got {bad}")
-        if self.created_at is not None and self.created_at.tzinfo is None:
+        if created_at is not None and created_at.tzinfo is None:
             raise InvalidUpdateError("created_at must be timezone-aware")
+        return tuple.__new__(cls, (api_key, fields, created_at))
 
 
 @lru_cache(maxsize=256)
@@ -61,29 +73,35 @@ def iso_utc(moment: datetime) -> str:
     return moment.astimezone(timezone.utc).isoformat(timespec="seconds").replace("+00:00", "Z")
 
 
+@lru_cache(maxsize=256)
+def _quoted_stamp(moment: datetime) -> str:
+    # an iso_utc stamp is digits, '-', 'T', ':' and 'Z'; of these, quote
+    # changes only ':'
+    return iso_utc(moment).replace(":", "%3A")
+
+
 @lru_cache(maxsize=1024)
 def _quote(text: str) -> str:
     return urllib.parse.quote(text, safe="")
-
-
-def _encode_value(value) -> str:
-    if isinstance(value, int):  # digits and '-' (or True/False): nothing to percent-encode
-        return str(value)
-    return _quote(value if isinstance(value, str) else format_decimal(value))
 
 
 def format_update(update: ChannelUpdate) -> str:
     """Render an update as the path and query of the single-update GET request.
 
     Fields appear in ascending index order; values are percent-encoded.
-    Each distinct key, value and stamp string is encoded once.
+    Each distinct key, value and stamp string is encoded once; integer
+    values (digits and '-', or True/False) need no encoding.
     """
-    parts = [f"api_key={_quote(update.api_key)}"]
-    for index in sorted(update.fields):
-        parts.append(f"field{index}={_encode_value(update.fields[index])}")
-    if update.created_at is not None:
-        parts.append(f"created_at={_quote(iso_utc(update.created_at))}")
-    return f"{UPDATE_PATH}?{'&'.join(parts)}"
+    api_key, fields, created_at = update
+    query = f"{UPDATE_PATH}?api_key={_quote(api_key)}"
+    for index in sorted(fields):
+        value = fields[index]
+        if not isinstance(value, int):
+            value = _quote(value if isinstance(value, str) else format_decimal(value))
+        query += f"&field{index}={value}"
+    if created_at is not None:
+        query += f"&created_at={_quoted_stamp(created_at)}"
+    return query
 
 
 def iter_bridge(
@@ -96,22 +114,26 @@ def iter_bridge(
 
     key_map sends each sync word to (api_key, field index); timestamps are
     the event's virtual time offset against epoch, at second resolution.
-    Each entry of key_map, and the epoch, is checked here, before the
-    first update exists; an rx_ok of an unmapped sync word raises
-    UnmappedSyncWordError when the stream reaches it, and one whose
-    created_at would fall after the year 9999 raises ValueError.
+    key_map is read once, here: the generator uses a copy, so a later
+    change to it has no effect. Each of its entries, and the epoch, is
+    checked here, before the first update exists, and the updates are then
+    built without checking each one again. An rx_ok of an unmapped sync
+    word raises UnmappedSyncWordError when the stream reaches it, and one
+    whose created_at would fall after the year 9999 raises ValueError.
     """
-    for api_key, field_index in key_map.values():
+    targets = {sync: (api_key, field_index) for sync, (api_key, field_index) in key_map.items()}
+    for api_key, field_index in targets.values():
         ChannelUpdate(api_key, {field_index: 0}, epoch)  # raises InvalidUpdateError
-    return _updates(events, key_map, epoch)
+    return _updates(events, targets, epoch)
 
 
-def _updates(events, key_map, epoch):
+def _updates(events, targets, epoch):
+    update = partial(tuple.__new__, ChannelUpdate)  # ChannelUpdate(...) minus its checks
     second = created_at = None
     for t_ns, kind, sync, detail in events:
         if kind != "rx_ok":
             continue
-        target = key_map.get(sync)
+        target = targets.get(sync)
         if target is None:
             raise UnmappedSyncWordError(
                 f"sync word {format_sync_word(sync)} has no channel mapping"
@@ -125,7 +147,7 @@ def _updates(events, key_map, epoch):
             except OverflowError:
                 raise ValueError(f"rx_ok event at {t_ns} ns falls after the year 9999 "
                                  f"from epoch {iso_utc(epoch)}") from None
-        yield ChannelUpdate(target[0], {target[1]: detail}, created_at)
+        yield update((target[0], {target[1]: detail}, created_at))
 
 
 def bridge_sim_report(
@@ -192,7 +214,7 @@ class HttpTransport:
             wait = self.min_spacing_s - (time.monotonic() - self._last_send)
             if wait > 0:
                 time.sleep(wait)
-        url = self._base_url + format_update(replace(update, api_key=self._api_key))
+        url = self._base_url + format_update(update._replace(api_key=self._api_key))
         try:
             with urllib.request.urlopen(url, timeout=self._timeout_s) as response:
                 body = response.read().decode("utf-8", errors="replace")

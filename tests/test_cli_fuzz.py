@@ -15,21 +15,32 @@ directory itself.
 besides. It has no cap yet on the number of events a run may produce, so
 the plausible values keep every accepted run to a few thousand events:
 `--duration-s` at most 2, `--frames-per-slot` at most 4 and `--slot-s` at
-most 5. `uplink` is left out until that cap exists (ROADMAP item 4): it
-would read the reports such runs write.
+most 5.
+
+`uplink` reads one small fixed `simulate` report (3 nodes, 2 s), so it
+needs no such cap. Each run gets that report with 0-3 lines tampered with
+(two lines swapped, a '_', '+' or non-ASCII digit put in, a kind renamed,
+or a summary line dropped) and hostile `--map`, `--epoch` and
+`--min-spacing-s` values, and must end in exit 0, 2 or 3 without a
+traceback. `--real` runs with UPLINK_API_KEY removed from the environment,
+so it is refused before anything is sent.
 """
 
 import argparse
 import contextlib
+import functools
 import io
+import os
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from loralink.cli import EXIT_DATA, EXIT_OK, EXIT_TOLERANCE, EXIT_USAGE, build_parser, main
 from loralink.dataset import bundled_measurements_text
+from loralink.uplink_bridge import API_KEY_ENV_VAR
 
 PLANNING = ("budget", "reconstruct", "recommend", "sweep")
 PATH_FLAGS = ("--fixture", "--expected", "--output")
@@ -99,13 +110,17 @@ def argvs(draw):
     return argv
 
 
-def run_in_tmp(argv, path_flags):
+def run_in_tmp(argv, path_flags, report=None):
     """(exit code, stderr) of main(argv), path values naming entries of a
-    fresh temporary directory that holds a copy of the bundled fixture."""
+    fresh temporary directory that holds a copy of the bundled fixture
+    and, if given, the report text as report.txt."""
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         (Path(tmp) / "fixture.csv").write_text(bundled_measurements_text(), encoding="utf-8")
-        argv = [str(Path(tmp) / value) if value in PATH_NAMES and argv[i - 1] in path_flags
+        if report is not None:
+            (Path(tmp) / "report.txt").write_text(report, encoding="utf-8")
+        names = (*PATH_NAMES, "report.txt")
+        argv = [str(Path(tmp) / value) if value in names and argv[i - 1] in path_flags
                 else value for i, value in enumerate(argv)]
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
@@ -165,5 +180,88 @@ def simulate_argvs(draw):
 @given(simulate_argvs())
 def test_simulate_argv_keeps_the_exit_code_contract(argv):
     code, err = run_in_tmp(argv, SIMULATE_PATH_FLAGS)
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_DATA), (code, err)
+    assert "Traceback" not in err
+
+
+UPLINK_FLAGS = flags_of("uplink")
+UPLINK_PATH_FLAGS = ("--report", "--output")
+UPLINK_PLAUSIBLE = {
+    "--map": ("A001=K:1", "A002=K+2/x:8", "a003=k:3", "A001=K:9", "A001=K:0", "A001=:1",
+              "A001=K", "A001=K:1_0", "A001=K:+1", "A001=K:\u0663", "A0_1=K:1", "ZZZZ=K:1",
+              "A001=K:99999999999999999999", "B00F=K:1", "A001=a:b:1", "="),
+    "--epoch": ("2024-03-01T10:00:00Z", "2024-03-01T10:00:00+05:30", "2024-03-01",
+                "9999-12-31T23:59:59Z", "0001-01-01T00:00:00Z", "0001-01-01T00:00:00+01:00",
+                "9999-12-31T23:59:59-01:00", "2024-02-30T00:00:00Z", "24:00"),
+    "--min-spacing-s": ("0", "0.5", "15"),
+    "--seed": ("0", "42"),
+}
+
+
+@functools.cache
+def small_report() -> tuple[str, ...]:
+    """The lines of a 3-node, 2 s `simulate` report with 20% drops."""
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+        path = Path(tmp) / "report.txt"
+        assert main(["simulate", "--nodes", "3", "--duration-s", "2", "--drop", "0.2",
+                     "--seed", "5", "--output", str(path)]) == EXIT_OK
+        return tuple(path.read_text(encoding="utf-8").splitlines())
+
+
+def tamper(lines, edit, at, offset):
+    """lines with one edit made at line index `at`, character `offset` of it."""
+    lines = list(lines)
+    line = lines[at]
+    offset %= len(line) + 1
+    if edit == "swap":
+        lines[at], lines[at - 1] = lines[at - 1], line
+    elif edit in ("_", "+", "\u0665"):
+        lines[at] = line[:offset] + edit + line[offset:]
+    elif edit == "kind":
+        parts = line.split(" ")
+        lines[at] = " ".join([parts[0], "warp", *parts[2:]])
+    else:  # drop the first summary line
+        del lines[next(i for i, l in enumerate(lines) if l.startswith("node "))]
+    return lines
+
+
+@st.composite
+def tampered_reports(draw):
+    lines = small_report()
+    for _ in range(draw(st.integers(0, 3))):
+        lines = tamper(lines, draw(st.sampled_from(("swap", "_", "+", "\u0665", "kind", "drop"))),
+                       draw(st.integers(1, len(lines) - 1)), draw(st.integers(0, 40)))
+    return "".join(line + "\n" for line in lines)
+
+
+@st.composite
+def uplink_argvs(draw):
+    """An uplink argv from its required --report (mostly), then drawn flags.
+
+    Hypothesis draws small integers most, so 0 picks the common case.
+    """
+    argv = ["uplink", *([] if draw(st.integers(0, 9)) == 9 else ["--report", "report.txt"])]
+    for _ in range(draw(st.integers(0, 4))):
+        flag = draw(st.sampled_from(UPLINK_FLAGS))
+        if flag in UPLINK_PATH_FLAGS:
+            values = st.sampled_from(("report.txt", *PATH_NAMES))
+        elif draw(st.integers(0, 3)) < 3:
+            values = st.sampled_from(UPLINK_PLAUSIBLE.get(flag, ("1",)))
+        else:
+            values = st.sampled_from(HOSTILE)
+        argv.append(flag)
+        if flag != "--real" and draw(st.integers(0, 9)) < 9:
+            argv.append(draw(values))
+        if draw(st.integers(0, 9)) == 9:
+            argv.append(draw(st.sampled_from(STRAY)))
+    return argv
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(uplink_argvs(), tampered_reports())
+def test_uplink_argv_keeps_the_exit_code_contract(argv, report):
+    with mock.patch.dict(os.environ):
+        os.environ.pop(API_KEY_ENV_VAR, None)  # --real is refused, never sent
+        code, err = run_in_tmp(argv, UPLINK_PATH_FLAGS, report)
     assert code in (EXIT_OK, EXIT_USAGE, EXIT_DATA), (code, err)
     assert "Traceback" not in err

@@ -1,9 +1,12 @@
+import hashlib
 import io
 import math
 import random
 
 import pytest
 
+from loralink import tdma_sim
+from loralink.cli import EXIT_OK, main
 from loralink.core_types import CodingRate, RadioConfig
 from loralink.phy_model import FrameParams, time_on_air
 from loralink.rng import SplitMix64, substream_seed
@@ -280,6 +283,36 @@ class TestRunSimulation:
             assert event == SimEvent(event.t_ns, event.kind, event.sync_word, event.detail)
             assert (event.detail is None) == (event.kind in ("slot_open", "tx_end", "slot_close"))
 
+    def test_airtime_is_computed_once_per_distinct_config_and_frame(self, monkeypatch,
+                                                                    tmp_path):
+        slow = (RadioConfig(sf=8, bw_hz=250000, cr=CodingRate(4, 8)), FrameParams(12))
+        pairs = ((FAST_CONFIG, FRAME), slow)
+        nodes = tuple(NodeSpec(0xA001 + i, *pairs[i % 2], 0.25) for i in range(6))
+        calls = []
+
+        def counting(config, frame):
+            calls.append((config, frame))
+            return time_on_air(config, frame)
+
+        monkeypatch.setattr(tdma_sim, "time_on_air", counting)
+        slot = default_slot_duration(nodes)
+        assert len(calls) == 2
+        calls.clear()
+        text = serialize_report(run_simulation(SlotSchedule(nodes, slot, 0.001), 2.0, seed=13))
+        assert len(calls) == 2
+        # the report as it was when every node's airtime was computed apart
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "2512bd0dcca0ffed2349cfd6159b4cdd60b1067eb050900ee214abbd154344c3")
+        events = run_simulation(SlotSchedule(nodes, slot, 0.001), 2.0, seed=13).timeline
+        for start, end in zip(events[1::5], events[2::5]):
+            assert start.kind == "tx_start" and end.kind == "tx_end"
+            airtime = time_on_air(*pairs[(start.sync_word - 0xA001) % 2])
+            assert end.t_ns - start.t_ns == round(airtime * 1e9)
+        calls.clear()
+        assert main(["simulate", "--nodes", "24", "--duration-s", "1",
+                     "--output", str(tmp_path / "r.txt")]) == EXIT_OK
+        assert len(calls) == 2  # the default slot, then the run
+
     def test_default_payloads_are_sensor_like(self):
         report = run_simulation(SlotSchedule(make_nodes(1), 0.1, 0.0), 5.0, seed=42)
         payloads = [e.detail for e in report.timeline if e.kind == "tx_start"]
@@ -417,6 +450,30 @@ class TestReportChecks:
                     pass
             messages.add(str(caught.value))
         assert len(messages) == 1, messages
+
+    @pytest.mark.parametrize("line, message", [
+        ("5 warp A001 +7", "line 3: unknown event kind 'warp'"),
+        ("5 warp A001 x", "line 3: malformed detail 'x'"),
+        ("\u0665 tx_start A001 8x", "line 3: malformed detail '8x'"),
+        ("5 tx_end A_01", "line 3: malformed number in '5 tx_end A_01'"),
+        ("node A001 sent=1 received=1",
+         "line 3: malformed summary line 'node A001 sent=1 received=1'"),
+        ("node A001 sent=1 received=1 lost=0 loss_pct=0\n9 warp A_01 +7",
+         "line 4: event line after the summary block '9 warp A_01 +7'"),
+    ], ids=["kind-before-plus", "detail-before-kind", "detail-before-non-ascii",
+            "underscore-sync-word", "short-summary-line", "after-summary-before-kind"])
+    def test_a_line_with_two_faults_reports_the_first_check(self, line, message):
+        text = f"0 slot_open A001\n0 tx_start A001 84\n{line}\n"
+        for kinds in (EVENT_KINDS, ("rx_ok",)):
+            with pytest.raises(ValueError) as caught:
+                list(iter_report(text.splitlines(), kinds=kinds))
+            assert str(caught.value) == message
+
+    def test_a_comment_is_skipped_whatever_it_holds(self):
+        text = ("0 slot_open A001\n#5 warp A_01 +7\n# 5 tx_start A001\n  # x y z\n\n"
+                "0 tx_start A001 84\n")
+        assert list(iter_report(text.splitlines())) == [
+            SimEvent(0, "slot_open", 0xA001), SimEvent(0, "tx_start", 0xA001, 84)]
 
     @pytest.mark.parametrize("kinds", [("rx_ok",), (), EVENT_KINDS, ("tx_end", "slot_open")])
     def test_iter_report_builds_only_the_kinds_asked_for(self, kinds):

@@ -1,9 +1,11 @@
 import urllib.parse
-from dataclasses import replace
 from datetime import datetime, timedelta, timezone
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from loralink import uplink_bridge
 from loralink.cli import EXIT_OK, main
 from loralink.tdma_sim import SimEvent, SimReport, NodeStats
 from loralink.uplink_bridge import (
@@ -67,11 +69,11 @@ KEY_MAP = {0xA001: ("KEY1", 1), 0xB002: ("KEY1", 2)}
 
 class TestChannelUpdate:
     def test_requires_fields(self):
-        with pytest.raises(InvalidUpdateError):
+        with pytest.raises(InvalidUpdateError, match="^update must carry at least one field$"):
             ChannelUpdate("KEY1", {})
 
     def test_requires_key(self):
-        with pytest.raises(InvalidUpdateError):
+        with pytest.raises(InvalidUpdateError, match="^api_key must not be empty$"):
             ChannelUpdate("", {1: 42})
 
     def test_field_index_range(self):
@@ -79,10 +81,21 @@ class TestChannelUpdate:
             ChannelUpdate("KEY1", {0: 1})
         with pytest.raises(InvalidUpdateError):
             ChannelUpdate("KEY1", {9: 1})
+        with pytest.raises(InvalidUpdateError) as caught:
+            ChannelUpdate("KEY1", {0: 1, 2: 1, "3": 1})
+        assert str(caught.value) == "field indices must be integers 1..8, got [0, '3']"
 
     def test_created_at_must_be_aware(self):
-        with pytest.raises(InvalidUpdateError):
+        with pytest.raises(InvalidUpdateError, match="^created_at must be timezone-aware$"):
             ChannelUpdate("KEY1", {1: 42}, datetime(2024, 1, 1))
+
+    def test_is_a_named_tuple(self):
+        created_at = datetime(2024, 1, 1, tzinfo=UTC)
+        update = ChannelUpdate("KEY1", {1: 42}, created_at)
+        assert type(update) is ChannelUpdate and update == ("KEY1", {1: 42}, created_at)
+        assert (update.api_key, update.fields, update.created_at) == tuple(update)
+        assert ChannelUpdate("KEY1", {1: 42}).created_at is None
+        assert repr(update).startswith("ChannelUpdate(api_key='KEY1', fields={1: 42}, ")
 
 
 class TestFormatUpdate:
@@ -137,9 +150,32 @@ class TestFormatUpdate:
         assert sink == [f"{stamp} UPLINK GET {expected}\n"] * 2
         assert stamp == "2024-03-01T05:00:59Z"
 
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(api_key=st.text(min_size=1, max_size=8), index=st.integers(1, 8),
+           value=st.one_of(st.integers(-10**6, 10**6), st.text(max_size=8)),
+           created_at=st.datetimes(
+               min_value=datetime(1000, 1, 2), max_value=datetime(9999, 12, 30),
+               timezones=st.builds(timezone, st.timedeltas(
+                   min_value=timedelta(hours=-23, minutes=-59),
+                   max_value=timedelta(hours=23, minutes=59)))))
+    def test_drawn_updates_match_quote_and_strftime(self, api_key, index, value, created_at):
+        text = value if isinstance(value, str) else str(value)
+        expected, stamp = reference_request(api_key, index, text, created_at)
+        update = ChannelUpdate(api_key, {index: value}, created_at)
+        assert format_update(update) == expected
+        sink = []
+        DryRunTransport(write=sink.append).send(update)
+        assert sink == [f"{stamp} UPLINK GET {expected}\n"]
+
+    def test_year_one_has_four_digits(self):
+        update = ChannelUpdate("KEY1", {1: 5}, datetime(1, 1, 1, 0, 0, 7, tzinfo=UTC))
+        assert format_update(update) == (
+            "/update?api_key=KEY1&field1=5&created_at=0001-01-01T00%3A00%3A07Z")
+
 
 class TestFormattingCost:
-    def test_quote_runs_once_per_distinct_key_and_second(self, tmp_path, monkeypatch):
+    def test_quote_runs_once_per_distinct_key_and_never_for_a_stamp(self, tmp_path,
+                                                                    monkeypatch):
         report, log = tmp_path / "report.txt", tmp_path / "u.log"
         assert main(["simulate", "--nodes", "3", "--duration-s", "60", "--seed", "2",
                      "--output", str(report)]) == EXIT_OK
@@ -153,12 +189,12 @@ class TestFormattingCost:
             return quote(*args, **kwargs)
 
         monkeypatch.setattr(urllib.parse, "quote", counting_quote)
+        uplink_bridge._quote.cache_clear()  # keys quoted by earlier tests count here too
         assert main(["uplink", "--report", str(report), *maps,
                      "--epoch", "2024-03-01T10:00:00+05:30", "--output", str(log)]) == EXIT_OK
         lines = log.read_text(encoding="utf-8").splitlines()[1:]
-        seconds = {line.split(" ", 1)[0] for line in lines}
-        assert len(lines) >= 200
-        assert len(calls) <= len(set(keys)) + len(seconds)
+        assert len(lines) >= 200 and all("created_at=" in line for line in lines)
+        assert sorted(calls) == sorted(set(keys))
 
 
 class TestBridge:
@@ -195,6 +231,14 @@ class TestBridge:
     def test_key_map_and_epoch_checked_before_the_first_update(self, key_map, epoch):
         with pytest.raises(InvalidUpdateError):
             iter_bridge(iter(()), key_map, epoch)  # raises on the call, before any next()
+
+    def test_a_later_change_to_the_key_map_has_no_effect(self):
+        key_map = {0xA001: ["KEY1", 1], 0xB002: ["KEY1", 2]}
+        updates = iter_bridge(hand_report().timeline, key_map)
+        key_map[0xA001][:] = ["", 9]  # targets the checks would refuse
+        key_map[0xB002] = ("KEY2", 0)
+        key_map[0xC003] = ("", 1)
+        assert list(updates) == bridge_sim_report(hand_report(), KEY_MAP)
 
     def test_rx_ok_without_payload_is_an_error(self):
         report = SimReport(timeline=(SimEvent(0, "rx_ok", 0xA001),), stats=())
@@ -276,7 +320,7 @@ class TestHttpTransport:
                              "&created_at=2024-05-01T12%3A00%3A00Z", 3.0)]
         sink = []
         dry_run = DryRunTransport(write=sink.append)
-        dry_run.send(replace(update, api_key="SECRET"))
+        dry_run.send(update._replace(api_key="SECRET"))
         url = urllib.parse.urlsplit(requests[0][0])
         assert sink[0].split(" GET ", 1)[1] == f"{url.path}?{url.query}\n"
 

@@ -614,6 +614,10 @@ def cmd_uplink(args) -> int:
         # a cheap first pass over the summary lines lets every check run
         # before output; a report that cannot be rewound (a pipe) fails here
         summary = read_summary(report)
+        if not summary:
+            # the default key map and the mapping checks read the summary
+            raise ValueError(f"report {args.report} has no summary lines "
+                             "(a simulate report ends with one per node)")
         report.seek(0)
         key_map = _parse_key_map(args.map, summary)
         # the bridge reads only rx_ok events; the other lines are checked, not built

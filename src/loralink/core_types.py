@@ -8,6 +8,7 @@ no float residue).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
@@ -147,6 +148,16 @@ def validate_measurement_grid(config: RadioConfig) -> None:
 
 def format_decimal(value) -> str:
     """Render a number as a plain decimal string: no exponent, no trailing zeros."""
+    kind = type(value)
+    if kind is int:
+        return str(value)
+    if kind is float:
+        # repr is str(value), the text Decimal would read; without an
+        # exponent, nan or inf it is already plain, with one '.'
+        text = repr(value)
+        if "e" not in text and "n" not in text and "i" not in text:
+            text = text.rstrip("0").rstrip(".")
+            return "0" if text == "-0" else text
     dec = value if isinstance(value, Decimal) else Decimal(str(value))
     text = format(dec, "f")
     if "." in text:
@@ -156,6 +167,7 @@ def format_decimal(value) -> str:
     return text
 
 
+@functools.lru_cache(maxsize=64, typed=True)
 def hz_to_khz_str(bw_hz: float) -> str:
     """Exact Hz -> kHz decimal string (10400 -> '10.4')."""
     return format_decimal(Decimal(str(bw_hz)) / 1000)

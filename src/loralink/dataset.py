@@ -34,7 +34,7 @@ from .core_types import (
     parse_int,
     validate_measurement_grid,
 )
-from .link_budget import LossBreakdown, loss_breakdown
+from .link_budget import LossBreakdown, esp, loss_breakdowns
 
 CSV_COLUMNS = ("sf", "bw_khz", "cr_num", "cr_den", "rssi_dbm", "snr_db", "loss_pct")
 
@@ -100,6 +100,8 @@ class MeasurementTable:
                 )
             table[record.key] = record
         self._records = table
+        # require -> (grid_records(self, require), each record's ESP); see _grid_esps
+        self._grid_esps: dict[tuple[str, ...], tuple[list[MeasurementRecord], list[float]]] = {}
 
     def __len__(self) -> int:
         return len(self._records)
@@ -323,6 +325,19 @@ def grid_records(table: MeasurementTable, require: tuple[str, ...] = ()) -> list
             for bw_hz in BW_HZ_VALUES for sf in SF_VALUES]
 
 
+def _grid_esps(table: MeasurementTable,
+               require: tuple[str, ...]) -> tuple[list[MeasurementRecord], list[float]]:
+    """grid_records(table, require) and each record's ESP, computed on the
+    first call for this table and `require`: neither depends on the link,
+    and the table is immutable. A lookup error is not cached."""
+    grid = table._grid_esps.get(require)
+    if grid is None:
+        records = grid_records(table, require)
+        grid = table._grid_esps[require] = (
+            records, [esp(SignalSample(r.rssi_dbm, r.snr_db)) for r in records])
+    return grid
+
+
 def evaluate_grid(
     table: MeasurementTable, link: LinkParams, *, require: tuple[str, ...] = ()
 ) -> list[tuple[MeasurementRecord, LossBreakdown]]:
@@ -330,8 +345,8 @@ def evaluate_grid(
 
     Every cell needs an RSSI, plus a value in each of the `require` columns.
     """
-    return [(record, loss_breakdown(link, SignalSample(record.rssi_dbm, record.snr_db)))
-            for record in grid_records(table, ("rssi_dbm", *require))]
+    records, esps = _grid_esps(table, ("rssi_dbm", *require))
+    return list(zip(records, loss_breakdowns(link, esps)))
 
 
 def reconstruct_excess_loss(table: MeasurementTable, link: LinkParams) -> list[list[float]]:

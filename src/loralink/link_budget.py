@@ -7,13 +7,13 @@ base-10 double precision.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from functools import partial
+from typing import Iterable, NamedTuple
 
 from .core_types import LinkParams, SignalSample
 
 
-@dataclass(frozen=True)
-class LossBreakdown:
+class LossBreakdown(NamedTuple):
     """Budget attribution for one received sample.
 
     excess_db is path_loss_db - fsl_db by construction: the part of the
@@ -70,9 +70,13 @@ def esp(sample: SignalSample) -> float:
     return sample.rssi_dbm + snr - 10 * math.log10(1 + 10 ** (0.1 * snr))
 
 
+def _gains(link: LinkParams) -> float:
+    return link.tx_power_dbm + link.gt_dbi + link.gr_dbi
+
+
 def path_loss(link: LinkParams, esp_dbm: float) -> float:
     """Empirical path loss: transmit power plus antenna gains minus ESP."""
-    return link.tx_power_dbm + link.gt_dbi + link.gr_dbi - esp_dbm
+    return _gains(link) - esp_dbm
 
 
 def free_space_loss(distance_m: float, freq_hz: float, c_mps: float) -> float:
@@ -94,19 +98,29 @@ def free_space_loss(distance_m: float, freq_hz: float, c_mps: float) -> float:
     )
 
 
+def loss_breakdowns(link: LinkParams, esps: Iterable[float]) -> list[LossBreakdown]:
+    """The budget chain of each ESP over one link: path loss -> FSL -> excess.
+
+    The link's gains and free-space loss are computed once for all ESPs.
+    ValueError for the first budget whose terms leave the float range
+    (finite inputs near 1e308 can sum to an infinity).
+    """
+    gains = _gains(link)
+    fsl_db = free_space_loss(link.distance_m, link.freq_hz, link.c_mps)
+    breakdown = partial(tuple.__new__, LossBreakdown)  # LossBreakdown(...) minus its Python-level call
+    breakdowns = [breakdown((esp_dbm, gains - esp_dbm, fsl_db, gains - esp_dbm - fsl_db))
+                  for esp_dbm in esps]
+    # fsl_db is finite for a valid LinkParams, and an infinite ESP or path
+    # loss leaves excess_db infinite or NaN
+    for budget in breakdowns:
+        if not math.isfinite(budget.excess_db):
+            raise ValueError(f"link budget leaves the float range: {budget}")
+    return breakdowns
+
+
 def loss_breakdown(link: LinkParams, sample: SignalSample) -> LossBreakdown:
     """Full budget for one sample: ESP -> path loss -> FSL -> excess.
 
-    ValueError when a term leaves the float range (finite inputs near
-    1e308 can sum to an infinity).
+    ValueError when a term leaves the float range.
     """
-    esp_dbm = esp(sample)
-    pl_db = path_loss(link, esp_dbm)
-    fsl_db = free_space_loss(link.distance_m, link.freq_hz, link.c_mps)
-    breakdown = LossBreakdown(esp_dbm=esp_dbm, path_loss_db=pl_db, fsl_db=fsl_db,
-                              excess_db=pl_db - fsl_db)
-    # fsl_db is finite for a valid LinkParams, and an infinite ESP or path
-    # loss leaves excess_db infinite or NaN
-    if not math.isfinite(breakdown.excess_db):
-        raise ValueError(f"link budget leaves the float range: {breakdown}")
-    return breakdown
+    return loss_breakdowns(link, (esp(sample),))[0]

@@ -313,21 +313,29 @@ def serialize_report(report: SimReport) -> str:
     return "".join(report_lines(report.timeline, report.stats))
 
 
+_SUMMARY_KEYS = ("sent=", "received=", "lost=", "loss_pct=")
+
+
 def _add_summary(summary: dict[int, tuple[int, NodeStats]], parts: list[str],
                  line_no: int, raw: str) -> tuple[int, NodeStats]:
-    """Parse one 'node' line into summary (sync -> (line_no, stats))."""
+    """Parse one 'node' line into summary (sync -> (line_no, stats)).
+
+    The line must be what summary_line writes: its six tokens in order,
+    with loss_pct formatted from the three counts.
+    """
     line = raw.strip()
     if len(parts) != 6:
         raise ValueError(f"line {line_no}: malformed summary line {line!r}")
     sync = parse_sync_word(parts[1])
-    fields = dict(part.partition("=")[::2] for part in parts[2:])
+    fields = [part.partition("=") for part in parts[2:]]
     try:
-        node = NodeStats(
-            packets_sent=parse_int(fields["sent"]),
-            packets_received=parse_int(fields["received"]),
-            packets_lost=parse_int(fields["lost"]),
-        )
-    except (KeyError, ValueError) as exc:
+        if tuple(key + sep for key, sep, _ in fields) != _SUMMARY_KEYS:
+            raise ValueError("summary tokens out of order")
+        node = NodeStats(*(parse_int(value) for _, _, value in fields[:3]))
+        # measured_loss_pct refuses lost outside 0..sent
+        if fields[3][2] != format_decimal(node.measured_loss_pct):
+            raise ValueError("loss_pct disagrees with the counts")
+    except ValueError as exc:
         raise ValueError(f"line {line_no}: malformed summary line {line!r}") from exc
     if sync in summary:
         raise ValueError(

@@ -487,6 +487,39 @@ class TestFailBeforeOutput:
         assert stdout == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("output", [False, True], ids=["stdout", "output-file"])
+    @pytest.mark.parametrize("argv", [[], ["--map", "A001=K:1", "--map", "A002=K:2"]],
+                             ids=["default-map", "map"])
+    def test_uplink_report_without_summary(self, capsys, tmp_path, argv, output):
+        report = tmp_path / "report.txt"
+        run(capsys, ["simulate", "--nodes", "3", "--duration-s", "5", "--output", str(report)])
+        lines = report.read_text().splitlines(keepends=True)
+        report.write_text("".join(line for line in lines if not line.startswith("node ")))
+        out = tmp_path / "u.log"
+        code, stdout, err = run(capsys, ["uplink", "--report", str(report), *argv,
+                                         *(["--output", str(out)] if output else [])])
+        assert (code, stdout) == (EXIT_DATA, "")
+        assert err.startswith("error: ") and "no summary lines" in err and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("summary, code", [
+        ("node A001 sent=1 received=1 lost=0 loss_pct=0", EXIT_OK),
+        ("node A001 sent=1 received=1 lost=0 loss_pct=99", EXIT_DATA),
+        ("node A001 sent=7 sent=1 received=1 lost=0", EXIT_DATA),
+        ("node A001 sent=1 received=1 lost=0 bogus", EXIT_DATA),
+    ], ids=["as-written", "loss-pct", "repeated-sent", "bogus"])
+    def test_uplink_checks_each_summary_token(self, capsys, tmp_path, summary, code):
+        report = tmp_path / "report.txt"
+        report.write_text("0 slot_open A001\n0 tx_start A001 84\n115 tx_end A001\n"
+                          f"115 rx_ok A001 84\n{summary}\n")
+        got, stdout, err = run(capsys, ["uplink", "--report", str(report)])
+        assert got == code
+        if code == EXIT_DATA:
+            assert stdout == ""
+            assert err == f"error: line 5: malformed summary line {summary!r}\n"
+        else:
+            assert stdout.startswith("# manifest uplink") and stdout.count("\n") == 2
+
     def test_repeated_map_names_both_items(self, capsys, tmp_path):
         report = tmp_path / "report.txt"
         run(capsys, ["simulate", "--nodes", "2", "--duration-s", "5", "--output", str(report)])

@@ -1,8 +1,12 @@
 import itertools
 import math
+import sys
 from dataclasses import fields
+from decimal import Decimal
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from loralink.core_types import (
     BW_HZ_VALUES,
@@ -142,6 +146,30 @@ class TestDecimalRendering:
     )
     def test_format_decimal(self, value, expected):
         assert format_decimal(value) == expected
+
+    @settings(max_examples=500, derandomize=True, database=None, deadline=None)
+    @given(st.one_of(st.floats(), st.integers(-10**300, 10**300)))
+    @example(-0.0)
+    @example(5e-324)
+    @example(2.2250738585072014e-308)
+    @example(1e16)
+    @example(9999999999999998.0)
+    @example(1e-5)
+    @example(0.0001)
+    @example(math.inf)
+    @example(-math.inf)
+    @example(math.nan)
+    @example(sys.float_info.max)
+    @example(-10**300)
+    def test_plain_text_is_the_decimal_of_str(self, value):
+        def plain(dec):
+            text = format(dec, "f")
+            if "." in text:
+                text = text.rstrip("0").rstrip(".")
+            return "0" if text in ("", "-0") else text
+
+        assert format_decimal(value) == plain(Decimal(str(value)))
+        assert hz_to_khz_str(value) == plain(Decimal(str(value)) / 1000)
 
     def test_khz_conversion_is_exact(self):
         assert hz_to_khz_str(10400) == "10.4"

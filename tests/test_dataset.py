@@ -3,14 +3,19 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from loralink.core_types import BW_HZ_VALUES, SF_VALUES, CodingRate, LinkParams
+from loralink.core_types import BW_HZ_VALUES, SF_VALUES, CodingRate, LinkParams, SignalSample
 from loralink.dataset import (
     DuplicateRecordError,
     MeasurementParseError,
     MeasurementValidationError,
     MissingCellError,
     bundled_expected_grid_text,
+    bundled_measurements_text,
+    evaluate_grid,
+    grid_records,
     load_bundled_measurements,
     load_expected_grid,
     load_measurements,
@@ -18,6 +23,7 @@ from loralink.dataset import (
     reconstruct_excess_loss,
     save_measurements,
 )
+from loralink.link_budget import free_space_loss, loss_breakdown
 
 HEADER = "sf,bw_khz,cr_num,cr_den,rssi_dbm,snr_db,loss_pct"
 
@@ -231,3 +237,90 @@ class TestReconstruction:
         with pytest.raises(MeasurementParseError, match="sf9") as excinfo:
             load_expected_grid(io.StringIO(text))
         assert excinfo.value.line_no == 3
+
+
+def outcome(evaluate):
+    """evaluate()'s value, or the message of the ValueError it raises."""
+    try:
+        return evaluate()
+    except ValueError as exc:
+        return str(exc)
+
+
+# link terms from everyday values to sums that leave the float range
+link_terms = st.one_of(st.floats(-200.0, 200.0), st.floats(allow_nan=False, allow_infinity=False))
+positive = st.floats(min_value=5e-324, max_value=1.7e308)
+
+
+class TestGridEvaluation:
+    """evaluate_grid computes the link terms once per call and each cell's
+    ESP once per table; every budget is still loss_breakdown's, bit for bit."""
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(st.builds(LinkParams, link_terms, link_terms, link_terms, positive,
+                     positive, positive),
+           st.sampled_from([(), ("loss_pct",)]))
+    def test_each_budget_is_loss_breakdowns_exactly(self, link, require):
+        table = load_bundled_measurements()
+        records = grid_records(table, ("rssi_dbm", *require))
+        direct = outcome(lambda: [
+            loss_breakdown(link, SignalSample(r.rssi_dbm, r.snr_db)) for r in records])
+        grid = outcome(lambda: evaluate_grid(table, link, require=require))
+        if isinstance(direct, str):
+            assert grid == direct
+            return
+        assert [record for record, _ in grid] == records
+        assert [budget for _, budget in grid] == direct
+        fsl_db = free_space_loss(link.distance_m, link.freq_hz, link.c_mps)
+        for _, budget in grid:
+            # the straight-line chain, in the order it was always evaluated
+            assert budget.path_loss_db == (
+                link.tx_power_dbm + link.gt_dbi + link.gr_dbi - budget.esp_dbm)
+            assert (budget.fsl_db, budget.excess_db) == (fsl_db, budget.path_loss_db - fsl_db)
+
+    @pytest.mark.parametrize("rssi_text, link, message", [
+        ("-1e308", LinkParams(tx_power_dbm=1e308),
+         "LossBreakdown(esp_dbm=-1e+308, path_loss_db=inf, fsl_db=99.15093019983635, "
+         "excess_db=inf)"),
+        ("-108.4", LinkParams(tx_power_dbm=1e308, gt_dbi=1e308, gr_dbi=1e308),
+         "LossBreakdown(esp_dbm=-93.38632484327205, path_loss_db=inf, "
+         "fsl_db=99.15093019983635, excess_db=inf)"),
+    ], ids=["one-cell", "every-cell"])
+    def test_a_budget_beyond_the_float_range_names_its_first_cell(self, rssi_text, link,
+                                                                 message):
+        text = bundled_measurements_text().replace("\n9,62.5,,,-108.4,", f"\n9,62.5,,,{rssi_text},")
+        table = load_measurements(io.StringIO(text))
+        for require in ((), ("loss_pct",)):
+            with pytest.raises(ValueError) as caught:
+                evaluate_grid(table, link, require=require)
+            assert str(caught.value) == f"link budget leaves the float range: {message}"
+
+    def test_tables_do_not_share_cached_esps(self, field_table):
+        shifted = load_measurements(io.StringIO(
+            bundled_measurements_text().replace("\n9,62.5,,,-108.4,", "\n9,62.5,,,-110.4,")))
+        link = LinkParams()
+        for table in (field_table, shifted, field_table, shifted):
+            grid = evaluate_grid(table, link)
+            assert grid == [(r, loss_breakdown(link, SignalSample(r.rssi_dbm, r.snr_db)))
+                            for r in grid_records(table, ("rssi_dbm",))]
+        changed = [record.key for (record, budget), (_, other)
+                   in zip(evaluate_grid(field_table, link), evaluate_grid(shifted, link))
+                   if budget != other]
+        assert changed == [(9, 62500, None)]
+
+    def test_a_missing_cell_raises_on_every_call(self, field_table):
+        text = bundled_measurements_text().replace("\n9,62.5,,,-108.4,7.9,0", "")
+        table = load_measurements(io.StringIO(text))
+        for _ in range(3):
+            with pytest.raises(MissingCellError, match="sf=9, bw_khz=62.5"):
+                evaluate_grid(table, LinkParams())
+            with pytest.raises(MissingCellError, match="sf=9, bw_khz=62.5"):
+                reconstruct_excess_loss(table, LinkParams())
+
+    def test_a_cell_missing_one_column_fails_only_where_it_is_required(self):
+        text = bundled_measurements_text().replace("\n9,62.5,,,-108.4,7.9,0", "\n9,62.5,,,-108.4,7.9,")
+        table = load_measurements(io.StringIO(text))
+        for _ in range(2):
+            assert len(evaluate_grid(table, LinkParams())) == 36
+            with pytest.raises(MissingCellError, match="has no loss_pct"):
+                evaluate_grid(table, LinkParams(), require=("loss_pct",))

@@ -469,6 +469,33 @@ class TestReportChecks:
                 list(iter_report(text.splitlines(), kinds=kinds))
             assert str(caught.value) == message
 
+    @pytest.mark.parametrize("summary", [
+        "node A001 sent=1 received=1 lost=0 loss_pct=99",
+        "node A001 sent=7 sent=1 received=1 lost=0",  # a repeated key for loss_pct
+        "node A001 sent=1 received=1 lost=0 bogus",
+        "node A001 received=1 sent=1 lost=0 loss_pct=0",
+        "node A001 sent=1 received=1 lost=0 loss_pct=0.0",
+        "node A001 sent=1 received=-1 lost=2 loss_pct=200",  # lost > sent
+        "node A001 sent=-1 received=-1 lost=0 loss_pct=0",
+    ], ids=["loss-pct", "repeated-sent", "bogus", "order", "loss-pct-text", "lost-over-sent",
+            "negative-sent"])
+    def test_a_summary_line_must_read_as_summary_line_writes_it(self, summary):
+        text = f"0 slot_open A001\n0 tx_start A001 84\n5 rx_ok A001 84\n{summary}\n"
+        message = f"line 4: malformed summary line {summary!r}"
+        with pytest.raises(ValueError) as caught:
+            read_summary(text.splitlines())
+        assert str(caught.value) == message
+        for kinds in (EVENT_KINDS, ("rx_ok",)):
+            with pytest.raises(ValueError) as caught:
+                list(iter_report(text.splitlines(), kinds=kinds))
+            assert str(caught.value) == message
+
+    @pytest.mark.parametrize("sent, received", [(1, 1), (3, 2), (3, 0), (0, 0), (7, 3)])
+    def test_summary_lines_read_back(self, sent, received):
+        stats = tdma_sim.NodeStats(sent, received, sent - received)
+        line = tdma_sim.summary_line(0xA001, stats)
+        assert read_summary([line + "\n"]) == {0xA001: stats}
+
     def test_a_comment_is_skipped_whatever_it_holds(self):
         text = ("0 slot_open A001\n#5 warp A_01 +7\n# 5 tx_start A001\n  # x y z\n\n"
                 "0 tx_start A001 84\n")

@@ -1,10 +1,12 @@
 """Run the unchanged bench/run.py on a parent and a change tree, in
-alternating pairs, and add the quartiles of its end-to-end metrics to OUT.
+alternating pairs, and add the quartiles of its end-to-end metrics to OUT;
+then run it traced once per tree and add the per-layer dict it prints.
 
     python3 scripts/bench_trajectory.py OUT.json PARENT CHANGE WORKLOAD SECONDS SEED...
 
 PARENT and CHANGE are source checkouts; each run is `python3 bench/run.py
---workload WORKLOAD --seed SEED --seconds SECONDS --trace 0` in one of them.
+--workload WORKLOAD --seed SEED --seconds SECONDS --trace 0` in one of them,
+and the traced run is the same with the first SEED and `--trace 1`.
 """
 import hashlib, json, os, platform, statistics, subprocess, sys
 from pathlib import Path
@@ -20,24 +22,33 @@ for side, tree in sides.items():
                                   for p in sorted((tree / "src").rglob("*.*"))
                                   if p.is_file() and "__pycache__" not in p.parts))
     doc["trees"][side] = {"git_sha": sha.stdout.strip() or None, "src_sha256": src.hexdigest()}
+
+
+def run(side: str, seed: str, trace: str) -> dict:
+    argv = ["python3", "bench/run.py", "--workload", workload, "--seed", seed,
+            "--seconds", seconds, "--trace", trace]
+    done = subprocess.run(argv, cwd=sides[side], capture_output=True, text=True, check=True)
+    result = json.loads(done.stdout.splitlines()[-1])
+    row = {"seed": int(seed), "correct": result["correct"], "failed": result["failed"],
+           **{k: v["value"] for k, v in result["metrics"].items()}}
+    print(side, row, file=sys.stderr)
+    return row
+
+
 runs = {side: [] for side in sides}
 for i, seed in enumerate(seeds):
     for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
-        argv = ["python3", "bench/run.py", "--workload", workload, "--seed", seed,
-                "--seconds", seconds, "--trace", "0"]
-        done = subprocess.run(argv, cwd=sides[side], capture_output=True, text=True, check=True)
-        result = json.loads(done.stdout.splitlines()[-1])
-        runs[side].append({"seed": int(seed), "correct": result["correct"], "failed": result["failed"],
-                           **{k: v["value"] for k, v in result["metrics"].items()}})
-        print(side, runs[side][-1], file=sys.stderr)
+        runs[side].append(run(side, seed, "0"))
 entry = doc["workloads"][workload] = {
     "invoked_as": " ".join(["python3", "scripts/bench_trajectory.py", *sys.argv[1:]]),
-    "command": " ".join(argv[:5] + ["SEED"] + argv[6:]), "seeds": [int(s) for s in seeds]}
+    "command": f"python3 bench/run.py --workload {workload} --seed SEED --seconds {seconds} "
+               "--trace 0|1", "seeds": [int(s) for s in seeds]}
 for side, rows in runs.items():
     metrics = {k: dict(zip(("q1", "median", "q3"), statistics.quantiles([r[k] for r in rows], n=4)))
                for k in rows[0] if k not in ("seed", "correct", "failed")}
     entry[side] = {"correct": all(r["correct"] for r in rows),
-                   "failed": sum(r["failed"] for r in rows), "metrics": metrics, "runs": rows}
+                   "failed": sum(r["failed"] for r in rows), "metrics": metrics, "runs": rows,
+                   "traced": run(side, seeds[0], "1")}
 better = {m["name"]: m["better"] == "higher" for m in json.loads(
     (sides["change"] / "BENCHMARK.json").read_text())["end_to_end"]}
 entry["pairs_change_better"] = {k: sum(c[k] > p[k] if up else c[k] < p[k] for p, c in

@@ -1,6 +1,8 @@
 """Shared domain vocabulary: radio configurations, link constants, signal samples.
 
-All values are plain immutable dataclasses. dB/dBm quantities are carried as
+All values are immutable: each type keeps its fields in __slots__ on the
+small Value base below, which behaves as a frozen dataclass would without
+importing dataclasses. dB/dBm quantities are carried as
 double-precision floats; bandwidth is stored in hertz internally while the
 text formats speak kHz (exact decimal scaling, so 10.4 kHz is 10400 Hz with
 no float residue).
@@ -10,8 +12,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
+from operator import attrgetter
 
 SF_VALUES = (7, 8, 9, 10, 11, 12)
 BW_HZ_VALUES = (10400, 20800, 62500, 125000, 250000, 500000)
@@ -29,22 +31,60 @@ class GridValidationError(ValueError):
         super().__init__(f"{field}={value} not in allowed set {{{shown}}}")
 
 
-@dataclass(frozen=True)
-class CodingRate:
+class Value:
+    """Base of the immutable value types: fields in __slots__, set once.
+
+    As with a frozen dataclass, an instance equals only an instance of its
+    own class with equal fields, hashes as the tuple of its fields, reads
+    back as Name(field=value, ...) and refuses assignment and deletion.
+    Each subclass's __init__ checks its arguments, then stores every field
+    with object.__setattr__; copy and pickle rebuild through __init__.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        # the field tuple: a C-level getter, not a method (every type has 2+ fields)
+        cls._values = attrgetter(*cls.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) == other._values(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values(self)
+
+
+class CodingRate(Value):
     """FEC rate kept verbatim as num/den; 4/8 is *not* reduced to 1/2.
 
     The k/8 notation is preserved because the measurement fixtures and the
     text formats use it exactly; equality is therefore notation-exact.
     """
 
-    num: int
-    den: int = 8
+    __slots__ = ("num", "den")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.num, int) or not isinstance(self.den, int):
+    def __init__(self, num: int, den: int = 8) -> None:
+        if not isinstance(num, int) or not isinstance(den, int):
             raise ValueError("coding rate numerator/denominator must be integers")
-        if self.num <= 0 or self.den <= 0:
-            raise ValueError(f"coding rate {self.num}/{self.den} must be positive")
+        if num <= 0 or den <= 0:
+            raise ValueError(f"coding rate {num}/{den} must be positive")
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
 
     @property
     def ratio(self) -> float:
@@ -62,8 +102,7 @@ class CodingRate:
             raise ValueError(f"malformed coding rate {text!r}, expected <num>/<den>") from exc
 
 
-@dataclass(frozen=True)
-class RadioConfig:
+class RadioConfig(Value):
     """One LoRa PHY configuration: the (SF, BW, CR) cell a measurement sweeps.
 
     Constructors accept any physically sane values; membership in the
@@ -72,15 +111,16 @@ class RadioConfig:
     fixed for a whole link, so they live in LinkParams.
     """
 
-    sf: int
-    bw_hz: float
-    cr: CodingRate
+    __slots__ = ("sf", "bw_hz", "cr")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.sf, int) or self.sf < 1:
-            raise ValueError(f"sf must be a positive integer, got {self.sf!r}")
-        if not 0 < self.bw_hz < math.inf:
-            raise ValueError(f"bw_hz must be positive and finite, got {self.bw_hz!r}")
+    def __init__(self, sf: int, bw_hz: float, cr: CodingRate) -> None:
+        if not isinstance(sf, int) or sf < 1:
+            raise ValueError(f"sf must be a positive integer, got {sf!r}")
+        if not 0 < bw_hz < math.inf:
+            raise ValueError(f"bw_hz must be positive and finite, got {bw_hz!r}")
+        object.__setattr__(self, "sf", sf)
+        object.__setattr__(self, "bw_hz", bw_hz)
+        object.__setattr__(self, "cr", cr)
 
 
 # Fixed constants of the 433 MHz field campaign behind the bundled fixture.
@@ -92,8 +132,7 @@ CAMPAIGN_TX_POWER_DBM = 20.0
 CAMPAIGN_FREQ_HZ = 433_000_000
 
 
-@dataclass(frozen=True)
-class LinkParams:
+class LinkParams(Value):
     """The constants of one link: transmit power, carrier, geometry and gains.
 
     Defaults mirror the 433 MHz field campaign behind the bundled fixtures:
@@ -103,32 +142,31 @@ class LinkParams:
     shifts free-space loss by ~0.006 dB.
     """
 
-    tx_power_dbm: float = CAMPAIGN_TX_POWER_DBM
-    gt_dbi: float = 5.15
-    gr_dbi: float = 5.15
-    distance_m: float = 5000.0
-    freq_hz: float = CAMPAIGN_FREQ_HZ
-    c_mps: float = 3.0e8
+    __slots__ = ("tx_power_dbm", "gt_dbi", "gr_dbi", "distance_m", "freq_hz", "c_mps")
 
-    def __post_init__(self) -> None:
-        for name, value in vars(self).items():
+    def __init__(self, tx_power_dbm: float = CAMPAIGN_TX_POWER_DBM, gt_dbi: float = 5.15,
+                 gr_dbi: float = 5.15, distance_m: float = 5000.0,
+                 freq_hz: float = CAMPAIGN_FREQ_HZ, c_mps: float = 3.0e8) -> None:
+        values = (tx_power_dbm, gt_dbi, gr_dbi, distance_m, freq_hz, c_mps)
+        for name, value in zip(self.__slots__, values):
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
+            object.__setattr__(self, name, value)
         for name in ("distance_m", "freq_hz", "c_mps"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
 
 
-@dataclass(frozen=True)
-class SignalSample:
+class SignalSample(Value):
     """A received-signal observation: mean RSSI and mean SNR."""
 
-    rssi_dbm: float
-    snr_db: float
+    __slots__ = ("rssi_dbm", "snr_db")
 
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.rssi_dbm) or not math.isfinite(self.snr_db):
+    def __init__(self, rssi_dbm: float, snr_db: float) -> None:
+        if not math.isfinite(rssi_dbm) or not math.isfinite(snr_db):
             raise ValueError("rssi_dbm and snr_db must be finite")
+        object.__setattr__(self, "rssi_dbm", rssi_dbm)
+        object.__setattr__(self, "snr_db", snr_db)
 
 
 def validate_measurement_grid(config: RadioConfig) -> None:

@@ -15,7 +15,6 @@ import csv
 import functools
 import io
 import math
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import IO, Iterable, Iterator
@@ -27,6 +26,7 @@ from .core_types import (
     LinkParams,
     RadioConfig,
     SignalSample,
+    Value,
     format_decimal,
     hz_to_khz_str,
     khz_str_to_hz,
@@ -62,20 +62,23 @@ class MissingCellError(LookupError):
     """A grid operation needs a cell the table does not provide."""
 
 
-@dataclass(frozen=True)
-class MeasurementRecord:
+class MeasurementRecord(Value):
     """One measured cell: configuration key plus mean link metrics.
 
     cr is None when the coding rate was not recorded for the row; rssi_dbm
     and loss_pct are None for sweep rows where only SNR was measured.
     """
 
-    sf: int
-    bw_hz: float
-    cr: CodingRate | None
-    rssi_dbm: float | None
-    snr_db: float
-    loss_pct: float | None
+    __slots__ = ("sf", "bw_hz", "cr", "rssi_dbm", "snr_db", "loss_pct")
+
+    def __init__(self, sf: int, bw_hz: float, cr: CodingRate | None, rssi_dbm: float | None,
+                 snr_db: float, loss_pct: float | None) -> None:
+        object.__setattr__(self, "sf", sf)
+        object.__setattr__(self, "bw_hz", bw_hz)
+        object.__setattr__(self, "cr", cr)
+        object.__setattr__(self, "rssi_dbm", rssi_dbm)
+        object.__setattr__(self, "snr_db", snr_db)
+        object.__setattr__(self, "loss_pct", loss_pct)
 
     @property
     def key(self) -> tuple:

@@ -5,9 +5,7 @@ nominal bit rate, quarter-wave monopole dimensioning.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
-from .core_types import CodingRate, RadioConfig
+from .core_types import CodingRate, RadioConfig, Value
 
 # Low-data-rate optimization is conventionally switched on once symbols
 # exceed 16 ms (it stabilises the modem against clock drift on long symbols).
@@ -28,36 +26,37 @@ class AirtimeConfigError(ValueError):
     """The configuration cannot be mapped onto the airtime formula."""
 
 
-@dataclass(frozen=True)
-class FrameParams:
+class FrameParams(Value):
     """Frame-level inputs to the airtime formula.
 
     Every frame has an explicit header and a payload CRC, as the reference
     nodes send them; low-data-rate optimization follows the symbol duration.
     """
 
-    payload_bytes: int
-    preamble_symbols: int = 8
+    __slots__ = ("payload_bytes", "preamble_symbols")
 
-    def __post_init__(self) -> None:
-        if self.payload_bytes < 0:
-            raise ValueError(f"payload_bytes must be >= 0, got {self.payload_bytes!r}")
-        if self.preamble_symbols < 0:
-            raise ValueError(f"preamble_symbols must be >= 0, got {self.preamble_symbols!r}")
+    def __init__(self, payload_bytes: int, preamble_symbols: int = 8) -> None:
+        if payload_bytes < 0:
+            raise ValueError(f"payload_bytes must be >= 0, got {payload_bytes!r}")
+        if preamble_symbols < 0:
+            raise ValueError(f"preamble_symbols must be >= 0, got {preamble_symbols!r}")
+        object.__setattr__(self, "payload_bytes", payload_bytes)
+        object.__setattr__(self, "preamble_symbols", preamble_symbols)
 
 
-@dataclass(frozen=True)
-class MonopoleDesign:
-    element_len_m: float
-    radial_len_m: float
-    radial_angle_deg: float
-    gain_dbi: float
+class MonopoleDesign(Value):
+    __slots__ = ("element_len_m", "radial_len_m", "radial_angle_deg", "gain_dbi")
 
-    def __post_init__(self) -> None:
-        if self.element_len_m <= 0:
-            raise ValueError(f"element_len_m must be positive, got {self.element_len_m!r}")
-        if self.radial_len_m <= self.element_len_m:
+    def __init__(self, element_len_m: float, radial_len_m: float, radial_angle_deg: float,
+                 gain_dbi: float) -> None:
+        if element_len_m <= 0:
+            raise ValueError(f"element_len_m must be positive, got {element_len_m!r}")
+        if radial_len_m <= element_len_m:
             raise ValueError("ground radials must be longer than the radiating element")
+        object.__setattr__(self, "element_len_m", element_len_m)
+        object.__setattr__(self, "radial_len_m", radial_len_m)
+        object.__setattr__(self, "radial_angle_deg", radial_angle_deg)
+        object.__setattr__(self, "gain_dbi", gain_dbi)
 
 
 def symbol_duration(config: RadioConfig) -> float:

@@ -12,9 +12,7 @@ coding rate of the table's CR sweep.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .core_types import CodingRate, LinkParams
+from .core_types import CodingRate, LinkParams, Value
 from .dataset import MeasurementRecord, MeasurementTable, evaluate_grid, lookup
 from .link_budget import LossBreakdown
 
@@ -25,8 +23,7 @@ class NoFeasibleConfigError(ValueError):
     """Every grid cell was excluded by the hard constraints."""
 
 
-@dataclass(frozen=True)
-class SelectionConstraints:
+class SelectionConstraints(Value):
     """Hard filters plus the metric ordering used to rank survivors.
 
     The default minimum bandwidth of 62.5 kHz excludes the two narrowest
@@ -34,24 +31,26 @@ class SelectionConstraints:
     links like the reference campaign; widen the search by lowering it.
     """
 
-    max_loss_pct: float = 0.0
-    min_bw_hz: float = 62500.0
-    tie_break_order: tuple[str, ...] = RANK_METRICS
+    __slots__ = ("max_loss_pct", "min_bw_hz", "tie_break_order")
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.max_loss_pct <= 100:
-            raise ValueError(f"max_loss_pct={self.max_loss_pct!r} outside [0, 100]")
-        if self.min_bw_hz <= 0:
-            raise ValueError(f"min_bw_hz must be positive, got {self.min_bw_hz!r}")
-        if not self.tie_break_order:
+    def __init__(self, max_loss_pct: float = 0.0, min_bw_hz: float = 62500.0,
+                 tie_break_order: tuple[str, ...] = RANK_METRICS) -> None:
+        if not 0 <= max_loss_pct <= 100:
+            raise ValueError(f"max_loss_pct={max_loss_pct!r} outside [0, 100]")
+        if min_bw_hz <= 0:
+            raise ValueError(f"min_bw_hz must be positive, got {min_bw_hz!r}")
+        if not tie_break_order:
             raise ValueError("tie_break_order must not be empty")
-        unknown = [m for m in self.tie_break_order if m not in RANK_METRICS]
+        unknown = [m for m in tie_break_order if m not in RANK_METRICS]
         if unknown:
             raise ValueError(
                 f"unknown tie-break metric(s) {unknown}; valid: {', '.join(RANK_METRICS)}"
             )
-        if len(set(self.tie_break_order)) != len(self.tie_break_order):
+        if len(set(tie_break_order)) != len(tie_break_order):
             raise ValueError("tie_break_order must not repeat metrics")
+        object.__setattr__(self, "max_loss_pct", max_loss_pct)
+        object.__setattr__(self, "min_bw_hz", min_bw_hz)
+        object.__setattr__(self, "tie_break_order", tie_break_order)
 
 
 def _rank_key(cell: tuple[MeasurementRecord, LossBreakdown], order: tuple[str, ...]):

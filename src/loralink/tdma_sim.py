@@ -30,11 +30,10 @@ materialise those streams, every kind included.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import partial
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .core_types import RadioConfig, format_decimal, parse_int
+from .core_types import RadioConfig, Value, format_decimal, parse_int
 from .dataset import MeasurementTable, lookup
 from .link_budget import packet_loss_pct
 from .phy_model import FrameParams, time_on_air
@@ -73,47 +72,49 @@ def parse_sync_word(text: str) -> int:
     return int(text, 16)
 
 
-@dataclass(frozen=True)
-class NodeSpec:
+class NodeSpec(Value):
     """One sensor node: identity, radio configuration, frame shape, drop probability.
 
     Its payloads are the seeded readings described in the module docstring.
     """
 
-    sync_word: int
-    config: RadioConfig
-    frame: FrameParams
-    drop_probability: float = 0.0
+    __slots__ = ("sync_word", "config", "frame", "drop_probability")
 
-    def __post_init__(self) -> None:
-        name = format_sync_word(self.sync_word)  # raises for a value outside 16 bits
-        if not 0.0 <= self.drop_probability <= 1.0:
+    def __init__(self, sync_word: int, config: RadioConfig, frame: FrameParams,
+                 drop_probability: float = 0.0) -> None:
+        name = format_sync_word(sync_word)  # raises for a value outside 16 bits
+        if not 0.0 <= drop_probability <= 1.0:
             raise ValueError(f"drop probability for {name} outside [0, 1]: "
-                             f"{self.drop_probability!r}")
+                             f"{drop_probability!r}")
+        object.__setattr__(self, "sync_word", sync_word)
+        object.__setattr__(self, "config", config)
+        object.__setattr__(self, "frame", frame)
+        object.__setattr__(self, "drop_probability", drop_probability)
 
 
-@dataclass(frozen=True)
-class SlotSchedule:
+class SlotSchedule(Value):
     """Round-robin plan: one equal slot per node, in order, separated by guard time."""
 
-    nodes: tuple[NodeSpec, ...]
-    slot_duration_s: float
-    guard_s: float
+    __slots__ = ("nodes", "slot_duration_s", "guard_s")
 
-    def __post_init__(self) -> None:
-        if not 0 < self.slot_duration_s < math.inf:
+    def __init__(self, nodes: tuple[NodeSpec, ...], slot_duration_s: float,
+                 guard_s: float) -> None:
+        if not 0 < slot_duration_s < math.inf:
             raise ValueError(
-                f"slot_duration_s must be positive and finite, got {self.slot_duration_s!r}"
+                f"slot_duration_s must be positive and finite, got {slot_duration_s!r}"
             )
-        if not 0 <= self.guard_s < math.inf:
-            raise ValueError(f"guard_s must be finite and >= 0, got {self.guard_s!r}")
-        if not self.nodes:
+        if not 0 <= guard_s < math.inf:
+            raise ValueError(f"guard_s must be finite and >= 0, got {guard_s!r}")
+        if not nodes:
             raise ValueError("a schedule needs at least one node")
         seen: set[int] = set()
-        for sync_word in (node.sync_word for node in self.nodes):
+        for sync_word in (node.sync_word for node in nodes):
             if sync_word in seen:
                 raise ScheduleConflictError(f"duplicate sync word {format_sync_word(sync_word)}")
             seen.add(sync_word)
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "slot_duration_s", slot_duration_s)
+        object.__setattr__(self, "guard_s", guard_s)
 
     @property
     def period_s(self) -> float:
@@ -129,11 +130,13 @@ class SimEvent(NamedTuple):
     detail: int | None = None
 
 
-@dataclass(frozen=True)
-class NodeStats:
-    packets_sent: int
-    packets_received: int
-    packets_lost: int
+class NodeStats(Value):
+    __slots__ = ("packets_sent", "packets_received", "packets_lost")
+
+    def __init__(self, packets_sent: int, packets_received: int, packets_lost: int) -> None:
+        object.__setattr__(self, "packets_sent", packets_sent)
+        object.__setattr__(self, "packets_received", packets_received)
+        object.__setattr__(self, "packets_lost", packets_lost)
 
     @property
     def measured_loss_pct(self) -> float:
@@ -142,16 +145,19 @@ class NodeStats:
         return packet_loss_pct(self.packets_lost, self.packets_sent)
 
 
-@dataclass(frozen=True)
-class SimReport:
+class SimReport(Value):
     """A whole simulation held in memory: event timeline plus per-node totals.
 
     run_simulation and parse_report build one from the iter_events and
     iter_report streams, for tests and library callers that want it all.
     """
 
-    timeline: tuple[SimEvent, ...]
-    stats: tuple[tuple[int, NodeStats], ...]  # (sync_word, stats) in schedule order
+    __slots__ = ("timeline", "stats")
+
+    def __init__(self, timeline: tuple[SimEvent, ...],
+                 stats: tuple[tuple[int, NodeStats], ...]) -> None:
+        object.__setattr__(self, "timeline", timeline)
+        object.__setattr__(self, "stats", stats)  # (sync_word, stats) in schedule order
 
     def node_stats(self, sync_word: int) -> NodeStats:
         for word, stats in self.stats:
@@ -313,28 +319,22 @@ def serialize_report(report: SimReport) -> str:
     return "".join(report_lines(report.timeline, report.stats))
 
 
-_SUMMARY_KEYS = ("sent=", "received=", "lost=", "loss_pct=")
-
-
 def _add_summary(summary: dict[int, tuple[int, NodeStats]], parts: list[str],
                  line_no: int, raw: str) -> tuple[int, NodeStats]:
     """Parse one 'node' line into summary (sync -> (line_no, stats)).
 
-    The line must be what summary_line writes: its six tokens in order,
-    with loss_pct formatted from the three counts.
+    The line must be what summary_line writes, token for token: the sync
+    word in uppercase, each count as str(n), loss_pct from the counts.
     """
     line = raw.strip()
     if len(parts) != 6:
         raise ValueError(f"line {line_no}: malformed summary line {line!r}")
     sync = parse_sync_word(parts[1])
-    fields = [part.partition("=") for part in parts[2:]]
     try:
-        if tuple(key + sep for key, sep, _ in fields) != _SUMMARY_KEYS:
-            raise ValueError("summary tokens out of order")
-        node = NodeStats(*(parse_int(value) for _, _, value in fields[:3]))
+        node = NodeStats(*(parse_int(part.partition("=")[2]) for part in parts[2:5]))
         # measured_loss_pct refuses lost outside 0..sent
-        if fields[3][2] != format_decimal(node.measured_loss_pct):
-            raise ValueError("loss_pct disagrees with the counts")
+        if summary_line(sync, node).split() != parts:
+            raise ValueError("not the line summary_line writes")
     except ValueError as exc:
         raise ValueError(f"line {line_no}: malformed summary line {line!r}") from exc
     if sync in summary:
@@ -373,11 +373,12 @@ def iter_report(
     they are read. A name in `kinds` that is no event kind raises
     ValueError here, before any line is read. The generator raises
     ValueError when a line is malformed (numbers are ASCII digits, with no
-    '_' or '+'), a timestamp decreases, an event follows the summary block,
-    or the summary block (when there is one) misses a node that has
-    events, repeats a node, or disagrees with the events: sent must be the
-    node's tx_start count, received its rx_ok count and lost their
-    difference.
+    '_' or '+'; sync words are 4 uppercase hex digits), a timestamp
+    decreases, an event follows the summary block, a summary line is not
+    as summary_line writes it, or the summary block (when there is one)
+    misses a node that has events, repeats a node, or disagrees with the
+    events: sent must be the node's tx_start count, received its rx_ok
+    count and lost their difference.
     """
     wanted = frozenset(kinds)
     if not wanted.issubset(EVENT_KINDS):
@@ -435,6 +436,9 @@ def _report_events(lines, stats, wanted):
         word = words.get(sync_text)
         if word is None:
             sync = parse_sync_word(sync_text)
+            if sync_text != format_sync_word(sync):
+                raise ValueError(f"line {line_no}: sync word must be 4 uppercase hex digits, "
+                                 f"got {sync_text!r}")
             word = words[sync_text] = (sync, tallies.setdefault(sync, [0, 0]))
         sync, tally = word
         slot, built = role

@@ -19,7 +19,6 @@ tests/test_dataset.py and tests/test_cli.py.
 import itertools
 import math
 import random
-from dataclasses import replace
 from datetime import datetime, timezone
 
 import pytest
@@ -91,7 +90,7 @@ class TestCriterion1TableReconstruction:
         expected = load_expected_grid()
 
         def max_dev(pt: float) -> float:
-            grid = reconstruct_excess_loss(table, replace(CAMPAIGN, tx_power_dbm=pt))
+            grid = reconstruct_excess_loss(table, LinkParams(tx_power_dbm=pt))
             return max(
                 abs(grid[i][j] - expected[i][j])
                 for i in range(6)

@@ -507,7 +507,10 @@ class TestFailBeforeOutput:
         ("node A001 sent=1 received=1 lost=0 loss_pct=99", EXIT_DATA),
         ("node A001 sent=7 sent=1 received=1 lost=0", EXIT_DATA),
         ("node A001 sent=1 received=1 lost=0 bogus", EXIT_DATA),
-    ], ids=["as-written", "loss-pct", "repeated-sent", "bogus"])
+        ("node a001 sent=1 received=1 lost=0 loss_pct=0", EXIT_DATA),
+        ("node A001 sent=1 received=01 lost=0 loss_pct=0", EXIT_DATA),
+    ], ids=["as-written", "loss-pct", "repeated-sent", "bogus", "lowercase-sync-word",
+            "zero-padded-count"])
     def test_uplink_checks_each_summary_token(self, capsys, tmp_path, summary, code):
         report = tmp_path / "report.txt"
         report.write_text("0 slot_open A001\n0 tx_start A001 84\n115 tx_end A001\n"
@@ -727,6 +730,15 @@ class TestParserBasics:
     def test_import_leaves_the_http_stack_unloaded(self):
         probe = ("import sys, loralink, loralink.cli; "
                  "print(sorted(m for m in ('http.client', 'ssl', 'email') if m in sys.modules))")
+        src = str(Path(loralink.__file__).parents[1])
+        done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                              check=True, timeout=60, env={**os.environ, "PYTHONPATH": src})
+        assert done.stdout.strip() == "[]"
+
+    def test_import_leaves_dataclasses_and_inspect_unloaded(self):
+        # the value types are __slots__ classes; dataclasses would load both
+        probe = ("import sys, loralink, loralink.cli; "
+                 "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))")
         src = str(Path(loralink.__file__).parents[1])
         done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                               check=True, timeout=60, env={**os.environ, "PYTHONPATH": src})

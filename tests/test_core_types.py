@@ -1,7 +1,8 @@
+import copy
 import itertools
 import math
+import pickle
 import sys
-from dataclasses import fields
 from decimal import Decimal
 
 import pytest
@@ -24,6 +25,73 @@ from loralink.core_types import (
     parse_int,
     validate_measurement_grid,
 )
+from loralink.dataset import MeasurementRecord
+from loralink.phy_model import FrameParams, MonopoleDesign
+from loralink.recommender import SelectionConstraints
+from loralink.tdma_sim import NodeSpec, NodeStats, SimReport, SlotSchedule
+
+_NODE = NodeSpec(0xA001, RadioConfig(8, 62500, CodingRate(4, 8)), FrameParams(2), 0.5)
+_NODE_TEXT = ("NodeSpec(sync_word=40961, config=RadioConfig(sf=8, bw_hz=62500, "
+              "cr=CodingRate(num=4, den=8)), frame=FrameParams(payload_bytes=2, "
+              "preamble_symbols=8), drop_probability=0.5)")
+
+# every value type: its fields by keyword, in order, and the repr a frozen dataclass gave
+VALUE_TYPES = [
+    (CodingRate, {"num": 4, "den": 8}, "CodingRate(num=4, den=8)"),
+    (RadioConfig, {"sf": 8, "bw_hz": 62500, "cr": CodingRate(4, 8)},
+     "RadioConfig(sf=8, bw_hz=62500, cr=CodingRate(num=4, den=8))"),
+    (LinkParams, {"tx_power_dbm": 20.0, "gt_dbi": 5.15, "gr_dbi": 5.15, "distance_m": 5000.0,
+                  "freq_hz": 433_000_000, "c_mps": 3.0e8},
+     "LinkParams(tx_power_dbm=20.0, gt_dbi=5.15, gr_dbi=5.15, distance_m=5000.0, "
+     "freq_hz=433000000, c_mps=300000000.0)"),
+    (SignalSample, {"rssi_dbm": -92.8, "snr_db": 8.4}, "SignalSample(rssi_dbm=-92.8, snr_db=8.4)"),
+    (MeasurementRecord, {"sf": 8, "bw_hz": 62500, "cr": None, "rssi_dbm": -92.8, "snr_db": 8.4,
+                         "loss_pct": 0.0},
+     "MeasurementRecord(sf=8, bw_hz=62500, cr=None, rssi_dbm=-92.8, snr_db=8.4, loss_pct=0.0)"),
+    (FrameParams, {"payload_bytes": 2, "preamble_symbols": 8},
+     "FrameParams(payload_bytes=2, preamble_symbols=8)"),
+    (MonopoleDesign, {"element_len_m": 0.165, "radial_len_m": 0.184, "radial_angle_deg": 45.0,
+                      "gain_dbi": 5.15},
+     "MonopoleDesign(element_len_m=0.165, radial_len_m=0.184, radial_angle_deg=45.0, "
+     "gain_dbi=5.15)"),
+    (SelectionConstraints, {"max_loss_pct": 0.0, "min_bw_hz": 62500.0,
+                            "tie_break_order": ("snr", "excess_loss", "rssi")},
+     "SelectionConstraints(max_loss_pct=0.0, min_bw_hz=62500.0, "
+     "tie_break_order=('snr', 'excess_loss', 'rssi'))"),
+    (NodeSpec, {"sync_word": 0xA001, "config": _NODE.config, "frame": _NODE.frame,
+                "drop_probability": 0.5}, _NODE_TEXT),
+    (SlotSchedule, {"nodes": (_NODE,), "slot_duration_s": 0.5, "guard_s": 0.1},
+     f"SlotSchedule(nodes=({_NODE_TEXT},), slot_duration_s=0.5, guard_s=0.1)"),
+    (NodeStats, {"packets_sent": 5, "packets_received": 4, "packets_lost": 1},
+     "NodeStats(packets_sent=5, packets_received=4, packets_lost=1)"),
+    (SimReport, {"timeline": (), "stats": ()}, "SimReport(timeline=(), stats=())"),
+]
+
+
+@pytest.mark.parametrize("cls, fields, text", VALUE_TYPES,
+                         ids=[cls.__name__ for cls, _, _ in VALUE_TYPES])
+def test_value_type_behaves_as_a_frozen_dataclass(cls, fields, text):
+    value = cls(**fields)
+    values = tuple(fields.values())
+    assert value == cls(*values)
+    assert hash(value) == hash(cls(*values)) == hash(values)
+    assert value != values and values != value  # not a tuple
+    assert repr(value) == text
+    assert copy.copy(value) == value == pickle.loads(pickle.dumps(value))
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(value, name, values[0])
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+        assert getattr(value, name) == fields[name]
+    with pytest.raises(AttributeError):
+        value.extra = 1
+
+
+def test_values_of_two_types_with_equal_fields_differ():
+    assert FrameParams(2, 8) != CodingRate(2, 8)
+    assert CodingRate(2, 8) != FrameParams(2, 8)
+    assert NodeStats(1, 1, 0) != RadioConfig(1, 1, CodingRate(1))
 
 
 def make_config(sf=8, bw_hz=62500, cr=CodingRate(4, 8)):
@@ -133,7 +201,7 @@ class TestMeasurementGrid:
 
     def test_tx_power_and_frequency_are_unconstrained(self):
         # both belong to the link, not to the (SF, BW, CR) cell the grid checks
-        assert [field.name for field in fields(RadioConfig)] == ["sf", "bw_hz", "cr"]
+        assert RadioConfig.__slots__ == ("sf", "bw_hz", "cr")
         validate_measurement_grid(make_config())
         LinkParams(tx_power_dbm=-3.5, freq_hz=868e6)
 

@@ -477,8 +477,11 @@ class TestReportChecks:
         "node A001 sent=1 received=1 lost=0 loss_pct=0.0",
         "node A001 sent=1 received=-1 lost=2 loss_pct=200",  # lost > sent
         "node A001 sent=-1 received=-1 lost=0 loss_pct=0",
+        "node a001 sent=1 received=1 lost=0 loss_pct=0",
+        "node A001 sent=01 received=1 lost=0 loss_pct=0",
+        "node A001 sent=1 received=1 lost=-0 loss_pct=0",
     ], ids=["loss-pct", "repeated-sent", "bogus", "order", "loss-pct-text", "lost-over-sent",
-            "negative-sent"])
+            "negative-sent", "lowercase-sync-word", "zero-padded-count", "minus-zero-count"])
     def test_a_summary_line_must_read_as_summary_line_writes_it(self, summary):
         text = f"0 slot_open A001\n0 tx_start A001 84\n5 rx_ok A001 84\n{summary}\n"
         message = f"line 4: malformed summary line {summary!r}"
@@ -489,6 +492,19 @@ class TestReportChecks:
             with pytest.raises(ValueError) as caught:
                 list(iter_report(text.splitlines(), kinds=kinds))
             assert str(caught.value) == message
+
+    @pytest.mark.parametrize("line, word", [
+        ("5 tx_end a001", "a001"),  # A001 is already known from lines 1 and 2
+        ("5 tx_end A00f", "A00f"),
+        ("5 slot_open b002", "b002"),  # a node first seen in lowercase
+    ], ids=["lowercase-known-node", "mixed-case", "lowercase-new-node"])
+    def test_a_sync_word_must_read_as_format_sync_word_writes_it(self, line, word):
+        text = f"0 slot_open A001\n0 tx_start A001 84\n{line}\n"
+        for kinds in (EVENT_KINDS, ("rx_ok",)):
+            with pytest.raises(ValueError) as caught:
+                list(iter_report(text.splitlines(), kinds=kinds))
+            assert str(caught.value) == (
+                f"line 3: sync word must be 4 uppercase hex digits, got {word!r}")
 
     @pytest.mark.parametrize("sent, received", [(1, 1), (3, 2), (3, 0), (0, 0), (7, 3)])
     def test_summary_lines_read_back(self, sent, received):

@@ -16,7 +16,7 @@ import os
 import sys
 from contextlib import contextmanager
 from datetime import datetime, timezone
-from functools import cache, partial
+from functools import cache
 from typing import Sequence
 
 from .core_types import (
@@ -53,6 +53,7 @@ from .tdma_sim import (
     format_sync_word,
     iter_events,
     iter_report,
+    iter_slots,
     parse_sync_word,
     read_summary,
     report_lines,
@@ -513,14 +514,14 @@ def cmd_simulate(args) -> int:
     nodes = tuple(NodeSpec(0xA001 + i, config, frame, p) for i, p in enumerate(drops))
     slot_s = args.slot_s if args.slot_s is not None else default_slot_duration(nodes)
     schedule = SlotSchedule(nodes, slot_s, args.guard_s)
-    simulate = partial(iter_events, schedule, args.duration_s, args.seed,
-                       frames_per_slot=args.frames_per_slot, handshake_s=args.handshake_s)
+    run = dict(schedule=schedule, duration_s=args.duration_s, seed=args.seed,
+               frames_per_slot=args.frames_per_slot, handshake_s=args.handshake_s)
     stats: list[tuple[int, NodeStats]] = []
-    events = simulate(stats=stats)  # checks the run before any output exists
+    slots = iter_slots(**run, stats=stats)  # checks the run before any output exists
     if args.uplink_log is not None:
         key_map = _default_key_map([node.sync_word for node in nodes])
         # the log replays the deterministic simulation instead of keeping the report
-        updates = iter_bridge(simulate(), key_map)
+        updates = iter_bridge(iter_events(**run), key_map)
 
     manifest = _manifest_line("simulate", {
         "nodes": args.nodes, "sync_words": ",".join(format_sync_word(n.sync_word) for n in nodes),
@@ -533,7 +534,7 @@ def cmd_simulate(args) -> int:
     })
     with _open_output(args.output) as out:
         print(manifest, file=out)
-        out.writelines(report_lines(events, stats))
+        out.writelines(report_lines(slots, stats))
     if args.output not in (None, "-"):
         # keep the summary visible on stdout when the report goes to a file
         print(manifest)

@@ -7,7 +7,8 @@ one-line contract that any implementation can reproduce:
     output_i    = mix64(state_{i+1})
 
 where mix64 is the standard SplitMix64 finalizer (xor-shift/multiply chain
-below). Uniform [0, 1) doubles take the top 53 bits of an output over 2^53.
+below), so output n (from 1) of the stream seeded s is mix64(s + n * GOLDEN64),
+computed directly. Uniform [0, 1) doubles take the top 53 bits of an output over 2^53.
 """
 
 from __future__ import annotations
@@ -22,23 +23,6 @@ def mix64(x: int) -> int:
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
     x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & MASK64
     return x ^ (x >> 31)
-
-
-class SplitMix64:
-    """Sequential SplitMix64 stream."""
-
-    __slots__ = ("_state",)
-
-    def __init__(self, seed: int) -> None:
-        self._state = seed & MASK64
-
-    def next_u64(self) -> int:
-        self._state = (self._state + GOLDEN64) & MASK64
-        return mix64(self._state)
-
-    def next_unit(self) -> float:
-        """Uniform double in [0, 1)."""
-        return (self.next_u64() >> 11) * 2.0 ** -53
 
 
 def substream_seed(seed: int, stream_id: int, tag: int) -> int:

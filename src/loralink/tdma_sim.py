@@ -18,19 +18,19 @@ Changing only the seed changes drop outcomes and payload values but never
 the transmission timeline, which is fixed by the schedule: a SlotSchedule
 holds the NodeSpecs in slot order, each with its own drop probability.
 
-The pipeline streams: iter_events produces the timeline one event at a
-time, report_lines turns any event stream into report text, and
-iter_report reads report text back into events, so no stage holds more
-than one event. iter_report checks every line but builds only the event
-kinds its caller asks for: the uplink bridge asks for rx_ok alone.
-run_simulation, serialize_report and parse_report are thin wrappers that
-materialise those streams, every kind included.
+The pipeline streams, one slot at a time: iter_slots produces the timeline
+as slot records, report_lines writes each record with one %-template from a
+bounded memo, iter_events flattens the same records into events, and
+iter_report reads report text back into events. iter_report checks every
+line but builds only the event kinds its caller asks for: the uplink bridge
+asks for rx_ok alone. run_simulation, serialize_report and parse_report are
+thin wrappers that materialise those streams, every kind included.
 """
 
 from __future__ import annotations
 
 import math
-from functools import partial
+from functools import lru_cache, partial
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .core_types import RadioConfig, Value, format_decimal, parse_int
@@ -45,6 +45,14 @@ _DROP_STREAM_TAG = 1
 _PAYLOAD_STREAM_TAG = 2
 
 NS_PER_S = 1_000_000_000
+
+# (kind, carries_detail) pairs: a slot's shape is _OPEN, a frame triple per frame, _CLOSE
+_OPEN = (("slot_open", False),)
+_FRAME_OK = (("tx_start", True), ("tx_end", False), ("rx_ok", True))
+_FRAME_DROP = (("tx_start", True), ("tx_end", False), ("rx_drop", True))
+_CLOSE = (("slot_close", False),)
+TEMPLATE_MEMO_SIZE = 256  # report templates kept, one per (sync word, shape)
+TEMPLATE_MEMO_LINES = 200  # longer templates are rebuilt per slot, so the memo stays small
 
 
 class ScheduleConflictError(ValueError):
@@ -130,6 +138,9 @@ class SimEvent(NamedTuple):
     detail: int | None = None
 
 
+SlotRecord = tuple[int, tuple[tuple[str, bool], ...], tuple[int, ...]]
+
+
 class NodeStats(Value):
     __slots__ = ("packets_sent", "packets_received", "packets_lost")
 
@@ -192,10 +203,10 @@ def _ns(seconds: float, name: str) -> int:
     return round(ns)
 
 
-def iter_events(schedule: SlotSchedule, duration_s: float, seed: int, *,
-                frames_per_slot: int = 1, handshake_s: float = 0.0,
-                stats: list[tuple[int, NodeStats]] | None = None) -> Iterator[SimEvent]:
-    """Check a run, then return the generator of its timeline events.
+def iter_slots(schedule: SlotSchedule, duration_s: float, seed: int, *,
+               frames_per_slot: int = 1, handshake_s: float = 0.0,
+               stats: list[tuple[int, NodeStats]] | None = None) -> Iterator[SlotRecord]:
+    """Check a run, then return the generator of its slot records.
 
     The virtual clock runs from 0 to duration_s. Every slot that opens
     before duration_s runs to completion. Within a slot the owning node
@@ -204,10 +215,13 @@ def iter_events(schedule: SlotSchedule, duration_s: float, seed: int, *,
     node's drop_probability. Identical inputs (seed included) produce an
     identical stream.
 
-    Every check raises here, before the first event exists. When the
-    generator is exhausted it appends (sync_word, NodeStats) for each node,
-    in schedule order, to `stats` if one is given. Memory does not grow
-    with duration_s.
+    A record is (sync_word, shape, values), one per slot: shape holds a
+    (kind, carries_detail) pair per event of the slot, in order, and values
+    the slot's integers in line order (each event's t_ns, then its detail
+    if it carries one). Every check raises here, before the first record
+    exists. When the generator is exhausted it appends (sync_word,
+    NodeStats) for each node, in schedule order, to `stats` if one is
+    given. Memory does not grow with duration_s.
     """
     if not 0 < duration_s < math.inf:
         raise ValueError(f"duration_s must be positive and finite, got {duration_s!r}")
@@ -237,32 +251,31 @@ def iter_events(schedule: SlotSchedule, duration_s: float, seed: int, *,
                      substream_seed(seed, sync, _DROP_STREAM_TAG),
                      node.drop_probability * 2.0 ** 53))
     stride_ns = slot_ns + _ns(schedule.guard_s, "guard_s")
-    return _timeline(plan, slot_ns, stride_ns, handshake_ns, _ns(duration_s, "duration_s"),
-                     frames_per_slot, stats)
+    return _slots(plan, slot_ns, stride_ns, handshake_ns, _ns(duration_s, "duration_s"),
+                  frames_per_slot, stats)
 
 
-def _timeline(plan, slot_ns, stride_ns, handshake_ns, duration_ns, frames_per_slot, stats):
-    event = partial(tuple.__new__, SimEvent)  # SimEvent(...) minus its Python-level call
+def _slots(plan, slot_ns, stride_ns, handshake_ns, duration_ns, frames_per_slot, stats):
     sent = [0] * len(plan)
     received = [0] * len(plan)
     position = open_ns = 0
     while open_ns < duration_ns:
         sync, base, airtime_ns, drop_base, limit = plan[position]
-        yield event((open_ns, "slot_open", sync, None))
+        shape, values = _OPEN, (open_ns,)
         t = open_ns + handshake_ns
         for _ in range(frames_per_slot):
             n = sent[position] = sent[position] + 1
             payload = 2 + mix64(base + n * GOLDEN64) % 399
-            yield event((t, "tx_start", sync, payload))
-            t += airtime_ns
-            yield event((t, "tx_end", sync, None))
+            end = t + airtime_ns
             # a node with p = 0 skips its draws: draw n depends on n alone
             if limit and mix64(drop_base + n * GOLDEN64) >> 11 < limit:
-                yield event((t, "rx_drop", sync, payload))
+                shape += _FRAME_DROP
             else:
                 received[position] += 1
-                yield event((t, "rx_ok", sync, payload))
-        yield event((open_ns + slot_ns, "slot_close", sync, None))
+                shape += _FRAME_OK
+            values += (t, payload, end, end, payload)
+            t = end
+        yield sync, shape + _CLOSE, values + (open_ns + slot_ns,)
         open_ns += stride_ns
         position += 1
         if position == len(plan):
@@ -272,6 +285,22 @@ def _timeline(plan, slot_ns, stride_ns, handshake_ns, duration_ns, frames_per_sl
             (entry[0], NodeStats(n_sent, n_received, n_sent - n_received))
             for entry, n_sent, n_received in zip(plan, sent, received)
         )
+
+
+def iter_events(schedule: SlotSchedule, duration_s: float, seed: int, *,
+                frames_per_slot: int = 1, handshake_s: float = 0.0,
+                stats: list[tuple[int, NodeStats]] | None = None) -> Iterator[SimEvent]:
+    """Check a run, then return the generator of its iter_slots records as SimEvents."""
+    return _events(iter_slots(schedule, duration_s, seed, frames_per_slot=frames_per_slot,
+                              handshake_s=handshake_s, stats=stats))
+
+
+def _events(slots):
+    event = partial(tuple.__new__, SimEvent)  # SimEvent(...) minus its Python-level call
+    for sync, shape, values in slots:
+        value = iter(values).__next__
+        for kind, carries_detail in shape:
+            yield event((value(), kind, sync, value() if carries_detail else None))
 
 
 def run_simulation(schedule: SlotSchedule, duration_s: float, seed: int, *,
@@ -292,31 +321,47 @@ def summary_line(sync_word: int, stats: NodeStats) -> str:
     )
 
 
-def report_lines(
-    events: Iterable[SimEvent], stats: Iterable[tuple[int, NodeStats]]
-) -> Iterator[str]:
-    """The text form of a report, one newline-terminated line at a time.
+@lru_cache(maxsize=TEMPLATE_MEMO_SIZE)
+def _template(sync_word: int, shape: tuple[tuple[str, bool], ...]) -> str:
+    """The %-template of one slot record's lines; values fill its %s fields."""
+    name = format_sync_word(sync_word)
+    return "".join(f"%s {kind.replace('%', '%%')} {name}{' %s' if carries_detail else ''}\n"
+                   for kind, carries_detail in shape)
 
-    One line per event, then one summary line per node. `stats` is read
-    only after the last event, so it may be the list that iter_events
-    fills as it is exhausted. Byte-stable for identical inputs.
+
+def report_lines(
+    slots: Iterable[SlotRecord], stats: Iterable[tuple[int, NodeStats]]
+) -> Iterator[str]:
+    """The text form of a report: one string per slot record, then one
+    summary line per node, each newline-terminated.
+
+    A record's lines are `t_ns kind SYNC` or `t_ns kind SYNC detail`, one
+    per event. Each distinct (sync word, shape) is written by one %-template
+    from a memo of at most TEMPLATE_MEMO_SIZE entries of at most
+    TEMPLATE_MEMO_LINES lines; a longer one is built anew. `stats` is read only
+    after the last record, so it may be the list that iter_slots fills as
+    it is exhausted. An event stream is written through event_records.
+    Byte-stable for identical inputs.
     """
-    names: dict[int, str] = {}
-    for t_ns, kind, sync, detail in events:
-        name = names.get(sync)
-        if name is None:
-            name = names[sync] = format_sync_word(sync)
-        if detail is None:
-            yield f"{t_ns} {kind} {name}\n"
-        else:
-            yield f"{t_ns} {kind} {name} {detail}\n"
+    for sync, shape, values in slots:
+        template = _template if len(shape) <= TEMPLATE_MEMO_LINES else _template.__wrapped__
+        yield template(sync, shape) % values
     for sync, node in stats:
         yield summary_line(sync, node) + "\n"
 
 
+def event_records(events: Iterable[SimEvent]) -> Iterator[SlotRecord]:
+    """Each event as a one-line record for report_lines, detail or not."""
+    for t_ns, kind, sync, detail in events:
+        if detail is None:
+            yield sync, ((kind, False),), (t_ns,)
+        else:
+            yield sync, ((kind, True),), (t_ns, detail)
+
+
 def serialize_report(report: SimReport) -> str:
     """The whole of report_lines for a SimReport, as one string."""
-    return "".join(report_lines(report.timeline, report.stats))
+    return "".join(report_lines(event_records(report.timeline), report.stats))
 
 
 def _add_summary(summary: dict[int, tuple[int, NodeStats]], parts: list[str],

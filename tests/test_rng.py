@@ -1,4 +1,22 @@
-from loralink.rng import GOLDEN64, MASK64, SplitMix64, mix64, substream_seed
+from loralink.rng import GOLDEN64, MASK64, mix64, substream_seed
+
+
+class SplitMix64:
+    """Sequential SplitMix64 stream: the oracle for the counter-based draws
+    mix64(seed + n * GOLDEN64) that the simulator makes."""
+
+    __slots__ = ("_state",)
+
+    def __init__(self, seed: int) -> None:
+        self._state = seed & MASK64
+
+    def next_u64(self) -> int:
+        self._state = (self._state + GOLDEN64) & MASK64
+        return mix64(self._state)
+
+    def next_unit(self) -> float:
+        """Uniform double in [0, 1)."""
+        return (self.next_u64() >> 11) * 2.0 ** -53
 
 
 class TestSplitMix64:

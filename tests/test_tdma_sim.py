@@ -2,18 +2,25 @@ import hashlib
 import io
 import math
 import random
+import tracemalloc
+from collections import deque
+from functools import partial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loralink import tdma_sim
 from loralink.cli import EXIT_OK, main
-from loralink.core_types import CodingRate, RadioConfig
+from loralink.core_types import BW_HZ_VALUES, SF_VALUES, CodingRate, RadioConfig
 from loralink.phy_model import FrameParams, time_on_air
-from loralink.rng import SplitMix64, substream_seed
+from loralink.rng import GOLDEN64, mix64, substream_seed
 from loralink.tdma_sim import (
     EVENT_KINDS,
+    TEMPLATE_MEMO_SIZE,
     InfeasibleSlotError,
     NodeSpec,
+    NodeStats,
     ScheduleConflictError,
     SimEvent,
     SlotSchedule,
@@ -22,12 +29,16 @@ from loralink.tdma_sim import (
     format_sync_word,
     iter_events,
     iter_report,
+    iter_slots,
     parse_report,
     parse_sync_word,
     read_summary,
+    report_lines,
     run_simulation,
     serialize_report,
+    summary_line,
 )
+from test_rng import SplitMix64
 
 FAST_CONFIG = RadioConfig(sf=7, bw_hz=500000, cr=CodingRate(4, 8))
 FRAME = FrameParams(payload_bytes=2)
@@ -48,6 +59,74 @@ def drop_draws(seed, sync_word, count):
     sequential SplitMix64 form."""
     stream = SplitMix64(substream_seed(seed, sync_word, 1))
     return [stream.next_unit() for _ in range(count)]
+
+
+# The reference for the slot records: the event-at-a-time timeline and the
+# per-line writer they replaced, with the plan that fed the timeline.
+
+def oracle_events(schedule, duration_s, seed, *, frames_per_slot=1, handshake_s=0.0,
+                  stats=None):
+    _ns = tdma_sim._ns
+    slot_ns = _ns(schedule.slot_duration_s, "slot_duration_s")
+    handshake_ns = _ns(handshake_s, "handshake_s")
+    plan = []
+    for node in schedule.nodes:
+        sync = node.sync_word
+        airtime_ns = _ns(time_on_air(node.config, node.frame), "airtime")
+        plan.append((sync, substream_seed(seed, sync, 2), airtime_ns,
+                     substream_seed(seed, sync, 1), node.drop_probability * 2.0 ** 53))
+    stride_ns = slot_ns + _ns(schedule.guard_s, "guard_s")
+    return oracle_timeline(plan, slot_ns, stride_ns, handshake_ns,
+                           _ns(duration_s, "duration_s"), frames_per_slot, stats)
+
+
+def oracle_timeline(plan, slot_ns, stride_ns, handshake_ns, duration_ns, frames_per_slot,
+                    stats):
+    event = partial(tuple.__new__, SimEvent)  # SimEvent(...) minus its Python-level call
+    sent = [0] * len(plan)
+    received = [0] * len(plan)
+    position = open_ns = 0
+    while open_ns < duration_ns:
+        sync, base, airtime_ns, drop_base, limit = plan[position]
+        yield event((open_ns, "slot_open", sync, None))
+        t = open_ns + handshake_ns
+        for _ in range(frames_per_slot):
+            n = sent[position] = sent[position] + 1
+            payload = 2 + mix64(base + n * GOLDEN64) % 399
+            yield event((t, "tx_start", sync, payload))
+            t += airtime_ns
+            yield event((t, "tx_end", sync, None))
+            # a node with p = 0 skips its draws: draw n depends on n alone
+            if limit and mix64(drop_base + n * GOLDEN64) >> 11 < limit:
+                yield event((t, "rx_drop", sync, payload))
+            else:
+                received[position] += 1
+                yield event((t, "rx_ok", sync, payload))
+        yield event((open_ns + slot_ns, "slot_close", sync, None))
+        open_ns += stride_ns
+        position += 1
+        if position == len(plan):
+            position = 0
+    if stats is not None:
+        stats.extend(
+            (entry[0], NodeStats(n_sent, n_received, n_sent - n_received))
+            for entry, n_sent, n_received in zip(plan, sent, received)
+        )
+
+
+def oracle_report_lines(events, stats):
+    names = {}
+    for t_ns, kind, sync, detail in events:
+        name = names.get(sync)
+        if name is None:
+            name = names[sync] = format_sync_word(sync)
+        if detail is None:
+            yield f"{t_ns} {kind} {name}\n"
+        else:
+            yield f"{t_ns} {kind} {name} {detail}\n"
+    for sync, node in stats:
+        yield summary_line(sync, node) + "\n"
+
 
 
 class TestSyncWords:
@@ -259,6 +338,8 @@ class TestRunSimulation:
         kwargs.update(change)
         with pytest.raises(ValueError):
             iter_events(**kwargs)  # raises on the call, before any next()
+        with pytest.raises(ValueError):
+            iter_slots(**kwargs)
 
     def test_iter_events_fills_stats_when_exhausted(self):
         schedule = SlotSchedule(make_nodes(2, drops=[0.5]), 0.1, 0.0)
@@ -348,6 +429,91 @@ class TestDropDraws:
         assert 0 < sum(outcomes[boundary]) < self.FRAMES
 
 
+@st.composite
+def simulation_runs(draw):
+    """(schedule, duration_s, seed, flags) over the inputs a slot's lines depend on."""
+    count = draw(st.integers(1, 6))
+    syncs = draw(st.lists(st.integers(0, 0xFFFF), min_size=count, max_size=count, unique=True))
+    probability = st.sampled_from((0.0, 1.0)) | st.floats(0.0, 1.0)
+    nodes = tuple(
+        NodeSpec(sync, RadioConfig(draw(st.sampled_from(SF_VALUES)),
+                                   draw(st.sampled_from(BW_HZ_VALUES)), CodingRate(4, 8)),
+                 FrameParams(draw(st.integers(0, 64)), draw(st.integers(0, 16))),
+                 draw(probability))
+        for sync in syncs)
+    frames = draw(st.integers(1, 6))
+    handshake_s = draw(st.just(0.0) | st.floats(0.0, 0.5))
+    longest = max(time_on_air(node.config, node.frame) for node in nodes)
+    slot_s = handshake_s + frames * longest + draw(st.floats(1e-6, 0.5))
+    schedule = SlotSchedule(nodes, slot_s, draw(st.just(0.0) | st.floats(0.0, 0.1)))
+    duration_s = schedule.period_s * draw(st.floats(0.01, 3.0))
+    flags = dict(frames_per_slot=frames, handshake_s=handshake_s)
+    return schedule, duration_s, draw(st.integers(0, 2**64 - 1)), flags
+
+
+class TestSlotRecords:
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(simulation_runs())
+    def test_slot_records_match_the_event_oracle(self, run):
+        schedule, duration_s, seed, flags = run
+        stats, want_stats = [], []
+        text = "".join(report_lines(
+            iter_slots(schedule, duration_s, seed, stats=stats, **flags), stats))
+        want = "".join(oracle_report_lines(
+            oracle_events(schedule, duration_s, seed, stats=want_stats, **flags), want_stats))
+        assert text == want
+        assert stats == want_stats
+        assert (list(iter_events(schedule, duration_s, seed, **flags))
+                == list(oracle_events(schedule, duration_s, seed, **flags)))
+
+    def test_template_memo_is_bounded_and_memory_flat_at_many_frames_per_slot(self):
+        # at 10 frames a slot and p = 0.5 each node has 1024 equally likely
+        # shapes, so the 8 nodes' (sync word, shape) keys rarely repeat
+        nodes = make_nodes(8, [0.5] * 8)
+        schedule = SlotSchedule(nodes, 10 * time_on_air(FAST_CONFIG, FRAME) + 0.001, 0.0)
+
+        def drain(periods, seed):
+            stats = []
+            slots = iter_slots(schedule, schedule.period_s * periods, seed, frames_per_slot=10,
+                               stats=stats)
+            deque(report_lines(slots, stats), maxlen=0)
+
+        def growth_bytes(periods):
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            drain(periods, 5)
+            return tracemalloc.get_traced_memory()[1] - before
+
+        tdma_sim._template.cache_clear()
+        tracemalloc.start()  # before the memo fills, so each eviction counts as freed
+        try:
+            drain(50, 6)  # fills the memo, so each run below evicts as it adds
+            once, four_times = growth_bytes(12), growth_bytes(48)
+        finally:
+            tracemalloc.stop()
+        memo = tdma_sim._template.cache_info()
+        assert memo.maxsize == TEMPLATE_MEMO_SIZE
+        # the fill has 400 slots, so the runs measured missed more often than the memo holds
+        assert memo.currsize == TEMPLATE_MEMO_SIZE < memo.misses - 400
+        assert four_times - once < 64 * 1024, (once, four_times)
+
+    @pytest.mark.parametrize("frames, memoised", [
+        (tdma_sim.TEMPLATE_MEMO_LINES // 3, True),  # 2 + 3 * frames lines: 200, 203
+        (tdma_sim.TEMPLATE_MEMO_LINES // 3 + 1, False),
+    ])
+    def test_only_a_slot_of_at_most_the_line_limit_is_memoised(self, frames, memoised):
+        schedule = SlotSchedule(make_nodes(2, [0.5, 0.5]),
+                                frames * time_on_air(FAST_CONFIG, FRAME) + 0.001, 0.0)
+        run = dict(frames_per_slot=frames)
+        tdma_sim._template.cache_clear()
+        stats, want_stats = [], []
+        text = "".join(report_lines(
+            iter_slots(schedule, schedule.period_s * 2, 9, stats=stats, **run), stats))
+        assert (tdma_sim._template.cache_info().currsize > 0) is memoised
+        assert text == "".join(oracle_report_lines(
+            oracle_events(schedule, schedule.period_s * 2, 9, stats=want_stats, **run), want_stats))
+
+
 class TestDropModelFromTable:
     def test_published_cells(self, field_table):
         def config(sf, bw):
@@ -372,6 +538,19 @@ class TestSerialization:
         assert parsed.timeline == report.timeline
         assert parsed.stats == report.stats
         assert serialize_report(parsed) == text
+
+    def test_simulate_report_round_trips(self):
+        schedule = SlotSchedule(make_nodes(3, drops=[0.4, 1.0]), 0.1, 0.001)
+        stats = []  # the report as `simulate` writes it
+        text = "".join(report_lines(iter_slots(schedule, 3.0, 21, frames_per_slot=3,
+                                               handshake_s=0.002, stats=stats), stats))
+        assert serialize_report(parse_report(text)) == text
+
+    def test_a_detail_on_any_kind_round_trips(self):
+        text = ("0 slot_open A001\n0 tx_start A001 84\n5 tx_end A001\n5 rx_ok A001 84\n"
+                "9 slot_close A001 7\nnode A001 sent=1 received=1 lost=0 loss_pct=0\n")
+        assert parse_report(text).timeline[-1] == (9, "slot_close", 0xA001, 7)
+        assert serialize_report(parse_report(text)) == text
 
     def test_event_line_shape(self):
         report = run_simulation(SlotSchedule(make_nodes(1), 0.1, 0.0), 0.15, seed=0)

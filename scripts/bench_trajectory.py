@@ -6,13 +6,17 @@ then run it traced once per tree and add the per-layer dict it prints.
 
 PARENT and CHANGE are source checkouts; each run is `python3 bench/run.py
 --workload WORKLOAD --seed SEED --seconds SECONDS --trace 0` in one of them,
-and the traced run is the same with the first SEED and `--trace 1`.
+and the traced run is the same with the first SEED and `--trace 1`. It
+stops before any run while either tree holds a `__pycache__` under `src/`.
 """
 import hashlib, json, os, platform, statistics, subprocess, sys
 from pathlib import Path
 
 out, parent, change, workload, seconds, *seeds = sys.argv[1:]
 sides = {"parent": Path(parent), "change": Path(change)}
+stale = [str(p) for tree in sides.values() for p in (tree / "src").rglob("__pycache__")]
+if stale:  # a cached import makes that side's setup_s read faster than the other's
+    sys.exit(f"error: remove the bytecode caches under src/ before measuring: {' '.join(stale)}")
 doc = json.loads(Path(out).read_text()) if Path(out).exists() else {
     "python": platform.python_version(), "cpus": os.cpu_count(),
     "dont_write_bytecode": sys.flags.dont_write_bytecode, "trees": {}, "workloads": {}}

@@ -1,6 +1,6 @@
 """LoRa link-quality toolkit.
 
-Link budgets (RSSI/SNR/ESP/path-loss/free-space-loss), LoRa PHY timing, a
+Link budgets (ESP, path loss, free-space and excess loss), LoRa PHY timing, a
 measurement-table dataset with a data-driven configuration recommender, a
 deterministic TDMA uplink simulator, and a channel-update bridge.
 """
@@ -24,15 +24,11 @@ from .link_budget import (
     free_space_loss,
     loss_breakdown,
     packet_loss_pct,
-    path_loss,
-    rssi_from_register,
-    snr_from_register,
 )
 from .phy_model import (
     FrameParams,
     MonopoleDesign,
     monopole_dimensions,
-    nominal_bit_rate,
     symbol_duration,
     time_on_air,
 )

@@ -538,8 +538,8 @@ def cmd_simulate(args) -> int:
     if args.output not in (None, "-"):
         # keep the summary visible on stdout when the report goes to a file
         print(manifest)
-        for sync, node_stats in stats:
-            print(summary_line(sync, node_stats))
+        for sync, totals in stats:
+            print(summary_line(sync, totals))
 
     if args.uplink_log is not None:
         with _open_output(args.uplink_log) as out:

@@ -17,17 +17,17 @@ import io
 import math
 from importlib import resources
 from pathlib import Path
-from typing import IO, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from .core_types import (
     BW_HZ_VALUES,
     SF_VALUES,
     CodingRate,
+    GridValidationError,
     LinkParams,
     RadioConfig,
     SignalSample,
     Value,
-    format_decimal,
     hz_to_khz_str,
     khz_str_to_hz,
     parse_float,
@@ -248,22 +248,6 @@ def load_measurements(source: str | Path | Iterable[str]) -> MeasurementTable:
     return MeasurementTable(records)
 
 
-def save_measurements(table: MeasurementTable, stream: IO[str]) -> None:
-    """Write a table back out in the canonical CSV form."""
-    stream.write(",".join(CSV_COLUMNS) + "\n")
-    for record in table:
-        cells = [
-            str(record.sf),
-            hz_to_khz_str(record.bw_hz),
-            "" if record.cr is None else str(record.cr.num),
-            "" if record.cr is None else str(record.cr.den),
-            "" if record.rssi_dbm is None else format_decimal(record.rssi_dbm),
-            format_decimal(record.snr_db),
-            "" if record.loss_pct is None else format_decimal(record.loss_pct),
-        ]
-        stream.write(",".join(cells) + "\n")
-
-
 def bundled_measurements_text() -> str:
     return resources.files(__package__).joinpath("data", _MEASUREMENTS_RESOURCE).read_text("utf-8")
 
@@ -295,6 +279,9 @@ def load_expected_grid(source=None) -> list[list[float]]:
     row_lines: dict[float, int] = {}
     for line_no, row in _csv_rows(lines, ("bw_khz",) + columns):
         bw_hz = _parse_bw(row[0], line_no)
+        if bw_hz not in BW_HZ_VALUES:
+            raise MeasurementValidationError(
+                line_no, str(GridValidationError("bw_hz", bw_hz, BW_HZ_VALUES)))
         if bw_hz in row_lines:
             raise MeasurementParseError(
                 line_no, f"duplicate of line {row_lines[bw_hz]} (bw_khz={hz_to_khz_str(bw_hz)})"

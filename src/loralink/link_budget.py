@@ -1,4 +1,4 @@
-"""Link-budget chain: register conversions, packet loss, ESP, path loss, FSL.
+"""Link-budget chain: packet loss, ESP, and the path-loss/FSL/excess budget.
 
 Everything here is a pure function over immutable inputs. All logarithms are
 base-10 double precision.
@@ -27,26 +27,6 @@ class LossBreakdown(NamedTuple):
     excess_db: float
 
 
-def rssi_from_register(raw: int, offset_db: float) -> float:
-    """Convert the raw packet-RSSI register byte to dBm (raw minus offset)."""
-    if not 0 <= raw <= 255:
-        raise ValueError(f"raw RSSI register value must be an unsigned byte, got {raw!r}")
-    if offset_db <= 0:
-        raise ValueError(f"offset_db must be positive, got {offset_db!r}")
-    return raw - offset_db
-
-
-def snr_from_register(raw: int) -> float:
-    """Convert the raw packet-SNR register (signed byte) to dB.
-
-    The register holds the SNR in quarter-dB steps, so the scaling is a
-    fixed divide by 4.
-    """
-    if not -128 <= raw <= 127:
-        raise ValueError(f"raw SNR register value must be a signed byte, got {raw!r}")
-    return raw / 4
-
-
 def packet_loss_pct(lost: int, sent: int) -> float:
     """Packet loss as a percentage of packets sent."""
     if sent <= 0:
@@ -68,15 +48,6 @@ def esp(sample: SignalSample) -> float:
     if snr > 0:
         return sample.rssi_dbm - 10 * math.log10(1 + 10 ** (-0.1 * snr))
     return sample.rssi_dbm + snr - 10 * math.log10(1 + 10 ** (0.1 * snr))
-
-
-def _gains(link: LinkParams) -> float:
-    return link.tx_power_dbm + link.gt_dbi + link.gr_dbi
-
-
-def path_loss(link: LinkParams, esp_dbm: float) -> float:
-    """Empirical path loss: transmit power plus antenna gains minus ESP."""
-    return _gains(link) - esp_dbm
 
 
 def free_space_loss(distance_m: float, freq_hz: float, c_mps: float) -> float:
@@ -105,7 +76,7 @@ def loss_breakdowns(link: LinkParams, esps: Iterable[float]) -> list[LossBreakdo
     ValueError for the first budget whose terms leave the float range
     (finite inputs near 1e308 can sum to an infinity).
     """
-    gains = _gains(link)
+    gains = link.tx_power_dbm + link.gt_dbi + link.gr_dbi
     fsl_db = free_space_loss(link.distance_m, link.freq_hz, link.c_mps)
     breakdown = partial(tuple.__new__, LossBreakdown)  # LossBreakdown(...) minus its Python-level call
     breakdowns = [breakdown((esp_dbm, gains - esp_dbm, fsl_db, gains - esp_dbm - fsl_db))

@@ -1,5 +1,5 @@
 """LoRa PHY timing and antenna geometry: symbol duration, time on air,
-nominal bit rate, quarter-wave monopole dimensioning.
+quarter-wave monopole dimensioning.
 """
 
 from __future__ import annotations
@@ -105,11 +105,6 @@ def time_on_air(config: RadioConfig, frame: FrameParams, *, cr_index: int | None
     payload_symbols = 8 + max(-(-numerator // denominator) * (cr_index + 4), 0)
     t_sym = symbol_duration(config)
     return (frame.preamble_symbols + 4.25) * t_sym + payload_symbols * t_sym
-
-
-def nominal_bit_rate(config: RadioConfig) -> float:
-    """Nominal raw bit rate in bits/s: SF * (BW / 2^SF) * CR."""
-    return config.sf * (config.bw_hz / 2 ** config.sf) * config.cr.ratio
 
 
 def monopole_dimensions(freq_hz: float, c_mps: float = 3.0e8) -> MonopoleDesign:

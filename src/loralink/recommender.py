@@ -12,6 +12,8 @@ coding rate of the table's CR sweep.
 
 from __future__ import annotations
 
+import math
+
 from .core_types import CodingRate, LinkParams, Value
 from .dataset import MeasurementRecord, MeasurementTable, evaluate_grid, lookup
 from .link_budget import LossBreakdown
@@ -37,8 +39,8 @@ class SelectionConstraints(Value):
                  tie_break_order: tuple[str, ...] = RANK_METRICS) -> None:
         if not 0 <= max_loss_pct <= 100:
             raise ValueError(f"max_loss_pct={max_loss_pct!r} outside [0, 100]")
-        if min_bw_hz <= 0:
-            raise ValueError(f"min_bw_hz must be positive, got {min_bw_hz!r}")
+        if not 0 < min_bw_hz < math.inf:
+            raise ValueError(f"min_bw_hz must be positive and finite, got {min_bw_hz!r}")
         if not tie_break_order:
             raise ValueError("tie_break_order must not be empty")
         unknown = [m for m in tie_break_order if m not in RANK_METRICS]

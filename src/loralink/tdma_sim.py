@@ -124,10 +124,6 @@ class SlotSchedule(Value):
         object.__setattr__(self, "slot_duration_s", slot_duration_s)
         object.__setattr__(self, "guard_s", guard_s)
 
-    @property
-    def period_s(self) -> float:
-        return len(self.nodes) * (self.slot_duration_s + self.guard_s)
-
 
 class SimEvent(NamedTuple):
     """One timeline event; detail is the sensor reading of tx_start, rx_ok and rx_drop."""
@@ -169,12 +165,6 @@ class SimReport(Value):
                  stats: tuple[tuple[int, NodeStats], ...]) -> None:
         object.__setattr__(self, "timeline", timeline)
         object.__setattr__(self, "stats", stats)  # (sync_word, stats) in schedule order
-
-    def node_stats(self, sync_word: int) -> NodeStats:
-        for word, stats in self.stats:
-            if word == sync_word:
-                return stats
-        raise KeyError(f"no stats for sync word {format_sync_word(sync_word)}")
 
 
 def default_slot_duration(nodes: Sequence[NodeSpec]) -> float:

@@ -10,6 +10,7 @@ nothing here performs network I/O unless an HttpTransport is constructed.
 
 from __future__ import annotations
 
+import math
 import os
 import time
 import urllib.parse
@@ -198,8 +199,10 @@ class HttpTransport:
             raise RuntimeError(
                 f"{API_KEY_ENV_VAR} is not set; refusing to construct a real transport"
             )
-        if min_spacing_s < 0:
-            raise ValueError(f"min_spacing_s must be >= 0, got {min_spacing_s!r}")
+        if not 0 <= min_spacing_s < math.inf:
+            raise ValueError(f"min_spacing_s must be finite and >= 0, got {min_spacing_s!r}")
+        if not 0 < timeout_s < math.inf:
+            raise ValueError(f"timeout_s must be positive and finite, got {timeout_s!r}")
         self._api_key = key
         self._base_url = base_url.rstrip("/")
         self.min_spacing_s = min_spacing_s

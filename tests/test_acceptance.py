@@ -243,7 +243,7 @@ class TestCriterion5TdmaSimulator:
             slot = airtime * rng.uniform(1.0, 4.0)
             guard = rng.uniform(0.0, 0.1)
             schedule = SlotSchedule(_nodes([rng.random() for _ in range(count)]), slot, guard)
-            duration = schedule.period_s * rng.uniform(0.5, 3.0)
+            duration = count * (slot + guard) * rng.uniform(0.5, 3.0)
             report = run_simulation(schedule, duration, seed=rng.randint(0, 2**63))
             # conservation
             for _, stats in report.stats:
@@ -276,7 +276,7 @@ class TestCriterion5TdmaSimulator:
         slot_s = 0.01
         schedule = SlotSchedule(nodes, slot_s, 0.0)
         report = run_simulation(schedule, duration_s=opportunities * slot_s, seed=7)
-        stats = report.node_stats(nodes[0].sync_word)
+        stats = dict(report.stats)[nodes[0].sync_word]
         assert stats.packets_sent == opportunities
         band = 3 * math.sqrt(p * (1 - p) / opportunities)
         empirical = stats.packets_lost / opportunities

@@ -1,4 +1,3 @@
-import io
 import json
 import math
 import os
@@ -18,9 +17,9 @@ from loralink.cli import EXIT_DATA, EXIT_OK, EXIT_TOLERANCE, EXIT_USAGE, main
 from loralink.core_types import BW_HZ_VALUES, CodingRate, LinkParams, RadioConfig, hz_to_khz_str
 from loralink.dataset import (
     bundled_expected_grid_text,
+    bundled_measurements_text,
     load_bundled_measurements,
     reconstruct_excess_loss,
-    save_measurements,
 )
 from loralink.phy_model import FrameParams
 from loralink.tdma_sim import (
@@ -53,10 +52,9 @@ def replacing(old, new):
 
 
 def write_fixture(path, mutate=None):
-    table = load_bundled_measurements()
-    buffer = io.StringIO()
-    save_measurements(table, buffer)
-    text = buffer.getvalue()
+    """The bundled measurements without their '#' comment block, mutated."""
+    text = "".join(line for line in bundled_measurements_text().splitlines(keepends=True)
+                   if not line.startswith("#"))
     if mutate:
         text = mutate(text)
     path.write_text(text, encoding="utf-8")
@@ -466,6 +464,17 @@ class TestFailBeforeOutput:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
         assert list(tmp_path.iterdir()) == []
+
+    def test_reconstruct_off_grid_expected_row(self, capsys, tmp_path):
+        expected = tmp_path / "expected.csv"
+        expected.write_text(bundled_expected_grid_text() + "41.7,1,2,3,4,5,6\n")
+        out = tmp_path / "grid.csv"
+        code, stdout, err = run(capsys, ["reconstruct", "--expected", str(expected),
+                                         "--output", str(out)])
+        assert (code, stdout) == (EXIT_DATA, "")
+        assert err.startswith("error: ") and "bw_hz=41700 not in allowed set" in err
+        assert err.count("\n") == 1
+        assert not out.exists()
 
     @pytest.mark.parametrize("nodes, argv, code", [
         ("2", ["--map", "A001=KEY:1"], EXIT_DATA),

@@ -21,7 +21,6 @@ from loralink.dataset import (
     load_measurements,
     lookup,
     reconstruct_excess_loss,
-    save_measurements,
 )
 from loralink.link_budget import free_space_loss, loss_breakdown
 
@@ -133,14 +132,6 @@ class TestLookup:
         assert field_table.get(7, 250000, CodingRate(5, 8)) is None
 
 
-class TestRoundTrip:
-    def test_save_and_reload_equal(self, field_table):
-        buffer = io.StringIO()
-        save_measurements(field_table, buffer)
-        reloaded = load_measurements(io.StringIO(buffer.getvalue()))
-        assert list(reloaded) == list(field_table)
-
-
 class TestReconstruction:
     def test_anchor_cells_match_published_grid(self, field_table):
         grid = reconstruct_excess_loss(field_table, LinkParams())
@@ -183,9 +174,8 @@ class TestReconstruction:
 
     def test_order_insensitive(self, field_table):
         rows = []
-        buffer = io.StringIO()
-        save_measurements(field_table, buffer)
-        lines = buffer.getvalue().splitlines()
+        lines = [line for line in bundled_measurements_text().splitlines()
+                 if not line.startswith("#")]
         header, body = lines[0], lines[1:]
         random.Random(99).shuffle(body)
         shuffled = load_measurements(io.StringIO("\n".join([header] + body) + "\n"))
@@ -193,12 +183,10 @@ class TestReconstruction:
         reordered = reconstruct_excess_loss(shuffled, LinkParams())
         assert original == reordered
 
-    def test_missing_cell_is_named(self, field_table):
-        buffer = io.StringIO()
-        save_measurements(field_table, buffer)
+    def test_missing_cell_is_named(self):
         pruned = [
             line
-            for line in buffer.getvalue().splitlines()
+            for line in bundled_measurements_text().splitlines()
             if not line.startswith("9,62.5,")
         ]
         table = load_measurements(io.StringIO("\n".join(pruned) + "\n"))
@@ -228,6 +216,14 @@ class TestReconstruction:
         first = next(i for i, line in enumerate(text.splitlines(), start=1)
                      if line.startswith("62.5,"))
         with pytest.raises(MeasurementParseError, match=f"duplicate of line {first} ") as excinfo:
+            load_expected_grid(io.StringIO(text))
+        assert excinfo.value.line_no == len(text.splitlines())
+
+    def test_expected_grid_refuses_an_off_grid_bandwidth_row(self):
+        text = bundled_expected_grid_text() + "41.7,1,2,3,4,5,6\n"
+        with pytest.raises(MeasurementValidationError,
+                           match=r"bw_hz=41700 not in allowed set \{10400, 20800, 62500, "
+                                 r"125000, 250000, 500000\}") as excinfo:
             load_expected_grid(io.StringIO(text))
         assert excinfo.value.line_no == len(text.splitlines())
 

@@ -8,39 +8,11 @@ from loralink.link_budget import (
     esp,
     free_space_loss,
     loss_breakdown,
+    loss_breakdowns,
     packet_loss_pct,
-    path_loss,
-    rssi_from_register,
-    snr_from_register,
 )
 
 CAMPAIGN = LinkParams()  # 20 dBm, 5.15/5.15 dBi, 5 km, 433 MHz, c=3e8
-
-
-class TestRegisterConversions:
-    def test_rssi_from_register(self):
-        assert rssi_from_register(64, 157) == -93
-        assert rssi_from_register(157, 157) == 0
-        assert rssi_from_register(0, 157) == -157
-
-    def test_rssi_register_domain(self):
-        with pytest.raises(ValueError):
-            rssi_from_register(256, 157)
-        with pytest.raises(ValueError):
-            rssi_from_register(-1, 157)
-        with pytest.raises(ValueError):
-            rssi_from_register(64, 0)
-
-    def test_snr_from_register(self):
-        assert snr_from_register(40) == 10.0
-        assert snr_from_register(0) == 0.0
-        assert snr_from_register(-20) == -5.0
-
-    def test_snr_register_domain(self):
-        with pytest.raises(ValueError):
-            snr_from_register(128)
-        with pytest.raises(ValueError):
-            snr_from_register(-129)
 
 
 class TestPacketLoss:
@@ -115,9 +87,10 @@ class TestEsp:
 
 class TestPathLoss:
     def test_arithmetic(self):
-        assert path_loss(CAMPAIGN, -93.385) == pytest.approx(123.685, abs=1e-9)
+        assert loss_breakdowns(CAMPAIGN, [-93.385])[0].path_loss_db == pytest.approx(
+            123.685, abs=1e-9)
         zero = LinkParams(tx_power_dbm=0.0, gt_dbi=0.0, gr_dbi=0.0)
-        assert path_loss(zero, -50.0) == 50.0
+        assert loss_breakdowns(zero, [-50.0])[0].path_loss_db == 50.0
 
 
 class TestFreeSpaceLoss:

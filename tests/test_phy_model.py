@@ -9,7 +9,6 @@ from loralink.phy_model import (
     coding_rate_index,
     low_data_rate_optimize,
     monopole_dimensions,
-    nominal_bit_rate,
     symbol_duration,
     time_on_air,
 )
@@ -119,21 +118,6 @@ class TestTimeOnAir:
             FrameParams(payload_bytes=-1)
         with pytest.raises(ValueError):
             FrameParams(payload_bytes=0, preamble_symbols=-1)
-
-
-class TestNominalBitRate:
-    def test_grid_values(self):
-        assert nominal_bit_rate(config(7, 125000)) == pytest.approx(3417.96875, abs=1e-9)
-        assert nominal_bit_rate(config(12, 10400)) == pytest.approx(15.234375, abs=1e-9)
-        assert nominal_bit_rate(config(8, 62500)) == pytest.approx(976.5625, abs=1e-9)
-
-    def test_never_decreases_with_cr_numerator(self):
-        for sf in SF_VALUES:
-            rates = [
-                nominal_bit_rate(config(sf, 125000, cr=CodingRate(num, 8)))
-                for num in (4, 5, 6, 7)
-            ]
-            assert rates == sorted(rates)
 
 
 class TestMonopole:

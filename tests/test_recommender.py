@@ -1,4 +1,5 @@
 import io
+import math
 import random
 
 import pytest
@@ -94,8 +95,9 @@ class TestConstraints:
     def test_validation(self):
         with pytest.raises(ValueError):
             SelectionConstraints(max_loss_pct=101)
-        with pytest.raises(ValueError):
-            SelectionConstraints(min_bw_hz=0)
+        for min_bw_hz in (0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="min_bw_hz must be positive and finite"):
+                SelectionConstraints(min_bw_hz=min_bw_hz)
         with pytest.raises(ValueError):
             SelectionConstraints(tie_break_order=())
         with pytest.raises(ValueError):

@@ -50,6 +50,11 @@ def make_nodes(count, drops=()):
     return tuple(NodeSpec(0xA001 + i, FAST_CONFIG, FRAME, p) for i, p in enumerate(drops))
 
 
+def period(schedule):
+    """One round of the schedule: each node's slot plus its guard."""
+    return len(schedule.nodes) * (schedule.slot_duration_s + schedule.guard_s)
+
+
 def node(sync_word):
     return NodeSpec(sync_word=sync_word, config=FAST_CONFIG, frame=FRAME)
 
@@ -169,9 +174,6 @@ class TestSchedule:
         nodes = make_nodes(2)
         schedule = SlotSchedule(nodes, 1.0, 0.1)
         assert [n.sync_word for n in schedule.nodes] == [0xA001, 0xA002]
-        assert schedule.period_s == pytest.approx(2.2)
-        single = SlotSchedule(make_nodes(1), 0.5, 0.0)
-        assert single.period_s == pytest.approx(0.5)
 
     def test_duplicate_sync_word_conflict(self):
         with pytest.raises(ScheduleConflictError) as excinfo:
@@ -224,7 +226,7 @@ class TestRunSimulation:
         schedule = SlotSchedule(make_nodes(2), 1.0, 0.0)
         report = run_simulation(schedule, 10.0, seed=7)
         for sync in (0xA001, 0xA002):
-            stats = report.node_stats(sync)
+            stats = dict(report.stats)[sync]
             assert stats.packets_sent == 5
             assert stats.packets_received == 5
             assert stats.packets_lost == 0
@@ -233,10 +235,10 @@ class TestRunSimulation:
         lossy_node = NodeSpec(0xA001, FAST_CONFIG, FRAME, drop_probability=1.0)
         schedule = SlotSchedule((lossy_node, node(0xA002)), 1.0, 0.0)
         report = run_simulation(schedule, 10.0, seed=7)
-        lossy = report.node_stats(0xA001)
+        lossy = dict(report.stats)[0xA001]
         assert lossy.packets_received == 0
         assert lossy.packets_lost == lossy.packets_sent == 5
-        assert report.node_stats(0xA002).packets_received == 5
+        assert dict(report.stats)[0xA002].packets_received == 5
 
     def test_conservation_and_timeline_monotonicity(self):
         schedule = SlotSchedule(make_nodes(3, drops=[0.3] * 3), 0.5, 0.02)
@@ -248,13 +250,13 @@ class TestRunSimulation:
 
     def test_fairness_after_whole_periods(self):
         schedule = SlotSchedule(make_nodes(4), 0.25, 0.01)
-        report = run_simulation(schedule, schedule.period_s * 6, seed=1)
+        report = run_simulation(schedule, period(schedule) * 6, seed=1)
         sent = [stats.packets_sent for _, stats in report.stats]
         assert len(set(sent)) == 1 and sent[0] == 6
 
     def test_mid_period_fairness_gap_at_most_one(self):
         schedule = SlotSchedule(make_nodes(3), 0.4, 0.0)
-        report = run_simulation(schedule, schedule.period_s * 2.5, seed=1)
+        report = run_simulation(schedule, period(schedule) * 2.5, seed=1)
         sent = [stats.packets_sent for _, stats in report.stats]
         assert max(sent) - min(sent) <= 1
 
@@ -288,7 +290,7 @@ class TestRunSimulation:
             guard = rng.uniform(0.0, 0.05)
             schedule = SlotSchedule(make_nodes(n, [rng.random() for _ in range(n)]), slot, guard)
             report = run_simulation(
-                schedule, schedule.period_s * rng.uniform(1.0, 4.0), seed=rng.randint(0, 2**32),
+                schedule, period(schedule) * rng.uniform(1.0, 4.0), seed=rng.randint(0, 2**32),
             )
             intervals = []
             open_tx = {}
@@ -306,9 +308,9 @@ class TestRunSimulation:
         airtime = time_on_air(FAST_CONFIG, FRAME)
         schedule = SlotSchedule(make_nodes(1), airtime * 4 + 0.01, 0.0)
         report = run_simulation(
-            schedule, schedule.period_s * 2, seed=5, frames_per_slot=3, handshake_s=0.001,
+            schedule, period(schedule) * 2, seed=5, frames_per_slot=3, handshake_s=0.001,
         )
-        assert report.node_stats(0xA001).packets_sent == 6
+        assert dict(report.stats)[0xA001].packets_sent == 6
         first_tx = next(e for e in report.timeline if e.kind == "tx_start")
         assert first_tx.t_ns == 1_000_000  # handshake delay
         with pytest.raises(InfeasibleSlotError):
@@ -416,7 +418,7 @@ class TestDropDraws:
         k = next(i for i, u in enumerate(draws) if 0.2 < u < 0.5)
         nodes = make_nodes(len(self.EDGES) + 1, [*self.EDGES, draws[k]])
         schedule = SlotSchedule(nodes, 0.1, 0.0)
-        duration_s = schedule.period_s * self.FRAMES / frames_per_slot
+        duration_s = period(schedule) * self.FRAMES / frames_per_slot
         outcomes = {n.sync_word: [] for n in nodes}
         for event in iter_events(schedule, duration_s, seed,
                                  frames_per_slot=frames_per_slot, handshake_s=handshake_s):
@@ -446,7 +448,7 @@ def simulation_runs(draw):
     longest = max(time_on_air(node.config, node.frame) for node in nodes)
     slot_s = handshake_s + frames * longest + draw(st.floats(1e-6, 0.5))
     schedule = SlotSchedule(nodes, slot_s, draw(st.just(0.0) | st.floats(0.0, 0.1)))
-    duration_s = schedule.period_s * draw(st.floats(0.01, 3.0))
+    duration_s = period(schedule) * draw(st.floats(0.01, 3.0))
     flags = dict(frames_per_slot=frames, handshake_s=handshake_s)
     return schedule, duration_s, draw(st.integers(0, 2**64 - 1)), flags
 
@@ -474,7 +476,7 @@ class TestSlotRecords:
 
         def drain(periods, seed):
             stats = []
-            slots = iter_slots(schedule, schedule.period_s * periods, seed, frames_per_slot=10,
+            slots = iter_slots(schedule, period(schedule) * periods, seed, frames_per_slot=10,
                                stats=stats)
             deque(report_lines(slots, stats), maxlen=0)
 
@@ -508,10 +510,10 @@ class TestSlotRecords:
         tdma_sim._template.cache_clear()
         stats, want_stats = [], []
         text = "".join(report_lines(
-            iter_slots(schedule, schedule.period_s * 2, 9, stats=stats, **run), stats))
+            iter_slots(schedule, period(schedule) * 2, 9, stats=stats, **run), stats))
         assert (tdma_sim._template.cache_info().currsize > 0) is memoised
         assert text == "".join(oracle_report_lines(
-            oracle_events(schedule, schedule.period_s * 2, 9, stats=want_stats, **run), want_stats))
+            oracle_events(schedule, period(schedule) * 2, 9, stats=want_stats, **run), want_stats))
 
 
 class TestDropModelFromTable:

@@ -1,3 +1,4 @@
+import math
 import urllib.parse
 from datetime import datetime, timedelta, timezone
 
@@ -292,6 +293,15 @@ class TestHttpTransport:
         monkeypatch.setenv("UPLINK_API_KEY", "SECRET")
         transport = HttpTransport(min_spacing_s=0.0)
         assert transport.min_spacing_s == 0.0
+
+    @pytest.mark.parametrize("name, value", [
+        ("min_spacing_s", math.nan), ("min_spacing_s", math.inf), ("min_spacing_s", -1.0),
+        ("timeout_s", math.nan), ("timeout_s", math.inf), ("timeout_s", -1.0), ("timeout_s", 0.0),
+    ])
+    def test_refuses_out_of_range_spacing_and_timeout(self, monkeypatch, name, value):
+        monkeypatch.setenv("UPLINK_API_KEY", "SECRET")
+        with pytest.raises(ValueError, match=f"{name} must be"):
+            HttpTransport(**{name: value})
 
     def test_send_substitutes_env_key_and_returns_body(self, monkeypatch):
         requests = []

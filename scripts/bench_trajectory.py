@@ -7,12 +7,15 @@ then run it traced once per tree and add the per-layer dict it prints.
 PARENT and CHANGE are source checkouts; each run is `python3 bench/run.py
 --workload WORKLOAD --seed SEED --seconds SECONDS --trace 0` in one of them,
 and the traced run is the same with the first SEED and `--trace 1`. It
-stops before any run while either tree holds a `__pycache__` under `src/`.
+stops before any run while either tree holds a `__pycache__` under `src/`,
+or when given fewer than two SEEDs (quartiles need two runs per tree).
 """
 import hashlib, json, os, platform, statistics, subprocess, sys
 from pathlib import Path
 
 out, parent, change, workload, seconds, *seeds = sys.argv[1:]
+if len(seeds) < 2:
+    sys.exit(f"error: quartiles need at least two seeds, got {len(seeds)}")
 sides = {"parent": Path(parent), "change": Path(change)}
 stale = [str(p) for tree in sides.values() for p in (tree / "src").rglob("__pycache__")]
 if stale:  # a cached import makes that side's setup_s read faster than the other's

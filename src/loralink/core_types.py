@@ -2,10 +2,10 @@
 
 All values are immutable: each type keeps its fields in __slots__ on the
 small Value base below, which behaves as a frozen dataclass would without
-importing dataclasses. dB/dBm quantities are carried as
-double-precision floats; bandwidth is stored in hertz internally while the
-text formats speak kHz (exact decimal scaling, so 10.4 kHz is 10400 Hz with
-no float residue).
+importing dataclasses and is the one place that sets a field. dB/dBm
+quantities are carried as double-precision floats; bandwidth is stored in
+hertz internally while the text formats speak kHz (exact decimal scaling,
+so 10.4 kHz is 10400 Hz with no float residue).
 """
 
 from __future__ import annotations
@@ -37,8 +37,8 @@ class Value:
     As with a frozen dataclass, an instance equals only an instance of its
     own class with equal fields, hashes as the tuple of its fields, reads
     back as Name(field=value, ...) and refuses assignment and deletion.
-    Each subclass's __init__ checks its arguments, then stores every field
-    with object.__setattr__; copy and pickle rebuild through __init__.
+    Each subclass's __init__ checks its arguments, then stores them with
+    _store; copy and pickle rebuild through __init__.
     """
 
     __slots__ = ()
@@ -58,6 +58,11 @@ class Value:
     def __repr__(self) -> str:
         shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
         return f"{type(self).__qualname__}({shown})"
+
+    def _store(self, *values) -> None:
+        """Set each field, in __slots__ order; a count mismatch raises ValueError."""
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -83,8 +88,7 @@ class CodingRate(Value):
             raise ValueError("coding rate numerator/denominator must be integers")
         if num <= 0 or den <= 0:
             raise ValueError(f"coding rate {num}/{den} must be positive")
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        self._store(num, den)
 
     @property
     def ratio(self) -> float:
@@ -118,9 +122,7 @@ class RadioConfig(Value):
             raise ValueError(f"sf must be a positive integer, got {sf!r}")
         if not 0 < bw_hz < math.inf:
             raise ValueError(f"bw_hz must be positive and finite, got {bw_hz!r}")
-        object.__setattr__(self, "sf", sf)
-        object.__setattr__(self, "bw_hz", bw_hz)
-        object.__setattr__(self, "cr", cr)
+        self._store(sf, bw_hz, cr)
 
 
 # Fixed constants of the 433 MHz field campaign behind the bundled fixture.
@@ -151,10 +153,10 @@ class LinkParams(Value):
         for name, value in zip(self.__slots__, values):
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
-            object.__setattr__(self, name, value)
-        for name in ("distance_m", "freq_hz", "c_mps"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
+        for name, value in zip(self.__slots__[3:], values[3:]):  # distance, freq, c
+            if value <= 0:
+                raise ValueError(f"{name} must be positive, got {value!r}")
+        self._store(*values)
 
 
 class SignalSample(Value):
@@ -165,8 +167,7 @@ class SignalSample(Value):
     def __init__(self, rssi_dbm: float, snr_db: float) -> None:
         if not math.isfinite(rssi_dbm) or not math.isfinite(snr_db):
             raise ValueError("rssi_dbm and snr_db must be finite")
-        object.__setattr__(self, "rssi_dbm", rssi_dbm)
-        object.__setattr__(self, "snr_db", snr_db)
+        self._store(rssi_dbm, snr_db)
 
 
 def validate_measurement_grid(config: RadioConfig) -> None:

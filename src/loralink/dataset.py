@@ -73,12 +73,7 @@ class MeasurementRecord(Value):
 
     def __init__(self, sf: int, bw_hz: float, cr: CodingRate | None, rssi_dbm: float | None,
                  snr_db: float, loss_pct: float | None) -> None:
-        object.__setattr__(self, "sf", sf)
-        object.__setattr__(self, "bw_hz", bw_hz)
-        object.__setattr__(self, "cr", cr)
-        object.__setattr__(self, "rssi_dbm", rssi_dbm)
-        object.__setattr__(self, "snr_db", snr_db)
-        object.__setattr__(self, "loss_pct", loss_pct)
+        self._store(sf, bw_hz, cr, rssi_dbm, snr_db, loss_pct)
 
     @property
     def key(self) -> tuple:

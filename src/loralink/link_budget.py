@@ -29,9 +29,9 @@ class LossBreakdown(NamedTuple):
 
 def packet_loss_pct(lost: int, sent: int) -> float:
     """Packet loss as a percentage of packets sent."""
-    if sent <= 0:
+    if not 0 < sent < math.inf:
         raise ValueError(f"loss percentage undefined: sent={sent!r}")
-    if lost < 0 or lost > sent:
+    if not 0 <= lost <= sent:
         raise ValueError(f"inconsistent counts: lost={lost!r} of sent={sent!r}")
     return 100 * lost / sent
 
@@ -55,12 +55,9 @@ def free_space_loss(distance_m: float, freq_hz: float, c_mps: float) -> float:
 
     FSL = 20*log10(d) + 20*log10(f) - 20*log10(c) + 20*log10(4*pi).
     """
-    if distance_m <= 0:
-        raise ValueError(f"distance_m must be positive, got {distance_m!r}")
-    if freq_hz <= 0:
-        raise ValueError(f"freq_hz must be positive, got {freq_hz!r}")
-    if c_mps <= 0:
-        raise ValueError(f"c_mps must be positive, got {c_mps!r}")
+    for name, value in (("distance_m", distance_m), ("freq_hz", freq_hz), ("c_mps", c_mps)):
+        if not 0 < value < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {value!r}")
     return (
         20 * math.log10(distance_m)
         + 20 * math.log10(freq_hz)

@@ -40,23 +40,22 @@ class FrameParams(Value):
             raise ValueError(f"payload_bytes must be >= 0, got {payload_bytes!r}")
         if preamble_symbols < 0:
             raise ValueError(f"preamble_symbols must be >= 0, got {preamble_symbols!r}")
-        object.__setattr__(self, "payload_bytes", payload_bytes)
-        object.__setattr__(self, "preamble_symbols", preamble_symbols)
+        self._store(payload_bytes, preamble_symbols)
 
 
 class MonopoleDesign(Value):
-    __slots__ = ("element_len_m", "radial_len_m", "radial_angle_deg", "gain_dbi")
+    """The two lengths of a build; droop angle and gain are the same for every build."""
 
-    def __init__(self, element_len_m: float, radial_len_m: float, radial_angle_deg: float,
-                 gain_dbi: float) -> None:
+    __slots__ = ("element_len_m", "radial_len_m")
+    radial_angle_deg = RADIAL_DROOP_DEG
+    gain_dbi = MONOPOLE_GAIN_DBI
+
+    def __init__(self, element_len_m: float, radial_len_m: float) -> None:
         if element_len_m <= 0:
             raise ValueError(f"element_len_m must be positive, got {element_len_m!r}")
         if radial_len_m <= element_len_m:
             raise ValueError("ground radials must be longer than the radiating element")
-        object.__setattr__(self, "element_len_m", element_len_m)
-        object.__setattr__(self, "radial_len_m", radial_len_m)
-        object.__setattr__(self, "radial_angle_deg", radial_angle_deg)
-        object.__setattr__(self, "gain_dbi", gain_dbi)
+        self._store(element_len_m, radial_len_m)
 
 
 def symbol_duration(config: RadioConfig) -> float:
@@ -111,12 +110,8 @@ def monopole_dimensions(freq_hz: float, c_mps: float = 3.0e8) -> MonopoleDesign:
     """Dimension a quarter-wave monopole with a 4-radial ground plane."""
     if not 0 < freq_hz < math.inf:
         raise ValueError(f"freq_hz must be positive and finite, got {freq_hz!r}")
-    if c_mps <= 0:
-        raise ValueError(f"c_mps must be positive, got {c_mps!r}")
+    if not 0 < c_mps < math.inf:
+        raise ValueError(f"c_mps must be positive and finite, got {c_mps!r}")
     quarter_wave = c_mps / (4 * freq_hz)
-    return MonopoleDesign(
-        element_len_m=ELEMENT_LENGTH_FACTOR * quarter_wave,
-        radial_len_m=RADIAL_LENGTH_FACTOR * quarter_wave,
-        radial_angle_deg=RADIAL_DROOP_DEG,
-        gain_dbi=MONOPOLE_GAIN_DBI,
-    )
+    return MonopoleDesign(ELEMENT_LENGTH_FACTOR * quarter_wave,
+                          RADIAL_LENGTH_FACTOR * quarter_wave)

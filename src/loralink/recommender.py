@@ -50,9 +50,7 @@ class SelectionConstraints(Value):
             )
         if len(set(tie_break_order)) != len(tie_break_order):
             raise ValueError("tie_break_order must not repeat metrics")
-        object.__setattr__(self, "max_loss_pct", max_loss_pct)
-        object.__setattr__(self, "min_bw_hz", min_bw_hz)
-        object.__setattr__(self, "tie_break_order", tie_break_order)
+        self._store(max_loss_pct, min_bw_hz, tie_break_order)
 
 
 def _rank_key(cell: tuple[MeasurementRecord, LossBreakdown], order: tuple[str, ...]):

@@ -94,10 +94,7 @@ class NodeSpec(Value):
         if not 0.0 <= drop_probability <= 1.0:
             raise ValueError(f"drop probability for {name} outside [0, 1]: "
                              f"{drop_probability!r}")
-        object.__setattr__(self, "sync_word", sync_word)
-        object.__setattr__(self, "config", config)
-        object.__setattr__(self, "frame", frame)
-        object.__setattr__(self, "drop_probability", drop_probability)
+        self._store(sync_word, config, frame, drop_probability)
 
 
 class SlotSchedule(Value):
@@ -120,9 +117,7 @@ class SlotSchedule(Value):
             if sync_word in seen:
                 raise ScheduleConflictError(f"duplicate sync word {format_sync_word(sync_word)}")
             seen.add(sync_word)
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "slot_duration_s", slot_duration_s)
-        object.__setattr__(self, "guard_s", guard_s)
+        self._store(nodes, slot_duration_s, guard_s)
 
 
 class SimEvent(NamedTuple):
@@ -138,12 +133,19 @@ SlotRecord = tuple[int, tuple[tuple[str, bool], ...], tuple[int, ...]]
 
 
 class NodeStats(Value):
-    __slots__ = ("packets_sent", "packets_received", "packets_lost")
+    """A node's packet tally: sent and received counts; lost is their difference."""
 
-    def __init__(self, packets_sent: int, packets_received: int, packets_lost: int) -> None:
-        object.__setattr__(self, "packets_sent", packets_sent)
-        object.__setattr__(self, "packets_received", packets_received)
-        object.__setattr__(self, "packets_lost", packets_lost)
+    __slots__ = ("packets_sent", "packets_received")
+
+    def __init__(self, packets_sent: int, packets_received: int) -> None:
+        if not 0 <= packets_received <= packets_sent:
+            raise ValueError(f"inconsistent counts: received={packets_received!r} "
+                             f"of sent={packets_sent!r}")
+        self._store(packets_sent, packets_received)
+
+    @property
+    def packets_lost(self) -> int:
+        return self.packets_sent - self.packets_received
 
     @property
     def measured_loss_pct(self) -> float:
@@ -163,8 +165,7 @@ class SimReport(Value):
 
     def __init__(self, timeline: tuple[SimEvent, ...],
                  stats: tuple[tuple[int, NodeStats], ...]) -> None:
-        object.__setattr__(self, "timeline", timeline)
-        object.__setattr__(self, "stats", stats)  # (sync_word, stats) in schedule order
+        self._store(timeline, stats)  # stats: (sync_word, stats) in schedule order
 
 
 def default_slot_duration(nodes: Sequence[NodeSpec]) -> float:
@@ -272,7 +273,7 @@ def _slots(plan, slot_ns, stride_ns, handshake_ns, duration_ns, frames_per_slot,
             position = 0
     if stats is not None:
         stats.extend(
-            (entry[0], NodeStats(n_sent, n_received, n_sent - n_received))
+            (entry[0], NodeStats(n_sent, n_received))
             for entry, n_sent, n_received in zip(plan, sent, received)
         )
 
@@ -358,16 +359,17 @@ def _add_summary(summary: dict[int, tuple[int, NodeStats]], parts: list[str],
                  line_no: int, raw: str) -> tuple[int, NodeStats]:
     """Parse one 'node' line into summary (sync -> (line_no, stats)).
 
-    The line must be what summary_line writes, token for token: the sync
-    word in uppercase, each count as str(n), loss_pct from the counts.
+    The sent and received counts must satisfy 0 <= received <= sent, and
+    the line must be what summary_line writes for them, token for token:
+    the sync word in uppercase, each count as str(n), lost and loss_pct
+    from the two counts.
     """
     line = raw.strip()
     if len(parts) != 6:
         raise ValueError(f"line {line_no}: malformed summary line {line!r}")
     sync = parse_sync_word(parts[1])
     try:
-        node = NodeStats(*(parse_int(part.partition("=")[2]) for part in parts[2:5]))
-        # measured_loss_pct refuses lost outside 0..sent
+        node = NodeStats(*(parse_int(part.partition("=")[2]) for part in parts[2:4]))
         if summary_line(sync, node).split() != parts:
             raise ValueError("not the line summary_line writes")
     except ValueError as exc:
@@ -494,11 +496,11 @@ def _check_summary(summary: dict[int, tuple[int, NodeStats]],
             )
     for sync, (line_no, node) in summary.items():
         sent, received = tallies.get(sync, (0, 0))
-        claimed = (node.packets_sent, node.packets_received, node.packets_lost)
-        if claimed != (sent, received, sent - received):
+        if (node.packets_sent, node.packets_received) != (sent, received):
             raise ValueError(
                 f"line {line_no}: summary of node {format_sync_word(sync)} says "
-                f"sent={claimed[0]} received={claimed[1]} lost={claimed[2]}, its events "
+                f"sent={node.packets_sent} received={node.packets_received} "
+                f"lost={node.packets_lost}, its events "
                 f"give sent={sent} received={received} lost={sent - received}"
             )
 

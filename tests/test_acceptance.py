@@ -316,8 +316,8 @@ class TestCriterion7UplinkBridge:
             SimEvent(7_000_000_000, "rx_ok", b, 18),
         )
         stats = (
-            (a, NodeStats(packets_sent=2, packets_received=2, packets_lost=0)),
-            (b, NodeStats(packets_sent=2, packets_received=2, packets_lost=0)),
+            (a, NodeStats(packets_sent=2, packets_received=2)),
+            (b, NodeStats(packets_sent=2, packets_received=2)),
         )
         report = SimReport(timeline=timeline, stats=stats)
         updates = bridge_sim_report(report, {a: ("KEY1", 1), b: ("KEY1", 2)})

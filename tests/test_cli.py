@@ -518,8 +518,10 @@ class TestFailBeforeOutput:
         ("node A001 sent=1 received=1 lost=0 bogus", EXIT_DATA),
         ("node a001 sent=1 received=1 lost=0 loss_pct=0", EXIT_DATA),
         ("node A001 sent=1 received=01 lost=0 loss_pct=0", EXIT_DATA),
+        ("node A001 sent=1 received=1 lost=1 loss_pct=100", EXIT_DATA),
+        ("node A001 sent=0 received=1 lost=-1 loss_pct=0", EXIT_DATA),
     ], ids=["as-written", "loss-pct", "repeated-sent", "bogus", "lowercase-sync-word",
-            "zero-padded-count"])
+            "zero-padded-count", "lost-not-sent-minus-received", "received-over-sent"])
     def test_uplink_checks_each_summary_token(self, capsys, tmp_path, summary, code):
         report = tmp_path / "report.txt"
         report.write_text("0 slot_open A001\n0 tx_start A001 84\n115 tx_end A001\n"

@@ -18,6 +18,7 @@ from loralink.core_types import (
     LinkParams,
     RadioConfig,
     SignalSample,
+    Value,
     format_decimal,
     hz_to_khz_str,
     khz_str_to_hz,
@@ -50,10 +51,8 @@ VALUE_TYPES = [
      "MeasurementRecord(sf=8, bw_hz=62500, cr=None, rssi_dbm=-92.8, snr_db=8.4, loss_pct=0.0)"),
     (FrameParams, {"payload_bytes": 2, "preamble_symbols": 8},
      "FrameParams(payload_bytes=2, preamble_symbols=8)"),
-    (MonopoleDesign, {"element_len_m": 0.165, "radial_len_m": 0.184, "radial_angle_deg": 45.0,
-                      "gain_dbi": 5.15},
-     "MonopoleDesign(element_len_m=0.165, radial_len_m=0.184, radial_angle_deg=45.0, "
-     "gain_dbi=5.15)"),
+    (MonopoleDesign, {"element_len_m": 0.165, "radial_len_m": 0.184},
+     "MonopoleDesign(element_len_m=0.165, radial_len_m=0.184)"),
     (SelectionConstraints, {"max_loss_pct": 0.0, "min_bw_hz": 62500.0,
                             "tie_break_order": ("snr", "excess_loss", "rssi")},
      "SelectionConstraints(max_loss_pct=0.0, min_bw_hz=62500.0, "
@@ -62,8 +61,8 @@ VALUE_TYPES = [
                 "drop_probability": 0.5}, _NODE_TEXT),
     (SlotSchedule, {"nodes": (_NODE,), "slot_duration_s": 0.5, "guard_s": 0.1},
      f"SlotSchedule(nodes=({_NODE_TEXT},), slot_duration_s=0.5, guard_s=0.1)"),
-    (NodeStats, {"packets_sent": 5, "packets_received": 4, "packets_lost": 1},
-     "NodeStats(packets_sent=5, packets_received=4, packets_lost=1)"),
+    (NodeStats, {"packets_sent": 5, "packets_received": 4},
+     "NodeStats(packets_sent=5, packets_received=4)"),
     (SimReport, {"timeline": (), "stats": ()}, "SimReport(timeline=(), stats=())"),
 ]
 
@@ -91,7 +90,18 @@ def test_value_type_behaves_as_a_frozen_dataclass(cls, fields, text):
 def test_values_of_two_types_with_equal_fields_differ():
     assert FrameParams(2, 8) != CodingRate(2, 8)
     assert CodingRate(2, 8) != FrameParams(2, 8)
-    assert NodeStats(1, 1, 0) != RadioConfig(1, 1, CodingRate(1))
+    assert NodeStats(2, 1) != FrameParams(2, 1)
+
+
+def test_a_value_type_must_store_one_value_per_field():
+    class Pair(Value):
+        __slots__ = ("a", "b")
+
+        def __init__(self, a, b) -> None:
+            self._store(a)
+
+    with pytest.raises(ValueError):
+        Pair(1, 2)
 
 
 def make_config(sf=8, bw_hz=62500, cr=CodingRate(4, 8)):

@@ -34,6 +34,16 @@ class TestPacketLoss:
         with pytest.raises(ValueError):
             packet_loss_pct(-1, 10)
 
+    @pytest.mark.parametrize("lost, sent, prefix", [
+        (math.nan, 10, "inconsistent counts"),
+        (0, math.nan, "loss percentage undefined"),
+        (math.nan, math.nan, "loss percentage undefined"),
+        (math.inf, math.inf, "loss percentage undefined"),
+    ])
+    def test_non_finite_counts_are_refused(self, lost, sent, prefix):
+        with pytest.raises(ValueError, match=prefix):
+            packet_loss_pct(lost, sent)
+
 
 class TestEsp:
     def test_frozen_values(self):
@@ -129,6 +139,13 @@ class TestFreeSpaceLoss:
             free_space_loss(5000, -1, 3e8)
         with pytest.raises(ValueError):
             free_space_loss(5000, 433e6, 0)
+
+    @pytest.mark.parametrize("name", ["distance_m", "freq_hz", "c_mps"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_terms_are_domain_errors(self, name, bad):
+        terms = {"distance_m": 5000, "freq_hz": 433e6, "c_mps": 3e8, name: bad}
+        with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+            free_space_loss(**terms)
 
 
 class TestLossBreakdown:

@@ -149,3 +149,8 @@ class TestMonopole:
     def test_non_finite_frequency_is_a_domain_error(self, freq_hz):
         with pytest.raises(ValueError, match="freq_hz must be positive and finite"):
             monopole_dimensions(freq_hz)
+
+    @pytest.mark.parametrize("c_mps", [math.nan, math.inf])
+    def test_non_finite_speed_of_light_is_a_domain_error(self, c_mps):
+        with pytest.raises(ValueError, match="c_mps must be positive and finite"):
+            monopole_dimensions(433e6, c_mps=c_mps)

@@ -114,7 +114,7 @@ def oracle_timeline(plan, slot_ns, stride_ns, handshake_ns, duration_ns, frames_
             position = 0
     if stats is not None:
         stats.extend(
-            (entry[0], NodeStats(n_sent, n_received, n_sent - n_received))
+            (entry[0], NodeStats(n_sent, n_received))
             for entry, n_sent, n_received in zip(plan, sent, received)
         )
 
@@ -661,8 +661,11 @@ class TestReportChecks:
         "node a001 sent=1 received=1 lost=0 loss_pct=0",
         "node A001 sent=01 received=1 lost=0 loss_pct=0",
         "node A001 sent=1 received=1 lost=-0 loss_pct=0",
+        "node A001 sent=1 received=1 lost=1 loss_pct=100",  # lost is not sent - received
+        "node A001 sent=0 received=1 lost=-1 loss_pct=0",  # received > sent
     ], ids=["loss-pct", "repeated-sent", "bogus", "order", "loss-pct-text", "lost-over-sent",
-            "negative-sent", "lowercase-sync-word", "zero-padded-count", "minus-zero-count"])
+            "negative-sent", "lowercase-sync-word", "zero-padded-count", "minus-zero-count",
+            "lost-not-sent-minus-received", "received-over-sent"])
     def test_a_summary_line_must_read_as_summary_line_writes_it(self, summary):
         text = f"0 slot_open A001\n0 tx_start A001 84\n5 rx_ok A001 84\n{summary}\n"
         message = f"line 4: malformed summary line {summary!r}"
@@ -689,9 +692,14 @@ class TestReportChecks:
 
     @pytest.mark.parametrize("sent, received", [(1, 1), (3, 2), (3, 0), (0, 0), (7, 3)])
     def test_summary_lines_read_back(self, sent, received):
-        stats = tdma_sim.NodeStats(sent, received, sent - received)
+        stats = tdma_sim.NodeStats(sent, received)
         line = tdma_sim.summary_line(0xA001, stats)
         assert read_summary([line + "\n"]) == {0xA001: stats}
+
+    @pytest.mark.parametrize("sent, received", [(0, 1), (1, 2), (1, -1)])
+    def test_node_stats_refuse_received_outside_zero_to_sent(self, sent, received):
+        with pytest.raises(ValueError, match="inconsistent counts"):
+            tdma_sim.NodeStats(sent, received)
 
     def test_a_comment_is_skipped_whatever_it_holds(self):
         text = ("0 slot_open A001\n#5 warp A_01 +7\n# 5 tx_start A001\n  # x y z\n\n"

@@ -59,8 +59,8 @@ def hand_report():
         SimEvent(8_000_000_000, "slot_close", b),
     )
     stats = (
-        (a, NodeStats(packets_sent=2, packets_received=2, packets_lost=0)),
-        (b, NodeStats(packets_sent=2, packets_received=2, packets_lost=0)),
+        (a, NodeStats(packets_sent=2, packets_received=2)),
+        (b, NodeStats(packets_sent=2, packets_received=2)),
     )
     return SimReport(timeline=timeline, stats=stats)
 

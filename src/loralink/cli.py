@@ -14,9 +14,10 @@ import argparse
 import math
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from datetime import datetime, timezone
 from functools import cache
+from itertools import tee
 from typing import Sequence
 
 from .core_types import (
@@ -519,9 +520,10 @@ def cmd_simulate(args) -> int:
     stats: list[tuple[int, NodeStats]] = []
     slots = iter_slots(**run, stats=stats)  # checks the run before any output exists
     if args.uplink_log is not None:
+        if args.uplink_log == "-" or (args.output not in (None, "-")
+                                      and _same_file(args.uplink_log, args.output)):
+            raise UsageError("--uplink-log needs a file of its own, not '-' or the --output file")
         key_map = _default_key_map([node.sync_word for node in nodes])
-        # the log replays the deterministic simulation instead of keeping the report
-        updates = iter_bridge(iter_events(**run), key_map)
 
     manifest = _manifest_line("simulate", {
         "nodes": args.nodes, "sync_words": ",".join(format_sync_word(n.sync_word) for n in nodes),
@@ -532,22 +534,38 @@ def cmd_simulate(args) -> int:
         "drop": drop_name, "seed": args.seed, "output": args.output or "-",
         "uplink_log": args.uplink_log or "-",
     })
-    with _open_output(args.output) as out:
+    log_file = nullcontext() if args.uplink_log is None else _open_output(args.uplink_log)
+    with _open_output(args.output) as out, log_file as log:  # both open before any write
         print(manifest, file=out)
+        if log is not None:
+            print(manifest, file=log)
+            transport = DryRunTransport(write=log.write)
+            for update in iter_bridge(iter_events(_written(slots, out)), key_map):
+                transport.send(update)
+        # every record, or with a log none (the bridge drained them), then the summary
         out.writelines(report_lines(slots, stats))
     if args.output not in (None, "-"):
         # keep the summary visible on stdout when the report goes to a file
         print(manifest)
         for sync, totals in stats:
             print(summary_line(sync, totals))
-
-    if args.uplink_log is not None:
-        with _open_output(args.uplink_log) as out:
-            print(manifest, file=out)
-            transport = DryRunTransport(write=out.write)
-            for update in updates:
-                transport.send(update)
     return EXIT_OK
+
+
+def _same_file(path: str, other: str) -> bool:
+    """Whether both paths name one regular file, existing or to be made (not /dev/null)."""
+    try:
+        return os.path.samefile(path, other) and os.path.isfile(path)
+    except OSError:  # one of them does not exist yet
+        return os.path.realpath(path) == os.path.realpath(other)
+
+
+def _written(slots, out):
+    """Each slot record after writing its report_lines text to out: one pass, two sinks."""
+    records, copies = tee(slots)  # holds at most the one record in flight
+    for record, text in zip(records, report_lines(copies, ())):
+        out.write(text)
+        yield record
 
 
 def cmd_sweep(args) -> int:

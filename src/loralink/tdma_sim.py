@@ -20,11 +20,12 @@ holds the NodeSpecs in slot order, each with its own drop probability.
 
 The pipeline streams, one slot at a time: iter_slots produces the timeline
 as slot records, report_lines writes each record with one %-template from a
-bounded memo, iter_events flattens the same records into events, and
-iter_report reads report text back into events. iter_report checks every
-line but builds only the event kinds its caller asks for: the uplink bridge
-asks for rx_ok alone. run_simulation, serialize_report and parse_report are
-thin wrappers that materialise those streams, every kind included.
+bounded memo, iter_events flattens records into events (simulate bridges the
+records that report_lines writes, in one pass), and iter_report reads report
+text back into events. iter_report checks every line but builds only the
+event kinds its caller asks for: the uplink bridge asks for rx_ok alone.
+run_simulation, serialize_report and parse_report are thin wrappers that
+materialise those streams, every kind included.
 """
 
 from __future__ import annotations
@@ -247,14 +248,15 @@ def iter_slots(schedule: SlotSchedule, duration_s: float, seed: int, *,
 
 
 def _slots(plan, slot_ns, stride_ns, handshake_ns, duration_ns, frames_per_slot, stats):
-    sent = [0] * len(plan)
-    received = [0] * len(plan)
+    count, frames = len(plan), range(frames_per_slot)
+    sent = [0] * count
+    received = [0] * count
     position = open_ns = 0
     while open_ns < duration_ns:
         sync, base, airtime_ns, drop_base, limit = plan[position]
-        shape, values = _OPEN, (open_ns,)
+        shape, values = [*_OPEN], [open_ns]  # lists, so a slot costs time linear in frames
         t = open_ns + handshake_ns
-        for _ in range(frames_per_slot):
+        for _ in frames:
             n = sent[position] = sent[position] + 1
             payload = 2 + mix64(base + n * GOLDEN64) % 399
             end = t + airtime_ns
@@ -266,10 +268,12 @@ def _slots(plan, slot_ns, stride_ns, handshake_ns, duration_ns, frames_per_slot,
                 shape += _FRAME_OK
             values += (t, payload, end, end, payload)
             t = end
-        yield sync, shape + _CLOSE, values + (open_ns + slot_ns,)
+        shape += _CLOSE
+        values.append(open_ns + slot_ns)
+        yield sync, tuple(shape), tuple(values)
         open_ns += stride_ns
         position += 1
-        if position == len(plan):
+        if position == count:
             position = 0
     if stats is not None:
         stats.extend(
@@ -278,15 +282,8 @@ def _slots(plan, slot_ns, stride_ns, handshake_ns, duration_ns, frames_per_slot,
         )
 
 
-def iter_events(schedule: SlotSchedule, duration_s: float, seed: int, *,
-                frames_per_slot: int = 1, handshake_s: float = 0.0,
-                stats: list[tuple[int, NodeStats]] | None = None) -> Iterator[SimEvent]:
-    """Check a run, then return the generator of its iter_slots records as SimEvents."""
-    return _events(iter_slots(schedule, duration_s, seed, frames_per_slot=frames_per_slot,
-                              handshake_s=handshake_s, stats=stats))
-
-
-def _events(slots):
+def iter_events(slots: Iterable[SlotRecord]) -> Iterator[SimEvent]:
+    """The events of slot records, such as iter_slots yields, in record order."""
     event = partial(tuple.__new__, SimEvent)  # SimEvent(...) minus its Python-level call
     for sync, shape, values in slots:
         value = iter(values).__next__
@@ -296,11 +293,11 @@ def _events(slots):
 
 def run_simulation(schedule: SlotSchedule, duration_s: float, seed: int, *,
                    frames_per_slot: int = 1, handshake_s: float = 0.0) -> SimReport:
-    """The whole of iter_events(...) held in memory as a SimReport."""
+    """The whole of iter_events(iter_slots(...)) held in memory as a SimReport."""
     stats: list[tuple[int, NodeStats]] = []
-    timeline = tuple(iter_events(schedule, duration_s, seed, frames_per_slot=frames_per_slot,
-                                 handshake_s=handshake_s, stats=stats))
-    return SimReport(timeline=timeline, stats=tuple(stats))
+    slots = iter_slots(schedule, duration_s, seed, frames_per_slot=frames_per_slot,
+                       handshake_s=handshake_s, stats=stats)
+    return SimReport(timeline=tuple(iter_events(slots)), stats=tuple(stats))
 
 
 def summary_line(sync_word: int, stats: NodeStats) -> str:

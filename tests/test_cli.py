@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import loralink
-from loralink import cli
+from loralink import cli, tdma_sim
 from loralink.cli import EXIT_DATA, EXIT_OK, EXIT_TOLERANCE, EXIT_USAGE, main
 from loralink.core_types import BW_HZ_VALUES, CodingRate, LinkParams, RadioConfig, hz_to_khz_str
 from loralink.dataset import (
@@ -428,6 +428,47 @@ class TestSimulate:
         # holding the events would add ~6 kB per simulated second (~2.6 MB here)
         assert long - short < 256 * 1024, (short, long)
 
+    def test_uplink_log_runs_one_simulation(self, capsys, tmp_path, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return slots(*args)
+
+        slots = tdma_sim._slots
+        monkeypatch.setattr(tdma_sim, "_slots", counting)
+        log = tmp_path / "u.log"
+        code, _, _ = run(capsys, ["simulate", "--nodes", "3", "--duration-s", "5", "--drop", "0.3",
+                                  "--output", str(tmp_path / "r.txt"), "--uplink-log", str(log)])
+        assert code == EXIT_OK and "UPLINK GET" in log.read_text()
+        assert len(calls) == 1
+
+    def test_peak_memory_with_an_uplink_log_does_not_grow_with_the_horizon(self, capsys,
+                                                                          tmp_path):
+        def growth_bytes(duration_s):
+            argv = ["simulate", "--nodes", "8", "--duration-s", str(duration_s), "--drop", "0.3",
+                    "--output", str(tmp_path / "r.txt"), "--uplink-log", str(tmp_path / "u.log")]
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            assert main(argv) == EXIT_OK
+            return tracemalloc.get_traced_memory()[1] - before
+
+        tracemalloc.start()
+        try:
+            growth_bytes(600)  # fills the bridge's memos of created_at stamps
+            once, four_times = growth_bytes(100), growth_bytes(400)
+        finally:
+            tracemalloc.stop()
+            capsys.readouterr()
+        # a tee that held the records between the two sinks would grow with the horizon
+        assert four_times - once < 64 * 1024, (once, four_times)
+
+    def test_one_device_may_take_both_report_and_uplink_log(self, capsys):
+        code, out, err = run(capsys, ["simulate", "--duration-s", "1", "--output", os.devnull,
+                                      "--uplink-log", os.devnull])
+        assert (code, err) == (EXIT_OK, "")
+        assert out.startswith("# manifest simulate ")
+
 
 class TestFailBeforeOutput:
     """Invalid runs keep their exit code, create no output file and print nothing."""
@@ -464,6 +505,39 @@ class TestFailBeforeOutput:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
         assert list(tmp_path.iterdir()) == []
+
+    # a log on stdout gets the manifest of a run without a log (uplink_log=-);
+    # a log over the report file would replace it
+    @pytest.mark.parametrize("log, output", [
+        ("-", None), ("-", "r.txt"), ("r.txt", "r.txt"), ("./r.txt", "r.txt"),
+        ("symlink", "r.txt"), ("hardlink", "r.txt"),
+    ])
+    def test_simulate_uplink_log_needs_a_file_of_its_own(self, capsys, tmp_path, log, output):
+        if log == "symlink":
+            (tmp_path / log).symlink_to(tmp_path / output)
+        elif log == "hardlink":
+            (tmp_path / output).write_text("kept\n")
+            (tmp_path / log).hardlink_to(tmp_path / output)
+        before = {path.name: path.read_bytes() for path in tmp_path.iterdir() if path.exists()}
+        code, stdout, err = run(capsys, [
+            "simulate", "--duration-s", "1",
+            "--uplink-log", log if log == "-" else str(tmp_path / log),
+            *(["--output", str(tmp_path / output)] if output else [])])
+        assert (code, stdout) == (EXIT_USAGE, "")
+        assert err.startswith("usage error: --uplink-log ") and err.count("\n") == 1
+        assert {path.name: path.read_bytes() for path in tmp_path.iterdir()
+                if path.exists()} == before
+
+    @pytest.mark.parametrize("output", [False, True], ids=["stdout", "output-file"])
+    def test_simulate_unwritable_uplink_log(self, capsys, tmp_path, output):
+        report = tmp_path / "r.txt"
+        code, stdout, err = run(capsys, [
+            "simulate", "--duration-s", "1", "--uplink-log", str(tmp_path / "missing" / "u.log"),
+            *(["--output", str(report)] if output else [])])
+        assert (code, stdout) == (EXIT_DATA, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not report.exists() or report.read_bytes() == b""
 
     def test_reconstruct_off_grid_expected_row(self, capsys, tmp_path):
         expected = tmp_path / "expected.csv"

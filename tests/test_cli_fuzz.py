@@ -12,8 +12,9 @@ temporary directory: a copy of the bundled fixture, a missing file, or the
 directory itself.
 
 `simulate` is driven the same way over its own flags, with huge integers
-besides. It has no cap yet on the number of events a run may produce, so
-the plausible values keep every accepted run to a few thousand events:
+besides; its `--output` and `--uplink-log` may also be '-' (stdout). It
+has no cap yet on the number of events a run may produce, so the
+plausible values keep every accepted run to a few thousand events:
 `--duration-s` at most 2, `--frames-per-slot` at most 4 and `--slot-s` at
 most 5.
 
@@ -161,7 +162,7 @@ def simulate_argvs(draw):
         flag = draw(st.sampled_from(SIMULATE_FLAGS))
         source = draw(st.integers(0, 4))
         if flag in ("--output", "--uplink-log"):
-            values = st.sampled_from(PATH_NAMES)
+            values = st.sampled_from((*PATH_NAMES, "-"))
         elif source >= 2:
             values = st.sampled_from(SIMULATE_PLAUSIBLE.get(flag, ("1",)))
         elif source and flag not in RUN_LENGTH_FLAGS:

@@ -8,10 +8,13 @@ recommender docstrings; it imports nothing from loralink. Inside its
 envelope (the default guard, payload, preamble and coding rate, one frame
 per slot, no handshake) every drawn `simulate` run must print exactly the
 reference's report body, and every drawn `uplink` run exactly the
-reference's request lines. `budget`, `sweep` and `recommend` are held to
-the benchmark's own rule (bench/checks.py): numbers echoed from the
-fixture are equal, numbers printed rounded lie within half a unit of the
-last printed digit (plus 1e-9), and everything else is byte-equal.
+reference's request lines. A drawn `simulate --output R --uplink-log L`
+run must write the reference's report body to R and its request lines,
+under the default key map and epoch, to L. `budget`, `sweep` and
+`recommend` are held to the benchmark's own rule (bench/checks.py):
+numbers echoed from the fixture are equal, numbers printed rounded lie
+within half a unit of the last printed digit (plus 1e-9), and everything
+else is byte-equal.
 """
 
 import contextlib
@@ -58,8 +61,8 @@ LOSS_TEXTS = sorted({str(Decimal(repr(cell.loss)) / 100) for cell in BUNDLED[0].
 
 
 @st.composite
-def simulate_runs(draw):
-    nodes = draw(st.integers(1, 24))
+def simulate_runs(draw, max_nodes=24):
+    nodes = draw(st.integers(1, max_nodes))
     per_node = st.lists(st.sampled_from(LOSS_TEXTS), min_size=nodes, max_size=nodes)
     # one value broadcasts to every node
     drops = draw(st.one_of(st.sampled_from(LOSS_TEXTS).map(lambda p: [p]), per_node))
@@ -94,6 +97,30 @@ def test_simulate_report_equals_the_reference(run):
     expected = REF["report_lines"](timeline, drops * nodes if len(drops) == 1 else drops, seed)
     want = [line + "\n" for line in expected]
     assert first_difference(body.splitlines(keepends=True), want) is None
+
+
+@settings(max_examples=30, derandomize=True, database=None, deadline=None)
+@given(simulate_runs(max_nodes=8))  # the default key map has one field per node, 8 at most
+def test_simulate_report_and_uplink_log_equal_the_reference(run):
+    nodes, sf, bw_khz, duration_s, drops, seed = run
+    with tempfile.TemporaryDirectory() as tmp:
+        report, log = Path(tmp) / "report.txt", Path(tmp) / "uplink.log"
+        argv = ["simulate", "--nodes", str(nodes), "--sf", str(sf), "--bw-khz", bw_khz,
+                "--duration-s", str(duration_s), "--drop", ",".join(drops), "--seed", str(seed),
+                "--output", str(report), "--uplink-log", str(log)]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == EXIT_OK
+        (report_manifest, report_body), (log_manifest, log_body) = (
+            path.read_text(encoding="utf-8").split("\n", 1) for path in (report, log))
+    assert report_manifest == log_manifest and report_manifest.startswith("# manifest simulate ")
+    timeline = REF["Timeline"](nodes, sf, REF["khz_to_hz"](bw_khz), duration_s)
+    expected = list(REF["report_lines"](timeline, drops * nodes if len(drops) == 1 else drops,
+                                        seed))
+    want = [line + "\n" for line in expected]
+    assert first_difference(report_body.splitlines(keepends=True), want) is None
+    key_map = {REF["sync_tag"](p): ("DRYRUN", p + 1) for p in range(nodes)}
+    want = [line + "\n" for line in REF["request_lines"](expected, key_map, 0)]
+    assert first_difference(log_body.splitlines(keepends=True), want) is None
 
 
 # characters that percent-encoding must rewrite, and some it must keep

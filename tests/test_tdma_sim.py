@@ -2,6 +2,7 @@ import hashlib
 import io
 import math
 import random
+import time
 import tracemalloc
 from collections import deque
 from functools import partial
@@ -188,7 +189,7 @@ class TestSchedule:
         slow = RadioConfig(sf=12, bw_hz=10400, cr=CodingRate(4, 8))
         nodes = (NodeSpec(sync_word=0xBEEF, config=slow, frame=FRAME),)
         with pytest.raises(InfeasibleSlotError) as excinfo:
-            iter_events(SlotSchedule(nodes, 1.0, 0.0), 1.0, 0)  # airtime is ~11.1 s
+            iter_events(iter_slots(SlotSchedule(nodes, 1.0, 0.0), 1.0, 0))  # airtime is ~11.1 s
         assert "BEEF" in str(excinfo.value)
 
     @pytest.mark.parametrize("slot_s, guard_s", [
@@ -339,14 +340,14 @@ class TestRunSimulation:
         kwargs = dict(schedule=SlotSchedule(make_nodes(2), 0.1, 0.0), duration_s=1.0, seed=5)
         kwargs.update(change)
         with pytest.raises(ValueError):
-            iter_events(**kwargs)  # raises on the call, before any next()
+            iter_events(iter_slots(**kwargs))  # raises on the call, before any next()
         with pytest.raises(ValueError):
             iter_slots(**kwargs)
 
     def test_iter_events_fills_stats_when_exhausted(self):
         schedule = SlotSchedule(make_nodes(2, drops=[0.5]), 0.1, 0.0)
         stats = []
-        events = iter_events(schedule, 3.0, seed=4, stats=stats)
+        events = iter_events(iter_slots(schedule, 3.0, seed=4, stats=stats))
         first = next(events)
         assert first == (0, "slot_open", 0xA001, None) and stats == []
         rest = list(events)
@@ -357,7 +358,7 @@ class TestRunSimulation:
     def test_events_are_sim_events_with_named_fields(self):
         schedule = SlotSchedule(make_nodes(2, drops=[0.5]), 0.1, 0.0)
         run = dict(duration_s=3.0, seed=4, frames_per_slot=2, handshake_s=0.01)
-        events = list(iter_events(schedule, **run))
+        events = list(iter_events(iter_slots(schedule, **run)))
         lines = serialize_report(run_simulation(schedule, **run)).splitlines()
         parsed = list(iter_report(lines))
         assert parsed == events and {e.kind for e in events} == set(EVENT_KINDS)
@@ -420,8 +421,9 @@ class TestDropDraws:
         schedule = SlotSchedule(nodes, 0.1, 0.0)
         duration_s = period(schedule) * self.FRAMES / frames_per_slot
         outcomes = {n.sync_word: [] for n in nodes}
-        for event in iter_events(schedule, duration_s, seed,
-                                 frames_per_slot=frames_per_slot, handshake_s=handshake_s):
+        for event in iter_events(iter_slots(schedule, duration_s, seed,
+                                            frames_per_slot=frames_per_slot,
+                                            handshake_s=handshake_s)):
             if event.kind in ("rx_ok", "rx_drop"):
                 outcomes[event.sync_word].append(event.kind == "rx_drop")
         for n in nodes:
@@ -465,7 +467,7 @@ class TestSlotRecords:
             oracle_events(schedule, duration_s, seed, stats=want_stats, **flags), want_stats))
         assert text == want
         assert stats == want_stats
-        assert (list(iter_events(schedule, duration_s, seed, **flags))
+        assert (list(iter_events(iter_slots(schedule, duration_s, seed, **flags)))
                 == list(oracle_events(schedule, duration_s, seed, **flags)))
 
     def test_template_memo_is_bounded_and_memory_flat_at_many_frames_per_slot(self):
@@ -498,6 +500,22 @@ class TestSlotRecords:
         # the fill has 400 slots, so the runs measured missed more often than the memo holds
         assert memo.currsize == TEMPLATE_MEMO_SIZE < memo.misses - 400
         assert four_times - once < 64 * 1024, (once, four_times)
+
+    def test_a_slot_costs_time_linear_in_its_frames(self):
+        def best_drain_s(frames):
+            schedule = SlotSchedule(make_nodes(1, [0.5]),
+                                    frames * time_on_air(FAST_CONFIG, FRAME) + 0.001, 0.0)
+            best = math.inf
+            for _ in range(3):
+                start = time.perf_counter()
+                deque(iter_slots(schedule, period(schedule), 3, frames_per_slot=frames),
+                      maxlen=0)  # the one slot that opens
+                best = min(best, time.perf_counter() - start)
+            return best
+
+        small, large = best_drain_s(2000), best_drain_s(8000)
+        # 4x the frames: about 4x the time when linear, about 16x when quadratic
+        assert large < 8 * small, (small, large)
 
     @pytest.mark.parametrize("frames, memoised", [
         (tdma_sim.TEMPLATE_MEMO_LINES // 3, True),  # 2 + 3 * frames lines: 200, 203

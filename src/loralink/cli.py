@@ -535,7 +535,8 @@ def cmd_simulate(args) -> int:
         "uplink_log": args.uplink_log or "-",
     })
     log_file = nullcontext() if args.uplink_log is None else _open_output(args.uplink_log)
-    with _open_output(args.output) as out, log_file as log:  # both open before any write
+    # both open before any write; the log first, so one that fails truncates no report
+    with log_file as log, _open_output(args.output) as out:
         print(manifest, file=out)
         if log is not None:
             print(manifest, file=log)

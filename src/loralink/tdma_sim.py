@@ -22,8 +22,9 @@ The pipeline streams, one slot at a time: iter_slots produces the timeline
 as slot records, report_lines writes each record with one %-template from a
 bounded memo, iter_events flattens records into events (simulate bridges the
 records that report_lines writes, in one pass), and iter_report reads report
-text back into events. iter_report checks every line but builds only the
-event kinds its caller asks for: the uplink bridge asks for rx_ok alone.
+text back into events. iter_report matches a one-frame slot as one block,
+checks every other line on its own, and builds only the event kinds its
+caller asks for: the uplink bridge asks for rx_ok alone.
 run_simulation, serialize_report and parse_report are thin wrappers that
 materialise those streams, every kind included.
 """
@@ -31,7 +32,9 @@ materialise those streams, every kind included.
 from __future__ import annotations
 
 import math
+import re
 from functools import lru_cache, partial
+from itertools import islice
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .core_types import RadioConfig, Value, format_decimal, parse_int
@@ -399,19 +402,21 @@ def iter_report(
     kinds: Iterable[str] = EVENT_KINDS,
 ) -> Iterator[SimEvent]:
     """Check `kinds`, then return the generator of a serialized report's
-    events of those kinds, parsed and checked line by line.
+    events of those kinds, parsed and checked.
 
-    Every line is checked, whatever its kind; only the events of `kinds`
-    are built and yielded. Comment lines starting with '#' and blank
-    lines are ignored. Summary lines are appended to `stats`, if given, as
-    they are read. A name in `kinds` that is no event kind raises
-    ValueError here, before any line is read. The generator raises
-    ValueError when a line is malformed (numbers are ASCII digits, with no
-    '_' or '+'; sync words are 4 uppercase hex digits), a timestamp
-    decreases, an event follows the summary block, a summary line is not
-    as summary_line writes it, or the summary block (when there is one)
-    misses a node that has events, repeats a node, or disagrees with the
-    events: sent must be the node's tx_start count, received its rx_ok
+    Every line is checked, whatever its kind: a one-frame slot exactly as
+    report_lines writes it, in items that are each one newline-terminated
+    line, as one block, and every other line on its own, with the same events
+    and messages. Only the events of `kinds` are built and yielded. Comment
+    lines starting with '#' and blank lines are ignored. Summary lines are
+    appended to `stats`, if given, as they are read. A name in `kinds` that
+    is no event kind raises ValueError here, before any line is read. The
+    generator raises ValueError when a line is malformed (numbers are ASCII
+    digits, with no '_' or '+'; sync words are 4 uppercase hex digits), a
+    timestamp decreases, an event follows the summary block, a summary line
+    is not as summary_line writes it, or the summary block (when there is
+    one) misses a node that has events, repeats a node, or disagrees with
+    the events: sent must be the node's tx_start count, received its rx_ok
     count and lost their difference.
     """
     wanted = frozenset(kinds)
@@ -421,16 +426,73 @@ def iter_report(
     return _report_events(lines, stats, wanted)
 
 
+# A one-frame slot as report_lines writes it, one line per NUL-joined batch item.
+# int() takes numbers of at most 19 digits whatever its limit; longer go per line.
+_SLOT_BLOCK = "\n\0".join((
+    r"([0-9]{1,19}) slot_open ([0-9A-F]{4})", r"([0-9]{1,19}) tx_start \2 ([0-9]{1,19})",
+    r"([0-9]{1,19}) tx_end \2", r"\5 (rx_ok|rx_drop) \2 \4", r"([0-9]{1,19}) slot_close \2", ""))
+REPORT_BATCH_LINES = 1000  # lines read at a time on the slot-block path
+
+
 def _report_events(lines, stats, wanted):
     summary: dict[int, tuple[int, NodeStats]] = {}
     words: dict[str, tuple[int, list[int]]] = {}  # sync text -> (sync, [sent, received])
     tallies: dict[int, list[int]] = {}
-    last_t = 0
     event = partial(tuple.__new__, SimEvent)  # SimEvent(...) minus its Python-level call
     # kind -> (its tally slot: 0 counts tx_start, 1 rx_ok; whether it is built)
     roles = {kind: ({"tx_start": 0, "rx_ok": 1}.get(kind), kind in wanted)
              for kind in EVENT_KINDS}
-    for line_no, raw in enumerate(lines, start=1):
+    state = summary, words, tallies, roles, event, stats
+    match = re.compile(_SLOT_BLOCK).match  # compiled on first use, then cached by re
+    want_open, want_start, want_end, want_close = (
+        kind in wanted for kind in ("slot_open", "tx_start", "tx_end", "slot_close"))
+    rest, line_no, last_t, blocks = iter(lines), 0, 0, True
+    while blocks and (batch := list(islice(rest, REPORT_BATCH_LINES))):
+        text = "\0".join(batch) + "\0"
+        # per line from here unless each item is one newline-terminated line with no NUL
+        blocks = text.count("\0") == text.count("\n\0") == len(batch)
+        k = pos = 0
+        while blocks and k < len(batch):
+            m = match(text, pos)
+            if m:
+                t0, t1, t2, t3 = map(int, m.group(1, 3, 5, 7))
+                word = words.get(m[2])  # a node's first slot is read per line
+                if word and last_t <= t0 <= t1 <= t2 <= t3:
+                    sync, tally = word
+                    payload, kind = int(m[4]), m[6]
+                    tally[0] += 1
+                    tally[1] += kind == "rx_ok"
+                    if want_open:
+                        yield event((t0, "slot_open", sync, None))
+                    if want_start:
+                        yield event((t1, "tx_start", sync, payload))
+                    if want_end:
+                        yield event((t2, "tx_end", sync, None))
+                    if kind in wanted:
+                        yield event((t2, kind, sync, payload))
+                    if want_close:
+                        yield event((t3, "slot_close", sync, None))
+                    last_t, line_no, k, pos = t3, line_no + 5, k + 5, m.end()
+                    continue
+            # per line up to the next slot_open line: it finds and names any fault
+            start = text.find(" slot_open ", text.index("\0", pos))
+            stop = len(text) if start < 0 else text.rfind("\0", 0, start) + 1
+            count = text.count("\0", pos, stop)
+            line_no, last_t = yield from _per_line(batch[k:k + count], line_no, last_t, state)
+            # after a slot of more frames, or a summary line, all is read per line
+            blocks = not summary and text.count(" tx_start ", pos, stop) < 2
+            k, pos = k + count, stop
+        if not blocks:
+            line_no, last_t = yield from _per_line(batch[k:], line_no, last_t, state)
+    yield from _per_line(rest, line_no, last_t, state)
+    if summary:
+        _check_summary(summary, tallies)
+
+
+def _per_line(raws, line_no, last_t, state):
+    """Check raws line by line, numbered on from line_no; return (line_no, last_t)."""
+    summary, words, tallies, roles, event, stats = state
+    for line_no, raw in enumerate(raws, line_no + 1):
         parts = raw.split()
         if not parts or parts[0][0] == "#":
             continue
@@ -480,8 +542,7 @@ def _report_events(lines, stats, wanted):
             tally[slot] += 1
         if built:
             yield event((t_ns, kind, sync, detail))
-    if summary:
-        _check_summary(summary, tallies)
+    return line_no, last_t
 
 
 def _check_summary(summary: dict[int, tuple[int, NodeStats]],

@@ -537,7 +537,17 @@ class TestFailBeforeOutput:
         assert (code, stdout) == (EXIT_DATA, "")
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
-        assert not report.exists() or report.read_bytes() == b""
+        assert not report.exists()
+
+    def test_simulate_unwritable_uplink_log_keeps_an_existing_report(self, capsys, tmp_path):
+        report = tmp_path / "r.txt"
+        report.write_bytes(b"an earlier report\n")
+        code, stdout, err = run(capsys, [
+            "simulate", "--duration-s", "1", "--output", str(report),
+            "--uplink-log", str(tmp_path / "missing" / "u.log")])
+        assert (code, stdout) == (EXIT_DATA, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert report.read_bytes() == b"an earlier report\n"
 
     def test_reconstruct_off_grid_expected_row(self, capsys, tmp_path):
         expected = tmp_path / "expected.csv"

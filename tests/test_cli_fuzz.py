@@ -18,8 +18,9 @@ plausible values keep every accepted run to a few thousand events:
 `--duration-s` at most 2, `--frames-per-slot` at most 4 and `--slot-s` at
 most 5.
 
-`uplink` reads one small fixed `simulate` report (3 nodes, 2 s), so it
-needs no such cap. Each run gets that report with 0-3 lines tampered with
+`uplink` reads one of two small fixed `simulate` reports (3 nodes, 2 s;
+one frame a slot, or three after a 0.01 s handshake), so it needs no such
+cap. Each run gets one of them with 0-3 lines tampered with
 (two lines swapped, a '_', '+' or non-ASCII digit put in, a kind renamed,
 or a summary line dropped) and hostile `--map`, `--epoch` and
 `--min-spacing-s` values, and must end in exit 0, 2 or 3 without a
@@ -199,13 +200,18 @@ UPLINK_PLAUSIBLE = {
 }
 
 
+# the simulate flags of each report shape uplink reads
+REPORT_SHAPES = ((), ("--frames-per-slot", "3", "--handshake-s", "0.01", "--slot-s", "0.4"))
+
+
 @functools.cache
-def small_report() -> tuple[str, ...]:
-    """The lines of a 3-node, 2 s `simulate` report with 20% drops."""
+def small_report(shape: tuple[str, ...] = ()) -> tuple[str, ...]:
+    """The lines of a 3-node, 2 s `simulate` report with 20% drops, written
+    with the extra flags of shape."""
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
         path = Path(tmp) / "report.txt"
         assert main(["simulate", "--nodes", "3", "--duration-s", "2", "--drop", "0.2",
-                     "--seed", "5", "--output", str(path)]) == EXIT_OK
+                     "--seed", "5", *shape, "--output", str(path)]) == EXIT_OK
         return tuple(path.read_text(encoding="utf-8").splitlines())
 
 
@@ -228,7 +234,7 @@ def tamper(lines, edit, at, offset):
 
 @st.composite
 def tampered_reports(draw):
-    lines = small_report()
+    lines = small_report(draw(st.sampled_from(REPORT_SHAPES)))
     for _ in range(draw(st.integers(0, 3))):
         lines = tamper(lines, draw(st.sampled_from(("swap", "_", "+", "\u0665", "kind", "drop"))),
                        draw(st.integers(1, len(lines) - 1)), draw(st.integers(0, 40)))

@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import io
 import math
@@ -5,7 +6,8 @@ import random
 import time
 import tracemalloc
 from collections import deque
-from functools import partial
+from functools import cache, partial
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -39,6 +41,7 @@ from loralink.tdma_sim import (
     serialize_report,
     summary_line,
 )
+from test_cli_fuzz import tamper
 from test_rng import SplitMix64
 
 FAST_CONFIG = RadioConfig(sf=7, bw_hz=500000, cr=CodingRate(4, 8))
@@ -594,6 +597,12 @@ def sample_report_text():
     return serialize_report(run_simulation(schedule, 1.0, seed=21))
 
 
+def line_forms(text):
+    """text as lines without newlines, read per line, and as newline-terminated
+    lines, which may take the slot-block path."""
+    return text.splitlines(), text.splitlines(keepends=True)
+
+
 def retell(text, old, new):
     """text with the first line that starts with old rewritten by new(line)."""
     lines = text.splitlines()
@@ -644,10 +653,11 @@ class TestReportChecks:
         # every line is checked whichever kinds are built, and fails the same way
         messages = set()
         for kinds in (EVENT_KINDS, ("rx_ok",), ()):
-            with pytest.raises(ValueError) as caught:
-                for _ in iter_report(tampered.splitlines(), kinds=kinds):
-                    pass
-            messages.add(str(caught.value))
+            for lines in line_forms(tampered):
+                with pytest.raises(ValueError) as caught:
+                    for _ in iter_report(lines, kinds=kinds):
+                        pass
+                messages.add(str(caught.value))
         assert len(messages) == 1, messages
 
     @pytest.mark.parametrize("line, message", [
@@ -664,9 +674,10 @@ class TestReportChecks:
     def test_a_line_with_two_faults_reports_the_first_check(self, line, message):
         text = f"0 slot_open A001\n0 tx_start A001 84\n{line}\n"
         for kinds in (EVENT_KINDS, ("rx_ok",)):
-            with pytest.raises(ValueError) as caught:
-                list(iter_report(text.splitlines(), kinds=kinds))
-            assert str(caught.value) == message
+            for lines in line_forms(text):
+                with pytest.raises(ValueError) as caught:
+                    list(iter_report(lines, kinds=kinds))
+                assert str(caught.value) == message
 
     @pytest.mark.parametrize("summary", [
         "node A001 sent=1 received=1 lost=0 loss_pct=99",
@@ -691,9 +702,10 @@ class TestReportChecks:
             read_summary(text.splitlines())
         assert str(caught.value) == message
         for kinds in (EVENT_KINDS, ("rx_ok",)):
-            with pytest.raises(ValueError) as caught:
-                list(iter_report(text.splitlines(), kinds=kinds))
-            assert str(caught.value) == message
+            for lines in line_forms(text):
+                with pytest.raises(ValueError) as caught:
+                    list(iter_report(lines, kinds=kinds))
+                assert str(caught.value) == message
 
     @pytest.mark.parametrize("line, word", [
         ("5 tx_end a001", "a001"),  # A001 is already known from lines 1 and 2
@@ -703,10 +715,11 @@ class TestReportChecks:
     def test_a_sync_word_must_read_as_format_sync_word_writes_it(self, line, word):
         text = f"0 slot_open A001\n0 tx_start A001 84\n{line}\n"
         for kinds in (EVENT_KINDS, ("rx_ok",)):
-            with pytest.raises(ValueError) as caught:
-                list(iter_report(text.splitlines(), kinds=kinds))
-            assert str(caught.value) == (
-                f"line 3: sync word must be 4 uppercase hex digits, got {word!r}")
+            for lines in line_forms(text):
+                with pytest.raises(ValueError) as caught:
+                    list(iter_report(lines, kinds=kinds))
+                assert str(caught.value) == (
+                    f"line 3: sync word must be 4 uppercase hex digits, got {word!r}")
 
     @pytest.mark.parametrize("sent, received", [(1, 1), (3, 2), (3, 0), (0, 0), (7, 3)])
     def test_summary_lines_read_back(self, sent, received):
@@ -722,18 +735,21 @@ class TestReportChecks:
     def test_a_comment_is_skipped_whatever_it_holds(self):
         text = ("0 slot_open A001\n#5 warp A_01 +7\n# 5 tx_start A001\n  # x y z\n\n"
                 "0 tx_start A001 84\n")
-        assert list(iter_report(text.splitlines())) == [
-            SimEvent(0, "slot_open", 0xA001), SimEvent(0, "tx_start", 0xA001, 84)]
+        for lines in line_forms(text):
+            assert list(iter_report(lines)) == [
+                SimEvent(0, "slot_open", 0xA001), SimEvent(0, "tx_start", 0xA001, 84)]
 
     @pytest.mark.parametrize("kinds", [("rx_ok",), (), EVENT_KINDS, ("tx_end", "slot_open")])
     def test_iter_report_builds_only_the_kinds_asked_for(self, kinds):
-        lines = sample_report_text().splitlines()
-        full_stats, stats = [], []
-        wanted = [event for event in iter_report(lines, full_stats) if event.kind in kinds]
-        assert list(iter_report(lines, stats, kinds=kinds)) == wanted
-        assert stats == full_stats and stats
-        # a one-shot iterable of kinds is read once, not used up by the check
-        assert list(iter_report(lines, kinds=iter(kinds))) == wanted
+        per_line, newline_lines = line_forms(sample_report_text())
+        full_stats = []
+        wanted = [event for event in iter_report(per_line, full_stats) if event.kind in kinds]
+        for lines in (per_line, newline_lines):
+            stats = []
+            assert list(iter_report(lines, stats, kinds=kinds)) == wanted
+            assert stats == full_stats and stats
+            # a one-shot iterable of kinds is read once, not used up by the check
+            assert list(iter_report(lines, kinds=iter(kinds))) == wanted
 
     @pytest.mark.parametrize("kinds", [("rx_okk",), ("rx_ok", "node"), "rx_ok"])
     def test_unknown_kind_raises_on_the_call(self, kinds):
@@ -746,3 +762,170 @@ class TestReportChecks:
         assert tuple(summary.items()) == parse_report(text).stats
         with pytest.raises(ValueError):
             read_summary(["node A001 sent=1\n"])
+
+
+@cache
+def simulate_lines(argv):
+    """The lines, without newlines, of the report `simulate` writes for argv."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["simulate", *argv]) == EXIT_OK
+    return tuple(out.getvalue().splitlines())
+
+
+def event_time(line):
+    """The timestamp of an event line as simulate writes it, else None."""
+    head = line.split(" ", 1)[0]
+    return int(head) if head.isascii() and head.isdigit() else None
+
+
+def tamper_report(lines, edit, at, offset):
+    """lines with one edit made near line index `at`.
+
+    Besides test_cli_fuzz's tamper edits: a blank or comment line put in at
+    `at`, the first summary line moved there, or on the first event line from
+    `at` on that follows another: its timestamp set 1 below that one's (with
+    the rx line's, for a tx_end line), its sync word set to FFFF, or, for an
+    rx line, its payload changed.
+    """
+    if edit in ("swap", "_", "+", "\u0665", "kind", "drop"):
+        return tamper(lines, edit, at, offset)
+    lines = list(lines)
+    if edit == "comment":
+        lines.insert(at, "# " * (offset % 2))
+        return lines
+    if edit == "summary":
+        lines.insert(at, lines.pop(next(i for i, l in enumerate(lines) if l.startswith("node "))))
+        return lines
+    for i in range(max(at, 1), len(lines)):
+        before, t = event_time(lines[i - 1]), event_time(lines[i])
+        if before is None or t is None:
+            continue
+        parts = lines[i].split(" ")
+        if edit == "earlier" and before:
+            # the rx line after a tx_end line repeats its time, and goes on doing so
+            rx = parts[1:2] == ["tx_end"] and i + 1 < len(lines) and event_time(lines[i + 1]) == t
+            for j in (i, i + 1) if rx else (i,):
+                lines[j] = " ".join([str(before - 1), *lines[j].split(" ")[1:]])
+            return lines
+        if edit == "node" and len(parts) > 2:
+            lines[i] = " ".join([*parts[:2], "FFFF", *parts[3:]])
+            return lines
+        if edit == "payload" and parts[1:2] in (["rx_ok"], ["rx_drop"]) and parts[-1].isdigit():
+            lines[i] = " ".join([*parts[:-1], str(int(parts[-1]) + 1)])
+            return lines
+    return lines
+
+
+@st.composite
+def tampered_simulate_reports(draw):
+    """The lines of a `simulate` report (1-8 nodes, 1-3 frames a slot, with or
+    without a handshake and a guard, with drops), with 0-3 tampers. One frame
+    a slot, the slot-block path's case, is drawn half the time."""
+    lines = simulate_lines((
+        "--sf", "7", "--bw-khz", "500", "--slot-s", "0.05",
+        "--nodes", str(draw(st.integers(1, 8))),
+        "--frames-per-slot", draw(st.sampled_from(("1", "1", "2", "3"))),
+        "--handshake-s", draw(st.sampled_from(("0", "0.01"))),
+        "--guard-s", draw(st.sampled_from(("0", "0.01"))),
+        "--drop", draw(st.sampled_from(("0", "0.3", "1"))),
+        "--duration-s", draw(st.sampled_from(("0.3", "1.5"))),
+        "--seed", str(draw(st.integers(0, 3)))))
+    edits = ("swap", "_", "+", "\u0665", "kind", "drop", "comment", "summary", "earlier",
+             "node", "payload")
+    for _ in range(draw(st.integers(0, 3))):
+        edit = draw(st.sampled_from(edits))
+        if edit in ("drop", "summary") and not any(l.startswith("node ") for l in lines):
+            continue
+        lines = tamper_report(lines, edit, draw(st.integers(1, len(lines) - 1)),
+                              draw(st.integers(0, 40)))
+    return lines
+
+
+def read_outcome(lines, kinds):
+    """(events, stats, message): what iter_report yields and fills before it
+    ends, and the text of the ValueError it ends with, if any."""
+    events, stats = [], []
+    try:
+        for event in iter_report(lines, stats, kinds=kinds):
+            assert type(event) is SimEvent
+            events.append(event)
+    except ValueError as exc:
+        return events, stats, str(exc)
+    return events, stats, None
+
+
+class TestSlotBlockReader:
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(tampered_simulate_reports())
+    def test_newline_lines_read_as_the_per_line_reader_reads_them(self, lines):
+        newline_lines = [line + "\n" for line in lines]
+        for kinds in (EVENT_KINDS, ("rx_ok",), ()):
+            want = read_outcome(lines, kinds)  # no item is newline-terminated: all per line
+            for batch_lines in (1, 4, 7, 1000):  # slots straddle batches of 1, 4 and 7
+                with mock.patch.object(tdma_sim, "REPORT_BATCH_LINES", batch_lines):
+                    assert read_outcome(newline_lines, kinds) == want, (kinds, batch_lines)
+
+    @pytest.mark.parametrize("edit", ["earlier", "node", "payload", "comment", "summary"])
+    @pytest.mark.parametrize("at", range(10, 15))
+    def test_a_slot_block_with_one_line_changed_reads_as_per_line(self, edit, at):
+        lines = sample_report_text().splitlines()
+        # lines 10-14 are the third slot, the first one the block path may take
+        tampered = tamper_report(lines, edit, at, 1)
+        assert tampered != lines
+        for kinds in (EVENT_KINDS, ("rx_ok",), ()):
+            assert (read_outcome([line + "\n" for line in tampered], kinds)
+                    == read_outcome(tampered, kinds))
+
+    def test_items_that_are_not_one_line_each_are_read_per_line(self):
+        text = sample_report_text()
+        lines = text.splitlines(keepends=True)
+        pairs = ["".join(lines[i:i + 2]) for i in range(0, len(lines), 2)]
+        with pytest.raises(ValueError, match="^line 1: malformed event line"):
+            list(iter_report(pairs))
+        assert list(iter_report([*lines[:-1], lines[-1].rstrip("\n")])) == list(
+            iter_report(lines))
+        # a NUL in an item would let a block span items, were items with one not read per line
+        slot = ["0 slot_open A001\n", "0 tx_start A001 84\n", "5 tx_end A001\n",
+                "5 rx_ok A001 84\n", "9 slot_close A001\n"]
+        later = [f"1{line}" for line in slot]  # the same slot 10 ns on
+        forged = [later[0] + "\x00" + later[1], *later[2:], "x"]
+        with pytest.raises(ValueError, match="^line 6: malformed event line"):
+            list(iter_report([*slot, *forged]))
+
+    def test_a_number_past_the_int_digit_limit_is_read_per_line(self):
+        lines = sample_report_text().splitlines()
+        for at in range(10, 15):  # the third slot, as in the test above
+            for token in (0, -1):  # the timestamp, and the payload or sync word
+                tampered = list(lines)
+                old = lines[at].split(" ")[token]
+                for i in {at, 13}:  # with the rx line, where it repeats the token
+                    parts = lines[i].split(" ")
+                    if parts[token] == old:
+                        parts[token] = "9" * 5000
+                        tampered[i] = " ".join(parts)
+                assert (read_outcome([line + "\n" for line in tampered], EVENT_KINDS)
+                        == read_outcome(tampered, EVENT_KINDS))
+
+    def test_peak_memory_of_a_drain_does_not_grow_with_the_horizon(self, tmp_path):
+        schedule = SlotSchedule(make_nodes(8, [0.3] * 8), 0.02, 0.001)
+        for periods in (10, 100, 400):  # 400, 4,000 and 16,000 lines
+            stats = []
+            with open(tmp_path / f"{periods}.txt", "w", encoding="utf-8") as out:
+                out.writelines(report_lines(
+                    iter_slots(schedule, period(schedule) * periods, 7, stats=stats), stats))
+
+        def peak_bytes(periods):
+            with open(tmp_path / f"{periods}.txt", encoding="utf-8") as report:
+                before = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                deque(iter_report(report, kinds=("rx_ok",)), maxlen=0)
+                return tracemalloc.get_traced_memory()[1] - before
+
+        tracemalloc.start()
+        try:
+            peak_bytes(10)  # the one-off allocations, such as the compiled block regex
+            once, four_times = peak_bytes(100), peak_bytes(400)
+        finally:
+            tracemalloc.stop()
+        assert four_times - once < 64 * 1024, (once, four_times)

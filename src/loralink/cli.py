@@ -6,6 +6,10 @@ reproducible from the output alone.
 
 Exit codes: 0 success; 2 usage error; 3 data/validation error, or a
 stdout closed before all output was written; 4 tolerance exceeded.
+
+Importing this module runs only it, `core_types` and `phy_model` (which its
+argument types need). The other modules are read as attributes at call
+time (`dataset.lookup(...)`), so each runs on a subcommand's first use.
 """
 
 from __future__ import annotations
@@ -15,11 +19,11 @@ import math
 import os
 import sys
 from contextlib import contextmanager, nullcontext
-from datetime import datetime, timezone
 from functools import cache
 from itertools import tee
 from typing import Sequence
 
+from . import dataset, link_budget, recommender, tdma_sim, uplink_bridge
 from .core_types import (
     BW_HZ_VALUES,
     SF_VALUES,
@@ -33,41 +37,7 @@ from .core_types import (
     parse_float,
     parse_int,
 )
-from .dataset import (
-    evaluate_grid,
-    grid_records,
-    load_bundled_measurements,
-    load_expected_grid,
-    load_measurements,
-    lookup,
-    reconstruct_excess_loss,
-)
-from .link_budget import loss_breakdown
 from .phy_model import FrameParams, coding_rate_index
-from .recommender import SelectionConstraints, recommend_sf_bw, select_cr
-from .tdma_sim import (
-    NodeSpec,
-    NodeStats,
-    SlotSchedule,
-    default_slot_duration,
-    drop_model_from_table,
-    format_sync_word,
-    iter_events,
-    iter_report,
-    iter_slots,
-    parse_sync_word,
-    read_summary,
-    report_lines,
-    summary_line,
-)
-from .uplink_bridge import (
-    DEFAULT_REAL_SPACING_S,
-    DryRunTransport,
-    HttpTransport,
-    UnmappedSyncWordError,
-    iso_utc,
-    iter_bridge,
-)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -141,13 +111,15 @@ def _order_arg(text: str) -> tuple[str, ...]:
     """Comma-separated ranking metrics, checked by SelectionConstraints."""
     order = tuple(metric.strip() for metric in text.split(",") if metric.strip())
     try:
-        return SelectionConstraints(tie_break_order=order).tie_break_order
+        return recommender.SelectionConstraints(tie_break_order=order).tie_break_order
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
-def _iso8601_arg(text: str) -> datetime:
-    """The instant in UTC; a naive timestamp is read as UTC."""
+def _iso8601_arg(text: str):
+    """The instant as an aware datetime in UTC; a naive timestamp is read as UTC."""
+    from datetime import datetime, timezone  # only uplink reads a timestamp
+
     try:
         moment = datetime.fromisoformat(text.replace("Z", "+00:00"))
     except ValueError:
@@ -187,8 +159,8 @@ def _open_output(path: str | None):
 def _load_fixture(path: str | None):
     """Returns (table, display name) for --fixture (None = bundled)."""
     if path is None:
-        return load_bundled_measurements(), BUNDLED_FIXTURE
-    return load_measurements(path), path
+        return dataset.load_bundled_measurements(), BUNDLED_FIXTURE
+    return dataset.load_measurements(path), path
 
 
 def _parse_cell(text: str) -> tuple[int, float]:
@@ -270,7 +242,8 @@ def _recommend_flags(parser: argparse.ArgumentParser) -> None:
                         help="hard packet-loss ceiling in percent (default 0)")
     parser.add_argument("--min-bw-khz", type=_khz_arg, default=62500.0, dest="min_bw_hz",
                         metavar="KHZ", help="minimum admissible bandwidth (default 62.5)")
-    parser.add_argument("--order", type=_order_arg, default=SelectionConstraints().tie_break_order,
+    parser.add_argument("--order", type=_order_arg,
+                        default=recommender.SelectionConstraints().tie_break_order,
                         help="comma-separated ranking metrics (snr, excess_loss, rssi)")
     parser.add_argument("--top", type=_non_negative_int, default=5,
                         help="runner-up rows to print (default 5)")
@@ -401,13 +374,13 @@ def cmd_budget(args) -> int:
     if use_cell:
         table, fixture_name = _load_fixture(args.fixture)
         sf, bw_hz = _parse_cell(args.cell)
-        record = lookup(table, sf, bw_hz, require=("rssi_dbm",))
+        record = dataset.lookup(table, sf, bw_hz, require=("rssi_dbm",))
         rssi, snr = record.rssi_dbm, record.snr_db
     else:
         rssi, snr = args.rssi, args.snr
 
     link = _link_params(args)
-    breakdown = loss_breakdown(link, SignalSample(rssi, snr))
+    breakdown = link_budget.loss_breakdown(link, SignalSample(rssi, snr))
 
     manifest = _manifest_line("budget", {
         "rssi_dbm": rssi, "snr_db": snr, **_link_manifest(link),
@@ -426,9 +399,9 @@ def cmd_budget(args) -> int:
 def cmd_reconstruct(args) -> int:
     table, fixture_name = _load_fixture(args.fixture)
     expected_name = BUNDLED_EXPECTED if args.expected is None else args.expected
-    expected = load_expected_grid(args.expected)
+    expected = dataset.load_expected_grid(args.expected)
     link = _link_params(args)
-    grid = reconstruct_excess_loss(table, link)
+    grid = dataset.reconstruct_excess_loss(table, link)
 
     deviations = [abs(got - want) for got_row, want_row in zip(grid, expected)
                   for got, want in zip(got_row, want_row)]
@@ -456,12 +429,12 @@ def cmd_reconstruct(args) -> int:
 
 def cmd_recommend(args) -> int:
     table, fixture_name = _load_fixture(args.fixture)
-    constraints = SelectionConstraints(
+    constraints = recommender.SelectionConstraints(
         max_loss_pct=args.max_loss, min_bw_hz=args.min_bw_hz, tie_break_order=args.order
     )
     link = _link_params(args)
-    (winner, budget), *runners_up = recommend_sf_bw(table, link, constraints)
-    cr, cr_basis = select_cr(table, winner.sf, winner.bw_hz)
+    (winner, budget), *runners_up = recommender.recommend_sf_bw(table, link, constraints)
+    cr, cr_basis = recommender.select_cr(table, winner.sf, winner.bw_hz)
 
     manifest = _manifest_line("recommend", {
         "fixture": fixture_name, "max_loss_pct": args.max_loss,
@@ -493,7 +466,7 @@ def _simulate_drops(args, config: RadioConfig) -> tuple[list[float], str]:
     if args.drop_from_fixture is not None:
         source = None if args.drop_from_fixture == "bundled" else args.drop_from_fixture
         table, name = _load_fixture(source)
-        return [drop_model_from_table(table, config)] * args.nodes, f"fixture:{name}"
+        return [tdma_sim.drop_model_from_table(table, config)] * args.nodes, f"fixture:{name}"
     text = args.drop if args.drop is not None else "0"
     try:
         values = [parse_float(part) for part in text.split(",")]
@@ -512,13 +485,13 @@ def cmd_simulate(args) -> int:
     config = RadioConfig(sf=args.sf, bw_hz=args.bw_hz, cr=args.cr)
     frame = FrameParams(payload_bytes=args.payload_bytes, preamble_symbols=args.preamble)
     drops, drop_name = _simulate_drops(args, config)
-    nodes = tuple(NodeSpec(0xA001 + i, config, frame, p) for i, p in enumerate(drops))
-    slot_s = args.slot_s if args.slot_s is not None else default_slot_duration(nodes)
-    schedule = SlotSchedule(nodes, slot_s, args.guard_s)
+    nodes = tuple(tdma_sim.NodeSpec(0xA001 + i, config, frame, p) for i, p in enumerate(drops))
+    slot_s = args.slot_s if args.slot_s is not None else tdma_sim.default_slot_duration(nodes)
+    schedule = tdma_sim.SlotSchedule(nodes, slot_s, args.guard_s)
     run = dict(schedule=schedule, duration_s=args.duration_s, seed=args.seed,
                frames_per_slot=args.frames_per_slot, handshake_s=args.handshake_s)
-    stats: list[tuple[int, NodeStats]] = []
-    slots = iter_slots(**run, stats=stats)  # checks the run before any output exists
+    stats: list[tuple[int, tdma_sim.NodeStats]] = []
+    slots = tdma_sim.iter_slots(**run, stats=stats)  # checks the run before any output exists
     if args.uplink_log is not None:
         if args.uplink_log == "-" or (args.output not in (None, "-")
                                       and _same_file(args.uplink_log, args.output)):
@@ -526,7 +499,8 @@ def cmd_simulate(args) -> int:
         key_map = _default_key_map([node.sync_word for node in nodes])
 
     manifest = _manifest_line("simulate", {
-        "nodes": args.nodes, "sync_words": ",".join(format_sync_word(n.sync_word) for n in nodes),
+        "nodes": args.nodes,
+        "sync_words": ",".join(tdma_sim.format_sync_word(n.sync_word) for n in nodes),
         "sf": args.sf, "bw_khz": hz_to_khz_str(args.bw_hz), "cr": args.cr,
         "payload_bytes": args.payload_bytes, "preamble": args.preamble,
         "slot_s": slot_s, "guard_s": args.guard_s, "duration_s": args.duration_s,
@@ -540,16 +514,17 @@ def cmd_simulate(args) -> int:
         print(manifest, file=out)
         if log is not None:
             print(manifest, file=log)
-            transport = DryRunTransport(write=log.write)
-            for update in iter_bridge(iter_events(_written(slots, out)), key_map):
+            transport = uplink_bridge.DryRunTransport(write=log.write)
+            events = tdma_sim.iter_events(_written(slots, out))
+            for update in uplink_bridge.iter_bridge(events, key_map):
                 transport.send(update)
         # every record, or with a log none (the bridge drained them), then the summary
-        out.writelines(report_lines(slots, stats))
+        out.writelines(tdma_sim.report_lines(slots, stats))
     if args.output not in (None, "-"):
         # keep the summary visible on stdout when the report goes to a file
         print(manifest)
         for sync, totals in stats:
-            print(summary_line(sync, totals))
+            print(tdma_sim.summary_line(sync, totals))
     return EXIT_OK
 
 
@@ -564,7 +539,7 @@ def _same_file(path: str, other: str) -> bool:
 def _written(slots, out):
     """Each slot record after writing its report_lines text to out: one pass, two sinks."""
     records, copies = tee(slots)  # holds at most the one record in flight
-    for record, text in zip(records, report_lines(copies, ())):
+    for record, text in zip(records, tdma_sim.report_lines(copies, ())):
         out.write(text)
         yield record
 
@@ -575,11 +550,11 @@ def cmd_sweep(args) -> int:
     if args.metric in SWEEP_MEASURED:
         column = SWEEP_MEASURED[args.metric]
         rows = [(record, format_decimal(getattr(record, column)))
-                for record in grid_records(table, (column,))]
+                for record in dataset.grid_records(table, (column,))]
     else:
         field = SWEEP_DERIVED[args.metric]
         rows = [(record, f"{getattr(breakdown, field):.3f}")
-                for record, breakdown in evaluate_grid(table, link)]
+                for record, breakdown in dataset.evaluate_grid(table, link)]
 
     manifest = _manifest_line("sweep", {
         "metric": args.metric, "fixture": fixture_name, **_link_manifest(link),
@@ -610,14 +585,14 @@ def _parse_key_map(items, summary) -> dict[int, tuple[str, int]]:
             try:
                 sync_text, _, rest = item.partition("=")
                 key, _, field_text = rest.rpartition(":")
-                sync = parse_sync_word(sync_text.strip())
+                sync = tdma_sim.parse_sync_word(sync_text.strip())
                 field_index = parse_int(field_text)
             except ValueError as exc:
                 raise UsageError(f"malformed --map item {item!r}: {exc}") from None
             if not key:
                 raise UsageError(f"malformed --map item {item!r}; expected SYNC=KEY:FIELD")
             if sync in item_of:
-                raise UsageError(f"sync word {format_sync_word(sync)} is mapped twice: "
+                raise UsageError(f"sync word {tdma_sim.format_sync_word(sync)} is mapped twice: "
                                  f"--map {item_of[sync]!r} and --map {item!r}")
             item_of[sync] = item
             mapping[sync] = (key, field_index)
@@ -625,7 +600,8 @@ def _parse_key_map(items, summary) -> dict[int, tuple[str, int]]:
         mapping = _default_key_map(summary)
     for sync, stats in summary.items():
         if stats.packets_received and sync not in mapping:
-            raise UnmappedSyncWordError(f"sync word {format_sync_word(sync)} has no channel mapping")
+            raise uplink_bridge.UnmappedSyncWordError(
+                f"sync word {tdma_sim.format_sync_word(sync)} has no channel mapping")
     return mapping
 
 
@@ -633,7 +609,7 @@ def cmd_uplink(args) -> int:
     with open(args.report, encoding="utf-8") as report:
         # a cheap first pass over the summary lines lets every check run
         # before output; a report that cannot be rewound (a pipe) fails here
-        summary = read_summary(report)
+        summary = tdma_sim.read_summary(report)
         if not summary:
             # the default key map and the mapping checks read the summary
             raise ValueError(f"report {args.report} has no summary lines "
@@ -641,15 +617,17 @@ def cmd_uplink(args) -> int:
         report.seek(0)
         key_map = _parse_key_map(args.map, summary)
         # the bridge reads only rx_ok events; the other lines are checked, not built
-        updates = iter_bridge(iter_report(report, kinds=("rx_ok",)), key_map, epoch=args.epoch)
+        events = tdma_sim.iter_report(report, kinds=("rx_ok",))
+        updates = uplink_bridge.iter_bridge(events, key_map, epoch=args.epoch)
         spacing = args.min_spacing_s
         if spacing is None:
-            spacing = DEFAULT_REAL_SPACING_S if args.real else 0.0
-        transport = HttpTransport(min_spacing_s=spacing) if args.real else None
+            spacing = uplink_bridge.DEFAULT_REAL_SPACING_S if args.real else 0.0
+        transport = uplink_bridge.HttpTransport(min_spacing_s=spacing) if args.real else None
         manifest = _manifest_line("uplink", {
             "report": args.report,
-            "map": ";".join(f"{format_sync_word(s)}={k}:{f}" for s, (k, f) in key_map.items()),
-            "epoch": iso_utc(args.epoch), "real": args.real, "min_spacing_s": spacing,
+            "map": ";".join(f"{tdma_sim.format_sync_word(s)}={k}:{f}"
+                            for s, (k, f) in key_map.items()),
+            "epoch": uplink_bridge.iso_utc(args.epoch), "real": args.real, "min_spacing_s": spacing,
             "seed": args.seed, "output": args.output or "-",
         })
         with _open_output(args.output) as out:
@@ -659,7 +637,7 @@ def cmd_uplink(args) -> int:
                     body = transport.send(update)
                     print(f"sent field update, response: {body}", file=out)
             else:
-                transport = DryRunTransport(write=out.write)
+                transport = uplink_bridge.DryRunTransport(write=out.write)
                 for update in updates:
                     transport.send(update)
     return EXIT_OK

@@ -35,13 +35,15 @@ import math
 import re
 from functools import lru_cache, partial
 from itertools import islice
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
 from .core_types import RadioConfig, Value, format_decimal, parse_int
-from .dataset import MeasurementTable, lookup
 from .link_budget import packet_loss_pct
 from .phy_model import FrameParams, time_on_air
 from .rng import GOLDEN64, mix64, substream_seed
+
+if TYPE_CHECKING:
+    from .dataset import MeasurementTable
 
 EVENT_KINDS = ("slot_open", "tx_start", "tx_end", "rx_ok", "rx_drop", "slot_close")
 
@@ -186,6 +188,8 @@ def default_slot_duration(nodes: Sequence[NodeSpec]) -> float:
 
 def drop_model_from_table(table: MeasurementTable, config: RadioConfig) -> float:
     """Loss probability of a configuration, from its measured cell."""
+    from .dataset import lookup  # a run with explicit drops never reads a table
+
     cell = lookup(table, config.sf, config.bw_hz, require=("loss_pct",))
     return cell.loss_pct / 100.0
 

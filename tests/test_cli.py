@@ -839,6 +839,49 @@ class TestParserBasics:
                               check=True, timeout=60, env={**os.environ, "PYTHONPATH": src})
         assert done.stdout.strip() == "[]"
 
+    # In a fresh interpreter: `import loralink.cli`, then main(argv) if argv is
+    # given; prints the loralink modules whose body has run, then which of csv
+    # and datetime are loaded. A module registered but not yet run is still of
+    # the lazy subclass; type() tells them apart without triggering the load.
+    LOAD_PROBE = (
+        "import contextlib, io, sys, types\n"
+        "import loralink.cli\n"
+        "if sys.argv[1:]:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert loralink.cli.main(sys.argv[1:]) == 0\n"
+        "print(*sorted(n for n, m in sys.modules.items()\n"
+        "              if n.split('.')[0] == 'loralink' and type(m) is types.ModuleType))\n"
+        "print(*[m for m in ('csv', 'datetime') if m in sys.modules])\n"
+    )
+
+    def loaded_after(self, argv):
+        src = str(Path(loralink.__file__).parents[1])
+        done = subprocess.run([sys.executable, "-c", self.LOAD_PROBE, *argv], capture_output=True,
+                              text=True, check=True, timeout=60,
+                              env={**os.environ, "PYTHONPATH": src})
+        ran, stdlib = done.stdout.split("\n")[:2]
+        return set(ran.split()), set(stdlib.split())
+
+    def test_import_runs_only_the_cli_and_its_argument_types(self):
+        ran, stdlib = self.loaded_after([])
+        assert ran == {"loralink", "loralink.cli", "loralink.core_types", "loralink.phy_model"}
+        assert stdlib == set()
+
+    @pytest.mark.parametrize("argv, home, not_run, not_loaded", [
+        (["recommend"], "recommender", {"tdma_sim", "rng", "uplink_bridge"}, set()),
+        (["simulate", "--duration-s", "5"], "tdma_sim",
+         {"dataset", "recommender", "uplink_bridge"}, {"csv"}),
+        (["uplink", "--report", "REPORT"], "uplink_bridge", {"dataset", "recommender"}, set()),
+    ], ids=["recommend", "simulate", "uplink"])
+    def test_a_subcommand_runs_only_the_modules_it_calls(self, tmp_path, argv, home, not_run,
+                                                          not_loaded):
+        report = tmp_path / "report.txt"
+        assert main(["simulate", "--duration-s", "5", "--output", str(report)]) == EXIT_OK
+        ran, stdlib = self.loaded_after([str(report) if a == "REPORT" else a for a in argv])
+        assert f"loralink.{home}" in ran
+        assert not ran & {f"loralink.{name}" for name in not_run}
+        assert not stdlib & not_loaded
+
     @pytest.mark.parametrize("argv, read_first_line", [
         # the run itself fails writing its long report after `head -1` leaves
         (["simulate", "--duration-s", "600"], True),

@@ -97,6 +97,8 @@ _positive_float = _checked(parse_float, lambda value: 0 < value < math.inf, "a p
 _non_negative_float = _checked(parse_float, lambda v: 0 <= v < math.inf, "a finite value >= 0")
 _loss_pct_arg = _checked(parse_float, lambda v: 0 <= v <= 100, "a loss percentage in [0, 100]")
 _non_negative_int = _checked(parse_int, lambda value: value >= 0, "a non-negative integer")
+# a run seed is 64 bits, as tdma_sim.iter_slots requires: 2**64 + 5 would alias 5
+_seed_arg = _checked(parse_int, lambda value: 0 <= value < 1 << 64, "a seed in 0..2**64 - 1")
 # one sync word each, from A001 to FFFF
 _nodes_arg = _checked(parse_int, lambda value: 1 <= value <= 0xFFFF - 0xA000, "1..24575 nodes")
 _frames_arg = _checked(parse_int, lambda value: value >= 1, "at least 1 frame per slot")
@@ -196,7 +198,7 @@ def _add_globals(parser: argparse.ArgumentParser, *, fixture: bool = True) -> No
     if fixture:
         parser.add_argument("--fixture", metavar="PATH", default=None,
                             help="measurement CSV (default: the bundled field measurements)")
-    parser.add_argument("--seed", type=_non_negative_int, default=0, help="run seed (default 0)")
+    parser.add_argument("--seed", type=_seed_arg, default=0, help="run seed (default 0)")
     parser.add_argument("--output", metavar="PATH", default=None,
                         help="output file (default: stdout)")
 

@@ -9,12 +9,27 @@ one-line contract that any implementation can reproduce:
 where mix64 is the standard SplitMix64 finalizer (xor-shift/multiply chain
 below), so output n (from 1) of the stream seeded s is mix64(s + n * GOLDEN64),
 computed directly. Uniform [0, 1) doubles take the top 53 bits of an output over 2^53.
+
+stream(s) yields outputs 1, 2, ... of that stream, BLOCK at a time: block()
+packs the BLOCK inputs (s + n * GOLDEN64) mod 2^64 into one Python int, input
+j of the block in bits 128j .. 128j + 63 (its lane), and runs mix64's five
+steps once over the whole int. No lane carries into the next: every lane
+holds a value below 2^64 in the low half of its 128 bits, a right shift moves
+the next lane's low bits only into this lane's high half, which the mask
+after it clears, and a product of a lane with a 64-bit constant stays below
+2^128. mix64 stays the scalar form, for substream_seed and as the reference.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
+from functools import cache
+from itertools import chain, count, repeat
+
 MASK64 = (1 << 64) - 1
 GOLDEN64 = 0x9E3779B97F4A7C15
+BLOCK = 256  # outputs computed per pass of the finalizer over packed lanes
 
 
 def mix64(x: int) -> int:
@@ -32,3 +47,33 @@ def substream_seed(seed: int, stream_id: int, tag: int) -> int:
     pairs give independent streams under one run seed.
     """
     return mix64((seed + stream_id * GOLDEN64 + tag) & MASK64)
+
+
+def _lanes(values) -> int:
+    """values (each below 2^64) packed one to a 128-bit lane, the first lowest."""
+    return int.from_bytes(b"".join(value.to_bytes(16, "little") for value in values), "little")
+
+
+@cache
+def _lane_constants() -> tuple[int, int, int]:
+    """(ONES, STEPS, LANEMASK): 1, j * GOLDEN64 mod 2^64 and 2^64 - 1 in each lane j."""
+    return (_lanes([1] * BLOCK), _lanes(j * GOLDEN64 & MASK64 for j in range(BLOCK)),
+            _lanes([MASK64] * BLOCK))
+
+
+def block(seed: int, first: int) -> array:
+    """Outputs first .. first + BLOCK - 1 of the stream seeded seed: mix64(seed + n * GOLDEN64)."""
+    ones, steps, lanemask = _lane_constants()
+    x = ((seed + first * GOLDEN64) & MASK64) * ones + steps & lanemask
+    x = (x ^ x >> 30 & lanemask) * 0xBF58476D1CE4E5B9 & lanemask
+    x = (x ^ x >> 27 & lanemask) * 0x94D049BB133111EB & lanemask
+    # the last xor-shift leaves bits in the high halves, which the slice drops
+    words = array("Q", (x ^ x >> 31).to_bytes(16 * BLOCK, "little"))
+    if sys.byteorder == "big":
+        words.byteswap()
+    return words[::2]  # a lane's low half; an array, at 8 bytes an output, until each is read
+
+
+def stream(seed: int):
+    """Outputs 1, 2, ... of the stream seeded seed, computed BLOCK at a time."""
+    return chain.from_iterable(map(block, repeat(seed), count(1, BLOCK)))

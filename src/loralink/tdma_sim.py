@@ -14,6 +14,9 @@ state-advance rule), which makes reports byte-reproducible:
     node's n-th frame (n from 1) carries 2 + mix64(base + n * GOLDEN64) % 399
     (centimetres, 2..400), standing in for an ultrasonic range sensor.
 
+Each node takes its draws in order from its two rng.stream()s, which compute
+the outputs above BLOCK at a time.
+
 Changing only the seed changes drop outcomes and payload values but never
 the transmission timeline, which is fixed by the schedule: a SlotSchedule
 holds the NodeSpecs in slot order, each with its own drop probability.
@@ -40,7 +43,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 from .core_types import RadioConfig, Value, format_decimal, parse_int
 from .link_budget import packet_loss_pct
 from .phy_model import FrameParams, time_on_air
-from .rng import GOLDEN64, mix64, substream_seed
+from . import rng  # run on the first iter_slots call, so a report reader never runs it
 
 if TYPE_CHECKING:
     from .dataset import MeasurementTable
@@ -211,8 +214,8 @@ def iter_slots(schedule: SlotSchedule, duration_s: float, seed: int, *,
     before duration_s runs to completion. Within a slot the owning node
     sends frames_per_slot frames back to back after an optional fixed
     handshake latency; each reception is independently dropped with the
-    node's drop_probability. Identical inputs (seed included) produce an
-    identical stream.
+    node's drop_probability. Identical inputs (seed included, in
+    0..2**64 - 1) produce an identical stream.
 
     A record is (sync_word, shape, values), one per slot: shape holds a
     (kind, carries_detail) pair per event of the slot, in order, and values
@@ -226,13 +229,17 @@ def iter_slots(schedule: SlotSchedule, duration_s: float, seed: int, *,
         raise ValueError(f"duration_s must be positive and finite, got {duration_s!r}")
     if frames_per_slot < 1:
         raise ValueError(f"frames_per_slot must be >= 1, got {frames_per_slot!r}")
+    if not 0 <= seed <= rng.MASK64:  # substream_seed reads a seed mod 2**64
+        raise ValueError(f"seed must be in 0..2**64 - 1, got {seed!r}")
     if not 0 <= handshake_s < math.inf:
         raise ValueError(f"handshake_s must be finite and >= 0, got {handshake_s!r}")
     slot_ns = _ns(schedule.slot_duration_s, "slot_duration_s")
     handshake_ns = _ns(handshake_s, "handshake_s")
-    # one entry per slot position: sync word, payload stream base, airtime in
-    # ns, drop stream base, drop limit (u < p exactly when u * 2**53 < limit)
+    # one entry per slot position: sync word, its payload stream's next(),
+    # airtime in ns, its drop stream's next(), drop limit (u < p exactly when
+    # u * 2**53 < limit)
     plan = []
+    stream, substream_seed = rng.stream, rng.substream_seed
     airtimes: dict[tuple[RadioConfig, FrameParams], int] = {}  # one per distinct pair
     for node in schedule.nodes:
         sync = node.sync_word
@@ -246,8 +253,8 @@ def iter_slots(schedule: SlotSchedule, duration_s: float, seed: int, *,
                 f"node {format_sync_word(sync)}: handshake plus {frames_per_slot} "
                 f"frame(s) of {airtime_ns} ns exceed the {slot_ns} ns slot"
             )
-        plan.append((sync, substream_seed(seed, sync, _PAYLOAD_STREAM_TAG), airtime_ns,
-                     substream_seed(seed, sync, _DROP_STREAM_TAG),
+        plan.append((sync, stream(substream_seed(seed, sync, _PAYLOAD_STREAM_TAG)).__next__,
+                     airtime_ns, stream(substream_seed(seed, sync, _DROP_STREAM_TAG)).__next__,
                      node.drop_probability * 2.0 ** 53))
     stride_ns = slot_ns + _ns(schedule.guard_s, "guard_s")
     return _slots(plan, slot_ns, stride_ns, handshake_ns, _ns(duration_s, "duration_s"),
@@ -260,15 +267,16 @@ def _slots(plan, slot_ns, stride_ns, handshake_ns, duration_ns, frames_per_slot,
     received = [0] * count
     position = open_ns = 0
     while open_ns < duration_ns:
-        sync, base, airtime_ns, drop_base, limit = plan[position]
+        sync, next_payload, airtime_ns, next_drop, limit = plan[position]
         shape, values = [*_OPEN], [open_ns]  # lists, so a slot costs time linear in frames
         t = open_ns + handshake_ns
         for _ in frames:
-            n = sent[position] = sent[position] + 1
-            payload = 2 + mix64(base + n * GOLDEN64) % 399
+            sent[position] += 1
+            payload = 2 + next_payload() % 399
             end = t + airtime_ns
-            # a node with p = 0 skips its draws: draw n depends on n alone
-            if limit and mix64(drop_base + n * GOLDEN64) >> 11 < limit:
+            # p is fixed per node: one with p = 0 never draws, any other draws
+            # once per frame, so its k-th drop draw is its k-th frame's
+            if limit and next_drop() >> 11 < limit:
                 shape += _FRAME_DROP
             else:
                 received[position] += 1

@@ -354,6 +354,19 @@ class TestSimulate:
         _, second, _ = run(capsys, argv)
         assert first == second
 
+    def test_seed_takes_64_bits_and_refuses_more(self, capsys):
+        # a seed is 64 bits: 2**64 + 5 would run as seed 5 under a manifest echoing 2**64 + 5
+        argv = ["simulate", "--nodes", "2", "--duration-s", "5", "--drop", "0.3,0.5"]
+        code, out, err = run(capsys, [*argv, "--seed", "18446744073709551621"])
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith("usage: loralink simulate ")
+        assert err.count("error:") == 1
+        assert err.endswith("error: argument --seed: expected a seed in 0..2**64 - 1, "
+                            "got 18446744073709551621\n")
+        code, out, _ = run(capsys, [*argv, "--seed", "18446744073709551615"])
+        assert code == EXIT_OK
+        assert out.endswith("node A002 sent=10 received=5 lost=5 loss_pct=50\n")
+
     def test_drop_from_fixture_converges_to_measured_loss(self, capsys):
         code, out, _ = run(
             capsys,
@@ -871,7 +884,8 @@ class TestParserBasics:
         (["recommend"], "recommender", {"tdma_sim", "rng", "uplink_bridge"}, set()),
         (["simulate", "--duration-s", "5"], "tdma_sim",
          {"dataset", "recommender", "uplink_bridge"}, {"csv"}),
-        (["uplink", "--report", "REPORT"], "uplink_bridge", {"dataset", "recommender"}, set()),
+        (["uplink", "--report", "REPORT"], "uplink_bridge", {"dataset", "recommender", "rng"},
+         set()),
     ], ids=["recommend", "simulate", "uplink"])
     def test_a_subcommand_runs_only_the_modules_it_calls(self, tmp_path, argv, home, not_run,
                                                           not_loaded):
@@ -924,6 +938,8 @@ class TestParserBasics:
         ["simulate", "--duration-s", "1", "--nodes", "0"],
         ["recommend", "--max-loss", "101"],
         ["simulate", "--duration-s", "1", "--seed", "-1"],
+        ["simulate", "--duration-s", "1", "--seed", "18446744073709551616"],
+        ["recommend", "--seed", "18446744073709551621"],
         ["simulate", "--duration-s", "5", "--bw-khz", "1e99999"],
         ["simulate", "--duration-s", "5", "--bw-khz", "1_25"],
         ["simulate", "--duration-s", "5", "--frames-per-slot", "0"],

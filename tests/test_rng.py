@@ -1,4 +1,10 @@
-from loralink.rng import GOLDEN64, MASK64, mix64, substream_seed
+from itertools import islice
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from loralink.rng import BLOCK, GOLDEN64, MASK64, block, mix64, stream, substream_seed
 
 
 class SplitMix64:
@@ -27,6 +33,10 @@ class TestSplitMix64:
         assert stream.next_u64() == 0x6E789E6AA1B965F4
         assert stream.next_u64() == 0x06C45D188009454F
 
+    def test_reference_vectors_seed_zero_through_the_stream(self):
+        assert list(islice(stream(0), 3)) == [
+            0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+
     def test_state_advance_rule_is_the_documented_one(self):
         seed = 0x123456789ABCDEF
         stream = SplitMix64(seed)
@@ -46,6 +56,26 @@ class TestSplitMix64:
         a = SplitMix64(777)
         b = SplitMix64(777)
         assert [a.next_u64() for _ in range(50)] == [b.next_u64() for _ in range(50)]
+
+
+class TestBlocks:
+    @pytest.mark.parametrize("k", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
+    @settings(max_examples=20, derandomize=True, database=None, deadline=None)
+    @given(seed=st.integers(0, MASK64))
+    @example(seed=0)
+    @example(seed=MASK64)
+    def test_stream_is_the_sequential_oracle_across_block_boundaries(self, k, seed):
+        oracle = SplitMix64(seed)
+        assert list(islice(stream(seed), k)) == [oracle.next_u64() for _ in range(k)]
+
+    @settings(max_examples=50, derandomize=True, database=None, deadline=None)
+    @given(seed=st.integers(0, MASK64), first=st.integers(0, 2**70))
+    @example(seed=0, first=0)
+    @example(seed=MASK64, first=2**70)
+    @example(seed=MASK64, first=1)  # the first input wraps past 2**64
+    def test_block_is_mix64_of_each_of_its_inputs(self, seed, first):
+        assert list(block(seed, first)) == [
+            mix64(seed + n * GOLDEN64) for n in range(first, first + BLOCK)]
 
 
 class TestSubstreams:

@@ -338,6 +338,9 @@ class TestRunSimulation:
         {"duration_s": 0.0},
         {"duration_s": math.inf},
         {"handshake_s": math.inf},
+        {"seed": -1},
+        {"seed": 2**64},
+        {"seed": 2**64 + 5},  # would run as seed 5
     ])
     def test_iter_events_checks_before_the_first_event(self, change):
         kwargs = dict(schedule=SlotSchedule(make_nodes(2), 0.1, 0.0), duration_s=1.0, seed=5)
@@ -472,6 +475,34 @@ class TestSlotRecords:
         assert stats == want_stats
         assert (list(iter_events(iter_slots(schedule, duration_s, seed, **flags)))
                 == list(oracle_events(schedule, duration_s, seed, **flags)))
+
+    # the draws come from rng.stream BLOCK (256) at a time: these horizons end
+    # each node's streams just before, at and past a block boundary, and one
+    # block later; at 3 frames a slot, 256 and 257 frames round up to 258
+    @pytest.mark.parametrize("frames_per_slot", [1, 3])
+    @pytest.mark.parametrize("frames", [255, 256, 257, 513])
+    def test_slot_records_match_the_event_oracle_past_a_block_boundary(self, frames,
+                                                                       frames_per_slot):
+        schedule = SlotSchedule(make_nodes(3, [0.0, 1.0, 0.3]),
+                                3 * time_on_air(FAST_CONFIG, FRAME) + 0.001, 0.0005)
+        slots = -(-frames // frames_per_slot)  # per node
+        stride = schedule.slot_duration_s + schedule.guard_s
+        duration_s = (3 * slots - 0.5) * stride  # after the last node's last slot opens
+        flags = dict(frames_per_slot=frames_per_slot)
+        stats, want_stats = [], []
+        text = "".join(report_lines(
+            iter_slots(schedule, duration_s, 2**64 - 1, stats=stats, **flags), stats))
+        want = "".join(oracle_report_lines(
+            oracle_events(schedule, duration_s, 2**64 - 1, stats=want_stats, **flags),
+            want_stats))
+        assert text == want
+        assert stats == want_stats
+        assert (list(iter_events(iter_slots(schedule, duration_s, 2**64 - 1, **flags)))
+                == list(oracle_events(schedule, duration_s, 2**64 - 1, **flags)))
+        sent = slots * frames_per_slot
+        assert [(node.packets_sent, node.packets_received) for _, node in stats][:2] == [
+            (sent, sent), (sent, 0)]
+        assert 0 < stats[2][1].packets_received < sent
 
     def test_template_memo_is_bounded_and_memory_flat_at_many_frames_per_slot(self):
         # at 10 frames a slot and p = 0.5 each node has 1024 equally likely

@@ -10,26 +10,33 @@ where mix64 is the standard SplitMix64 finalizer (xor-shift/multiply chain
 below), so output n (from 1) of the stream seeded s is mix64(s + n * GOLDEN64),
 computed directly. Uniform [0, 1) doubles take the top 53 bits of an output over 2^53.
 
-stream(s) yields outputs 1, 2, ... of that stream, BLOCK at a time: block()
-packs the BLOCK inputs (s + n * GOLDEN64) mod 2^64 into one Python int, input
-j of the block in bits 128j .. 128j + 63 (its lane), and runs mix64's five
-steps once over the whole int. No lane carries into the next: every lane
-holds a value below 2^64 in the low half of its 128 bits, a right shift moves
-the next lane's low bits only into this lane's high half, which the mask
-after it clears, and a product of a lane with a 64-bit constant stays below
-2^128. mix64 stays the scalar form, for substream_seed and as the reference.
+interleave(seeds, turn, rounds) yields the outputs of several such streams in
+round-robin order, turn outputs of each stream per round, as the simulator's
+nodes take them, and computes them a pass of at least BLOCK at a time (the
+rounds allowing). mix_lanes() takes a pass's inputs (s + n * GOLDEN64) mod
+2^64 packed into one Python int, input j in bits 128j .. 128j + 63 (its
+lane), and runs mix64's five steps once over the whole int. No lane carries
+into the next: every lane holds a value below 2^64 in the low half of its
+128 bits, a right shift moves the next lane's low bits only into this lane's
+high half, which the mask after it clears, and a product of a lane with a
+64-bit constant stays below 2^128. While a round has at most BLOCK inputs, a
+pass is whole rounds, and its inputs are the first pass's plus one constant
+in every lane, so they are packed once; a longer round is packed BLOCK
+inputs at a time. mix64 stays the scalar form, for substream_seed and as the
+reference.
 """
 
 from __future__ import annotations
 
 import sys
 from array import array
-from functools import cache
-from itertools import chain, count, repeat
+from itertools import chain, islice
+from typing import Iterator, Sequence
 
 MASK64 = (1 << 64) - 1
 GOLDEN64 = 0x9E3779B97F4A7C15
-BLOCK = 256  # outputs computed per pass of the finalizer over packed lanes
+BLOCK = 256  # least outputs per pass of the finalizer over packed lanes, rounds allowing
+_LANE_MASK = b"\xff" * 8 + bytes(8)  # 2^64 - 1 in one little-endian 128-bit lane
 
 
 def mix64(x: int) -> int:
@@ -54,26 +61,47 @@ def _lanes(values) -> int:
     return int.from_bytes(b"".join(value.to_bytes(16, "little") for value in values), "little")
 
 
-@cache
-def _lane_constants() -> tuple[int, int, int]:
-    """(ONES, STEPS, LANEMASK): 1, j * GOLDEN64 mod 2^64 and 2^64 - 1 in each lane j."""
-    return (_lanes([1] * BLOCK), _lanes(j * GOLDEN64 & MASK64 for j in range(BLOCK)),
-            _lanes([MASK64] * BLOCK))
-
-
-def block(seed: int, first: int) -> array:
-    """Outputs first .. first + BLOCK - 1 of the stream seeded seed: mix64(seed + n * GOLDEN64)."""
-    ones, steps, lanemask = _lane_constants()
-    x = ((seed + first * GOLDEN64) & MASK64) * ones + steps & lanemask
+def mix_lanes(x: int, size: int) -> array:
+    """mix64 of each of the size lanes of x: lane j is bits 128j .. 128j + 127."""
+    lanemask = int.from_bytes(_LANE_MASK * size, "little")
+    x &= lanemask  # as mix64 reads its input mod 2^64
     x = (x ^ x >> 30 & lanemask) * 0xBF58476D1CE4E5B9 & lanemask
     x = (x ^ x >> 27 & lanemask) * 0x94D049BB133111EB & lanemask
     # the last xor-shift leaves bits in the high halves, which the slice drops
-    words = array("Q", (x ^ x >> 31).to_bytes(16 * BLOCK, "little"))
+    words = array("Q", (x ^ x >> 31).to_bytes(16 * size, "little"))
     if sys.byteorder == "big":
         words.byteswap()
     return words[::2]  # a lane's low half; an array, at 8 bytes an output, until each is read
 
 
-def stream(seed: int):
-    """Outputs 1, 2, ... of the stream seeded seed, computed BLOCK at a time."""
-    return chain.from_iterable(map(block, repeat(seed), count(1, BLOCK)))
+def interleave(seeds: Sequence[int], turn: int, rounds: int) -> Iterator[int]:
+    """Outputs of the streams seeded seeds, turn from each in order, for rounds rounds.
+
+    Round r (from 0) yields outputs r * turn + 1 .. r * turn + turn of the
+    stream seeded seeds[0], then those of seeds[1], and so on. A pass holds
+    fewer than 2 * BLOCK inputs, so memory does not grow with turn or rounds.
+    """
+    width = len(seeds) * turn
+    if not width or rounds < 1:
+        return iter(())
+    if width > BLOCK:  # a round outgrows a pass: pack its inputs BLOCK at a time
+        inputs = _inputs(seeds, turn, rounds)
+        chunks = iter(lambda: [*islice(inputs, BLOCK)], [])
+        return chain.from_iterable(mix_lanes(_lanes(chunk), len(chunk)) for chunk in chunks)
+    per_pass = min(-(-BLOCK // width), rounds)  # whole rounds, at least BLOCK inputs
+    start = _lanes(_inputs(seeds, turn, per_pass))
+    return chain.from_iterable(_passes(start, width, turn, per_pass, rounds))
+
+
+def _inputs(seeds: Sequence[int], turn: int, rounds: int) -> Iterator[int]:
+    """The inputs of interleave's outputs, in its order: (seed + n * GOLDEN64) mod 2^64."""
+    return ((seed + n * GOLDEN64) & MASK64 for r in range(rounds) for seed in seeds
+            for n in range(r * turn + 1, r * turn + turn + 1))
+
+
+def _passes(start: int, width: int, turn: int, per_pass: int, rounds: int) -> Iterator[array]:
+    """The passes of whole rounds: one from round `first` adds first * turn * GOLDEN64 to start."""
+    for first in range(0, rounds, per_pass):
+        size = width * min(per_pass, rounds - first)  # the last pass may hold fewer rounds
+        step = (first * turn * GOLDEN64 & MASK64).to_bytes(16, "little")
+        yield mix_lanes(start + int.from_bytes(step * size, "little"), size)

@@ -14,8 +14,10 @@ state-advance rule), which makes reports byte-reproducible:
     node's n-th frame (n from 1) carries 2 + mix64(base + n * GOLDEN64) % 399
     (centimetres, 2..400), standing in for an ultrasonic range sensor.
 
-Each node takes its draws in order from its two rng.stream()s, which compute
-the outputs above BLOCK at a time.
+Each kind of draw comes from one rng.interleave(), which yields the outputs
+above in the order the slots take them (round by round, node by node, frame
+by frame; a node with p = 0 takes no drop draws) and computes them at least
+rng.BLOCK at a time, as the horizon allows.
 
 Changing only the seed changes drop outcomes and payload values but never
 the transmission timeline, which is fixed by the schedule: a SlotSchedule
@@ -235,11 +237,7 @@ def iter_slots(schedule: SlotSchedule, duration_s: float, seed: int, *,
         raise ValueError(f"handshake_s must be finite and >= 0, got {handshake_s!r}")
     slot_ns = _ns(schedule.slot_duration_s, "slot_duration_s")
     handshake_ns = _ns(handshake_s, "handshake_s")
-    # one entry per slot position: sync word, its payload stream's next(),
-    # airtime in ns, its drop stream's next(), drop limit (u < p exactly when
-    # u * 2**53 < limit)
-    plan = []
-    stream, substream_seed = rng.stream, rng.substream_seed
+    plan = []  # one entry per slot position: sync word, airtime in ns, drop limit
     airtimes: dict[tuple[RadioConfig, FrameParams], int] = {}  # one per distinct pair
     for node in schedule.nodes:
         sync = node.sync_word
@@ -253,29 +251,39 @@ def iter_slots(schedule: SlotSchedule, duration_s: float, seed: int, *,
                 f"node {format_sync_word(sync)}: handshake plus {frames_per_slot} "
                 f"frame(s) of {airtime_ns} ns exceed the {slot_ns} ns slot"
             )
-        plan.append((sync, stream(substream_seed(seed, sync, _PAYLOAD_STREAM_TAG)).__next__,
-                     airtime_ns, stream(substream_seed(seed, sync, _DROP_STREAM_TAG)).__next__,
-                     node.drop_probability * 2.0 ** 53))
+        # u < p exactly when u * 2**53 < limit
+        plan.append((sync, airtime_ns, node.drop_probability * 2.0 ** 53))
     stride_ns = slot_ns + _ns(schedule.guard_s, "guard_s")
-    return _slots(plan, slot_ns, stride_ns, handshake_ns, _ns(duration_s, "duration_s"),
-                  frames_per_slot, stats)
+    duration_ns = _ns(duration_s, "duration_s")
+    # Slots open in turn at 0, stride_ns, ... before duration_ns: a node opens
+    # at most `rounds`, and when there are fewer slots than nodes only the
+    # first `slots` nodes open one. Every frame draws a payload, and a drop
+    # unless the node's p is 0 (p is fixed per node).
+    slots = -(-duration_ns // stride_ns)
+    rounds, drawing = -(-slots // len(plan)), plan[:slots]
+    payloads = rng.interleave([rng.substream_seed(seed, sync, _PAYLOAD_STREAM_TAG)
+                               for sync, _, _ in drawing], frames_per_slot, rounds)
+    drops = rng.interleave([rng.substream_seed(seed, sync, _DROP_STREAM_TAG)
+                            for sync, _, limit in drawing if limit], frames_per_slot, rounds)
+    return _slots(plan, payloads.__next__, drops.__next__, slot_ns, stride_ns, handshake_ns,
+                  duration_ns, frames_per_slot, stats)
 
 
-def _slots(plan, slot_ns, stride_ns, handshake_ns, duration_ns, frames_per_slot, stats):
+def _slots(plan, next_payload, next_drop, slot_ns, stride_ns, handshake_ns, duration_ns,
+           frames_per_slot, stats):
     count, frames = len(plan), range(frames_per_slot)
     sent = [0] * count
     received = [0] * count
     position = open_ns = 0
     while open_ns < duration_ns:
-        sync, next_payload, airtime_ns, next_drop, limit = plan[position]
+        sync, airtime_ns, limit = plan[position]
         shape, values = [*_OPEN], [open_ns]  # lists, so a slot costs time linear in frames
         t = open_ns + handshake_ns
         for _ in frames:
             sent[position] += 1
             payload = 2 + next_payload() % 399
             end = t + airtime_ns
-            # p is fixed per node: one with p = 0 never draws, any other draws
-            # once per frame, so its k-th drop draw is its k-th frame's
+            # a node with p = 0 takes no drop draw, and any other one a frame
             if limit and next_drop() >> 11 < limit:
                 shape += _FRAME_DROP
             else:

@@ -478,16 +478,19 @@ class TestSlotRecords:
 
     # the draws come from rng.stream BLOCK (256) at a time: these horizons end
     # each node's streams just before, at and past a block boundary, and one
-    # block later; at 3 frames a slot, 256 and 257 frames round up to 258
+    # block later; at 3 frames a slot, 256 and 257 frames round up to 258.
+    # With extra slots the first nodes open one slot more than the others, so
+    # the streams of one run hold different numbers of draws.
+    @pytest.mark.parametrize("extra", [0, 1, 2])
     @pytest.mark.parametrize("frames_per_slot", [1, 3])
     @pytest.mark.parametrize("frames", [255, 256, 257, 513])
     def test_slot_records_match_the_event_oracle_past_a_block_boundary(self, frames,
-                                                                       frames_per_slot):
+                                                                       frames_per_slot, extra):
         schedule = SlotSchedule(make_nodes(3, [0.0, 1.0, 0.3]),
                                 3 * time_on_air(FAST_CONFIG, FRAME) + 0.001, 0.0005)
         slots = -(-frames // frames_per_slot)  # per node
         stride = schedule.slot_duration_s + schedule.guard_s
-        duration_s = (3 * slots - 0.5) * stride  # after the last node's last slot opens
+        duration_s = (3 * slots + extra - 0.5) * stride  # after the last slot opens
         flags = dict(frames_per_slot=frames_per_slot)
         stats, want_stats = [], []
         text = "".join(report_lines(
@@ -499,10 +502,35 @@ class TestSlotRecords:
         assert stats == want_stats
         assert (list(iter_events(iter_slots(schedule, duration_s, 2**64 - 1, **flags)))
                 == list(oracle_events(schedule, duration_s, 2**64 - 1, **flags)))
-        sent = slots * frames_per_slot
+        sent = [(slots + (i < extra)) * frames_per_slot for i in range(3)]
         assert [(node.packets_sent, node.packets_received) for _, node in stats][:2] == [
-            (sent, sent), (sent, 0)]
-        assert 0 < stats[2][1].packets_received < sent
+            (sent[0], sent[0]), (sent[1], 0)]
+        assert 0 < stats[2][1].packets_received < sent[2]
+
+    @pytest.mark.parametrize("opened", [0, 1, 4])
+    def test_nodes_that_open_no_slot_match_the_event_oracle(self, opened):
+        # a run shorter than a round: only the first `opened` of 6 nodes send
+        schedule = SlotSchedule(make_nodes(6, [0.3] * 6), 0.1, 0.0)
+        duration_s = max(opened - 0.5, 1e-10) * 0.1  # 1e-10 s is 0 ns: no slot opens
+        stats, want_stats = [], []
+        assert (list(iter_events(iter_slots(schedule, duration_s, 9, stats=stats)))
+                == list(oracle_events(schedule, duration_s, 9, stats=want_stats)))
+        assert stats == want_stats
+        assert [node.packets_sent for _, node in stats] == [1] * opened + [0] * (6 - opened)
+
+
+    # rng.interleave packs a round longer than BLOCK (256) draws BLOCK at a time
+    # instead of passes of whole rounds; 2.5 rounds also end one mid-round
+    @pytest.mark.parametrize("count, frames_per_slot", [(300, 1), (100, 3), (86, 3)])
+    def test_rounds_longer_than_a_pass_match_the_event_oracle(self, count, frames_per_slot):
+        schedule = SlotSchedule(make_nodes(count, ([0.0, 0.5, 1.0] * count)[:count]),
+                                3 * time_on_air(FAST_CONFIG, FRAME) + 0.001, 0.0)
+        duration_s = 2.5 * period(schedule)
+        flags = dict(frames_per_slot=frames_per_slot)
+        stats, want_stats = [], []
+        assert (list(iter_events(iter_slots(schedule, duration_s, 11, stats=stats, **flags)))
+                == list(oracle_events(schedule, duration_s, 11, stats=want_stats, **flags)))
+        assert stats == want_stats
 
     def test_template_memo_is_bounded_and_memory_flat_at_many_frames_per_slot(self):
         # at 10 frames a slot and p = 0.5 each node has 1024 equally likely

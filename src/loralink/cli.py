@@ -20,7 +20,6 @@ import os
 import sys
 from contextlib import contextmanager, nullcontext
 from functools import cache
-from itertools import tee
 from typing import Sequence
 
 from . import dataset, link_budget, recommender, tdma_sim, uplink_bridge
@@ -517,7 +516,7 @@ def cmd_simulate(args) -> int:
         if log is not None:
             print(manifest, file=log)
             transport = uplink_bridge.DryRunTransport(write=log.write)
-            events = tdma_sim.iter_events(_written(slots, out))
+            events = tdma_sim.iter_events(_written(slots, out), kinds=("rx_ok",))
             for update in uplink_bridge.iter_bridge(events, key_map):
                 transport.send(update)
         # every record, or with a log none (the bridge drained them), then the summary
@@ -539,11 +538,14 @@ def _same_file(path: str, other: str) -> bool:
 
 
 def _written(slots, out):
-    """Each slot record after writing its report_lines text to out: one pass, two sinks."""
-    records, copies = tee(slots)  # holds at most the one record in flight
-    for record, text in zip(records, tdma_sim.report_lines(copies, ())):
+    """Each slot record after writing the report_lines string that holds it to
+    out: one pass, two sinks, holding one string's records at a time."""
+    batch: list[tdma_sim.SlotRecord] = []  # records report_lines took since it last yielded
+    taken = (batch.append(record) or record for record in slots)
+    for text in tdma_sim.report_lines(taken, ()):
         out.write(text)
-        yield record
+        yield from batch
+        batch.clear()
 
 
 def cmd_sweep(args) -> int:

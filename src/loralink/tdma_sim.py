@@ -23,13 +23,16 @@ Changing only the seed changes drop outcomes and payload values but never
 the transmission timeline, which is fixed by the schedule: a SlotSchedule
 holds the NodeSpecs in slot order, each with its own drop probability.
 
-The pipeline streams, one slot at a time: iter_slots produces the timeline
-as slot records, report_lines writes each record with one %-template from a
-bounded memo, iter_events flattens records into events (simulate bridges the
-records that report_lines writes, in one pass), and iter_report reads report
-text back into events. iter_report matches a one-frame slot as one block,
-checks every other line on its own, and builds only the event kinds its
-caller asks for: the uplink bridge asks for rx_ok alone.
+The pipeline streams, one slot at a time. iter_slots produces the timeline
+as slot records, whose shape is a string with one letter per report line
+(see _LINES). report_lines writes each record with one %-template from a
+bounded memo keyed by (sync word, shape), and yields about
+REPORT_BATCH_LINES lines per string. iter_events flattens records into the
+events of the kinds asked for; simulate bridges the rx_ok events of the
+records that report_lines writes, in one pass. iter_report reads report
+text back into events. It matches a one-frame slot as one block, checks
+every other line on its own, and builds only the event kinds its caller
+asks for: the uplink bridge asks for rx_ok alone.
 run_simulation, serialize_report and parse_report are thin wrappers that
 materialise those streams, every kind included.
 """
@@ -39,7 +42,7 @@ from __future__ import annotations
 import math
 import re
 from functools import lru_cache, partial
-from itertools import islice
+from itertools import cycle, islice
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
 from .core_types import RadioConfig, Value, format_decimal, parse_int
@@ -57,13 +60,16 @@ _PAYLOAD_STREAM_TAG = 2
 
 NS_PER_S = 1_000_000_000
 
-# (kind, carries_detail) pairs: a slot's shape is _OPEN, a frame triple per frame, _CLOSE
-_OPEN = (("slot_open", False),)
-_FRAME_OK = (("tx_start", True), ("tx_end", False), ("rx_ok", True))
-_FRAME_DROP = (("tx_start", True), ("tx_end", False), ("rx_drop", True))
-_CLOSE = (("slot_close", False),)
+# One letter per report line: its (kind, carries_detail), upper case when it
+# carries one. A record's shape is a string of them, so it hashes once, when built.
+_LINES = {letter: (kind, letter.isupper())
+          for kind, code in zip(EVENT_KINDS, "osekdc") for letter in (code, code.upper())}
+_LETTERS = {line: letter for letter, line in _LINES.items()}
+# a slot's shape is _OPEN, a frame's letters per frame, _CLOSE: "oSeKc" for one received frame
+_OPEN, _FRAME_OK, _FRAME_DROP, _CLOSE = "o", "SeK", "SeD", "c"
 TEMPLATE_MEMO_SIZE = 256  # report templates kept, one per (sync word, shape)
 TEMPLATE_MEMO_LINES = 200  # longer templates are rebuilt per slot, so the memo stays small
+REPORT_BATCH_LINES = 1000  # lines per string report_lines yields, and per read on the block path
 
 
 class ScheduleConflictError(ValueError):
@@ -140,7 +146,7 @@ class SimEvent(NamedTuple):
     detail: int | None = None
 
 
-SlotRecord = tuple[int, tuple[tuple[str, bool], ...], tuple[int, ...]]
+SlotRecord = tuple[int, str, tuple[int, ...]]  # (sync word, shape letters, values)
 
 
 class NodeStats(Value):
@@ -219,10 +225,13 @@ def iter_slots(schedule: SlotSchedule, duration_s: float, seed: int, *,
     node's drop_probability. Identical inputs (seed included, in
     0..2**64 - 1) produce an identical stream.
 
-    A record is (sync_word, shape, values), one per slot: shape holds a
-    (kind, carries_detail) pair per event of the slot, in order, and values
-    the slot's integers in line order (each event's t_ns, then its detail
-    if it carries one). Every check raises here, before the first record
+    A record is (sync_word, shape, values), one per slot: shape is a str
+    with one letter per event of the slot, in order, each naming a (kind,
+    carries_detail) pair ("oSeKc" for a slot of one received frame; see
+    _LINES), and values the slot's integers in line order (each event's
+    t_ns, then its detail if it carries one). A frame is dropped when its
+    drop draw x is below ceil(p * 2**53) << 11, which holds exactly when
+    (x >> 11) / 2**53 < p. Every check raises here, before the first record
     exists. When the generator is exhausted it appends (sync_word,
     NodeStats) for each node, in schedule order, to `stats` if one is
     given. Memory does not grow with duration_s.
@@ -237,7 +246,7 @@ def iter_slots(schedule: SlotSchedule, duration_s: float, seed: int, *,
         raise ValueError(f"handshake_s must be finite and >= 0, got {handshake_s!r}")
     slot_ns = _ns(schedule.slot_duration_s, "slot_duration_s")
     handshake_ns = _ns(handshake_s, "handshake_s")
-    plan = []  # one entry per slot position: sync word, airtime in ns, drop limit
+    plan = []  # one entry per slot position: sync word, airtime in ns, drop limit, [sent, received]
     airtimes: dict[tuple[RadioConfig, FrameParams], int] = {}  # one per distinct pair
     for node in schedule.nodes:
         sync = node.sync_word
@@ -251,8 +260,8 @@ def iter_slots(schedule: SlotSchedule, duration_s: float, seed: int, *,
                 f"node {format_sync_word(sync)}: handshake plus {frames_per_slot} "
                 f"frame(s) of {airtime_ns} ns exceed the {slot_ns} ns slot"
             )
-        # u < p exactly when u * 2**53 < limit
-        plan.append((sync, airtime_ns, node.drop_probability * 2.0 ** 53))
+        # draw x drops its frame when (x >> 11) / 2**53 < p, exactly when x < limit
+        plan.append((sync, airtime_ns, math.ceil(node.drop_probability * 2.0 ** 53) << 11, [0, 0]))
     stride_ns = slot_ns + _ns(schedule.guard_s, "guard_s")
     duration_ns = _ns(duration_s, "duration_s")
     # Slots open in turn at 0, stride_ns, ... before duration_ns: a node opens
@@ -262,56 +271,65 @@ def iter_slots(schedule: SlotSchedule, duration_s: float, seed: int, *,
     slots = -(-duration_ns // stride_ns)
     rounds, drawing = -(-slots // len(plan)), plan[:slots]
     payloads = rng.interleave([rng.substream_seed(seed, sync, _PAYLOAD_STREAM_TAG)
-                               for sync, _, _ in drawing], frames_per_slot, rounds)
+                               for sync, *_ in drawing], frames_per_slot, rounds)
     drops = rng.interleave([rng.substream_seed(seed, sync, _DROP_STREAM_TAG)
-                            for sync, _, limit in drawing if limit], frames_per_slot, rounds)
+                            for sync, _, limit, _ in drawing if limit], frames_per_slot, rounds)
     return _slots(plan, payloads.__next__, drops.__next__, slot_ns, stride_ns, handshake_ns,
                   duration_ns, frames_per_slot, stats)
 
 
 def _slots(plan, next_payload, next_drop, slot_ns, stride_ns, handshake_ns, duration_ns,
            frames_per_slot, stats):
-    count, frames = len(plan), range(frames_per_slot)
-    sent = [0] * count
-    received = [0] * count
-    position = open_ns = 0
-    while open_ns < duration_ns:
-        sync, airtime_ns, limit = plan[position]
-        shape, values = [*_OPEN], [open_ns]  # lists, so a slot costs time linear in frames
+    frames = range(frames_per_slot)
+    # slots open at 0, stride_ns, ... before duration_ns, round by round, node by node
+    for open_ns, (sync, airtime_ns, limit, tally) in zip(range(0, duration_ns, stride_ns),
+                                                          cycle(plan)):
+        shape, values = [_OPEN], [open_ns]  # lists, so a slot costs time linear in frames
         t = open_ns + handshake_ns
+        received = 0
         for _ in frames:
-            sent[position] += 1
             payload = 2 + next_payload() % 399
             end = t + airtime_ns
             # a node with p = 0 takes no drop draw, and any other one a frame
-            if limit and next_drop() >> 11 < limit:
-                shape += _FRAME_DROP
+            if limit and next_drop() < limit:
+                shape.append(_FRAME_DROP)
             else:
-                received[position] += 1
-                shape += _FRAME_OK
+                received += 1
+                shape.append(_FRAME_OK)
             values += (t, payload, end, end, payload)
             t = end
-        shape += _CLOSE
+        shape.append(_CLOSE)
         values.append(open_ns + slot_ns)
-        yield sync, tuple(shape), tuple(values)
-        open_ns += stride_ns
-        position += 1
-        if position == count:
-            position = 0
+        tally[0] += frames_per_slot
+        tally[1] += received
+        yield sync, "".join(shape), tuple(values)
     if stats is not None:
-        stats.extend(
-            (entry[0], NodeStats(n_sent, n_received))
-            for entry, n_sent, n_received in zip(plan, sent, received)
-        )
+        stats.extend((sync, NodeStats(*tally)) for sync, _, _, tally in plan)
 
 
-def iter_events(slots: Iterable[SlotRecord]) -> Iterator[SimEvent]:
-    """The events of slot records, such as iter_slots yields, in record order."""
+def iter_events(slots: Iterable[SlotRecord], *,
+                kinds: Iterable[str] = EVENT_KINDS) -> Iterator[SimEvent]:
+    """Check `kinds`, then return the generator of the events of those kinds
+    in slot records, such as iter_slots yields, in record order.
+
+    Each letter of a record's shape is one event; only the events of `kinds`
+    are built. A name in `kinds` that is no event kind raises ValueError
+    here, before any record is read.
+    """
+    return _events(slots, _wanted(kinds))
+
+
+def _events(slots, wanted):
     event = partial(tuple.__new__, SimEvent)  # SimEvent(...) minus its Python-level call
+    # letter -> (kind, carries_detail, whether it is built)
+    lines = {letter: (*line, line[0] in wanted) for letter, line in _LINES.items()}.__getitem__
     for sync, shape, values in slots:
         value = iter(values).__next__
-        for kind, carries_detail in shape:
-            yield event((value(), kind, sync, value() if carries_detail else None))
+        for kind, carries_detail, built in map(lines, shape):
+            t_ns = value()
+            detail = value() if carries_detail else None
+            if built:
+                yield event((t_ns, kind, sync, detail))
 
 
 def run_simulation(schedule: SlotSchedule, duration_s: float, seed: int, *,
@@ -333,41 +351,52 @@ def summary_line(sync_word: int, stats: NodeStats) -> str:
 
 
 @lru_cache(maxsize=TEMPLATE_MEMO_SIZE)
-def _template(sync_word: int, shape: tuple[tuple[str, bool], ...]) -> str:
+def _template(sync_word: int, shape: str) -> str:
     """The %-template of one slot record's lines; values fill its %s fields."""
     name = format_sync_word(sync_word)
-    return "".join(f"%s {kind.replace('%', '%%')} {name}{' %s' if carries_detail else ''}\n"
-                   for kind, carries_detail in shape)
+    return "".join(f"%s {kind} {name}{' %s' if carries_detail else ''}\n"
+                   for kind, carries_detail in map(_LINES.__getitem__, shape))
 
 
 def report_lines(
     slots: Iterable[SlotRecord], stats: Iterable[tuple[int, NodeStats]]
 ) -> Iterator[str]:
-    """The text form of a report: one string per slot record, then one
-    summary line per node, each newline-terminated.
+    """The text form of a report: its records' lines in strings of about
+    REPORT_BATCH_LINES lines each, then one summary line per node, every
+    line newline-terminated.
 
     A record's lines are `t_ns kind SYNC` or `t_ns kind SYNC detail`, one
-    per event. Each distinct (sync word, shape) is written by one %-template
-    from a memo of at most TEMPLATE_MEMO_SIZE entries of at most
-    TEMPLATE_MEMO_LINES lines; a longer one is built anew. `stats` is read only
-    after the last record, so it may be the list that iter_slots fills as
-    it is exhausted. An event stream is written through event_records.
-    Byte-stable for identical inputs.
+    per letter of its shape. The first record is a string of its own; each
+    later string holds as many records as fit in REPORT_BATCH_LINES lines at
+    the first record's line count, and at least one. Each distinct (sync
+    word, shape) is written by one %-template from a memo of at most
+    TEMPLATE_MEMO_SIZE entries of at most TEMPLATE_MEMO_LINES lines; a
+    longer one is built anew. `stats` is read only after the last record,
+    so it may be the list that iter_slots fills as it is exhausted. An
+    event stream is written through event_records. Byte-stable for
+    identical inputs, whatever the batch size.
     """
-    for sync, shape, values in slots:
-        template = _template if len(shape) <= TEMPLATE_MEMO_LINES else _template.__wrapped__
-        yield template(sync, shape) % values
+    memo, anew = _template, _template.__wrapped__
+    records, batch = iter(slots), 1
+    while chunk := [*islice(records, batch)]:
+        yield "".join([(memo if len(shape) <= TEMPLATE_MEMO_LINES else anew)(sync, shape) % values
+                       for sync, shape, values in chunk])
+        batch = REPORT_BATCH_LINES // (len(chunk[0][1]) or 1) or 1
     for sync, node in stats:
         yield summary_line(sync, node) + "\n"
 
 
 def event_records(events: Iterable[SimEvent]) -> Iterator[SlotRecord]:
-    """Each event as a one-line record for report_lines, detail or not."""
+    """Each event as a one-line record for report_lines, detail or not.
+
+    An event whose kind is not in EVENT_KINDS raises ValueError, before its
+    record, and so its line, exists.
+    """
     for t_ns, kind, sync, detail in events:
-        if detail is None:
-            yield sync, ((kind, False),), (t_ns,)
-        else:
-            yield sync, ((kind, True),), (t_ns, detail)
+        letter = _LETTERS.get((kind, detail is not None))
+        if letter is None:
+            raise ValueError(f"unknown event kind {kind!r}; expected one of {EVENT_KINDS}")
+        yield sync, letter, (t_ns,) if detail is None else (t_ns, detail)
 
 
 def serialize_report(report: SimReport) -> str:
@@ -439,11 +468,16 @@ def iter_report(
     the events: sent must be the node's tx_start count, received its rx_ok
     count and lost their difference.
     """
+    return _report_events(lines, stats, _wanted(kinds))
+
+
+def _wanted(kinds: Iterable[str]) -> frozenset[str]:
+    """kinds as a set, or ValueError naming those that are no event kind."""
     wanted = frozenset(kinds)
     if not wanted.issubset(EVENT_KINDS):
         unknown = sorted(wanted.difference(EVENT_KINDS))
         raise ValueError(f"unknown event kind(s) {unknown}; expected some of {EVENT_KINDS}")
-    return _report_events(lines, stats, wanted)
+    return wanted
 
 
 # A one-frame slot as report_lines writes it, one line per NUL-joined batch item.
@@ -451,7 +485,6 @@ def iter_report(
 _SLOT_BLOCK = "\n\0".join((
     r"([0-9]{1,19}) slot_open ([0-9A-F]{4})", r"([0-9]{1,19}) tx_start \2 ([0-9]{1,19})",
     r"([0-9]{1,19}) tx_end \2", r"\5 (rx_ok|rx_drop) \2 \4", r"([0-9]{1,19}) slot_close \2", ""))
-REPORT_BATCH_LINES = 1000  # lines read at a time on the slot-block path
 
 
 def _report_events(lines, stats, wanted):

@@ -8,6 +8,7 @@ import sys
 import tracemalloc
 from functools import partial
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -473,8 +474,29 @@ class TestSimulate:
         finally:
             tracemalloc.stop()
             capsys.readouterr()
-        # a tee that held the records between the two sinks would grow with the horizon
+        # holding the records between the two sinks would grow with the horizon
         assert four_times - once < 64 * 1024, (once, four_times)
+
+    @pytest.mark.parametrize("flags", [[], ["--frames-per-slot", "3", "--handshake-s", "0.01",
+                                            "--slot-s", "0.4"]])
+    def test_report_and_uplink_log_do_not_depend_on_the_batch_size(self, capsys, tmp_path,
+                                                                   flags):
+        def bodies(batch_lines, *log):
+            report = tmp_path / "r.txt"
+            argv = ["simulate", "--nodes", "5", "--duration-s", "120", "--drop", "0.3",
+                    "--seed", "4", *flags, "--output", str(report), *log]
+            with mock.patch.object(tdma_sim, "REPORT_BATCH_LINES", batch_lines):
+                assert run(capsys, argv)[0] == EXIT_OK
+            # each file without its manifest line, which names the two paths
+            return [Path(path).read_text().split("\n", 1)[1] for path in (report, *log[1:])]
+
+        log = ("--uplink-log", str(tmp_path / "u.log"))
+        one, default = bodies(1, *log), bodies(tdma_sim.REPORT_BATCH_LINES, *log)
+        assert one == default
+        report, uplink = default
+        assert [report] == bodies(tdma_sim.REPORT_BATCH_LINES)  # as written without a log
+        assert report.count(" rx_ok ") == uplink.count("UPLINK GET") > 0
+        assert report.count("\n") > 2 * tdma_sim.REPORT_BATCH_LINES  # strings of many records
 
     def test_one_device_may_take_both_report_and_uplink_log(self, capsys):
         code, out, err = run(capsys, ["simulate", "--duration-s", "1", "--output", os.devnull,

@@ -26,9 +26,11 @@ from loralink.tdma_sim import (
     NodeStats,
     ScheduleConflictError,
     SimEvent,
+    SimReport,
     SlotSchedule,
     default_slot_duration,
     drop_model_from_table,
+    event_records,
     format_sync_word,
     iter_events,
     iter_report,
@@ -438,6 +440,28 @@ class TestDropDraws:
         assert outcomes[boundary][k] is False
         assert 0 < sum(outcomes[boundary]) < self.FRAMES
 
+    @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+    def test_a_draw_half_a_step_below_p_drops_its_frame(self, seed):
+        # p * 2**53 is m + 0.5 for the top 53 bits m of draw k: the threshold
+        # must round it up, or frame k would be kept although u < p
+        draws = drop_draws(seed, 0xA001, self.FRAMES)
+        k = next(i for i, u in enumerate(draws) if 0.2 < u < 0.5)
+        p = draws[k] + 2**-54
+        assert (p * 2**53) % 1 == 0.5
+        schedule = SlotSchedule(make_nodes(1, [p]), 0.1, 0.0)
+        outcomes = [event.kind == "rx_drop" for event in iter_events(
+            iter_slots(schedule, period(schedule) * self.FRAMES, seed),
+            kinds=("rx_ok", "rx_drop"))]
+        assert outcomes == [u < p for u in draws]
+        assert outcomes[k] is True
+
+    @pytest.mark.parametrize("p", [0.0, 5e-324, 2**-53, 0.3, 0.5, 1 - 2**-53, 1.0])
+    def test_the_integer_threshold_is_exactly_u_below_p(self, p):
+        # iter_slots drops a frame when its draw x < ceil(p * 2**53) << 11
+        limit = math.ceil(p * 2**53) << 11
+        for x in (limit - 1, limit, limit + 1, 0, 2**64 - 1):
+            assert (x < limit) is ((x >> 11) < p * 2**53), (p, x)
+
 
 @st.composite
 def simulation_runs(draw):
@@ -564,20 +588,82 @@ class TestSlotRecords:
         assert four_times - once < 64 * 1024, (once, four_times)
 
     def test_a_slot_costs_time_linear_in_its_frames(self):
-        def best_drain_s(frames):
+        def best_drain_s(frames, drain):
             schedule = SlotSchedule(make_nodes(1, [0.5]),
                                     frames * time_on_air(FAST_CONFIG, FRAME) + 0.001, 0.0)
             best = math.inf
             for _ in range(3):
                 start = time.perf_counter()
-                deque(iter_slots(schedule, period(schedule), 3, frames_per_slot=frames),
-                      maxlen=0)  # the one slot that opens
+                # the one slot that opens
+                deque(drain(iter_slots(schedule, period(schedule), 3, frames_per_slot=frames)),
+                      maxlen=0)
                 best = min(best, time.perf_counter() - start)
             return best
 
-        small, large = best_drain_s(2000), best_drain_s(8000)
-        # 4x the frames: about 4x the time when linear, about 16x when quadratic
-        assert large < 8 * small, (small, large)
+        for drain in (iter, partial(report_lines, stats=()), iter_events):
+            small, large = best_drain_s(2000, drain), best_drain_s(8000, drain)
+            # 4x the frames: about 4x the time when linear, about 16x when quadratic
+            assert large < 8 * small, (drain, small, large)
+
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(simulation_runs())
+    def test_the_batch_size_does_not_change_the_report(self, run):
+        schedule, duration_s, seed, flags = run
+        self.assert_batches_write_one_report(schedule, duration_s, seed, flags)
+
+    def test_the_batch_size_does_not_change_a_report_of_many_batches(self):
+        schedule = SlotSchedule(make_nodes(8, [0.3] * 8), 0.02, 0.001)
+        for flags in ({}, dict(frames_per_slot=4, handshake_s=0.001)):
+            if flags:
+                schedule = SlotSchedule(schedule.nodes, 0.05, 0.001)
+            self.assert_batches_write_one_report(schedule, period(schedule) * 60, 7, flags)
+
+    @staticmethod
+    def assert_batches_write_one_report(schedule, duration_s, seed, flags):
+        events = list(iter_events(iter_slots(schedule, duration_s, seed, **flags)))
+        texts = {}
+        for batch_lines in (1, 4, 7, 1000):
+            with mock.patch.object(tdma_sim, "REPORT_BATCH_LINES", batch_lines):
+                stats = []
+                strings = list(report_lines(
+                    iter_slots(schedule, duration_s, seed, stats=stats, **flags), stats))
+                texts[batch_lines] = "".join(strings)
+                assert texts[batch_lines] == "".join(report_lines(event_records(events), stats))
+            # the first record alone, then as many as fit in batch_lines lines, at least one
+            sizes = [text.count("\n") for text in strings[:len(strings) - len(stats)]]
+            if sizes:
+                per_record = sizes[0]
+                assert per_record == 2 + 3 * flags.get("frames_per_slot", 1)
+                full = max(batch_lines // per_record, 1) * per_record
+                assert all(size == full for size in sizes[1:-1]), (batch_lines, sizes)
+                assert 0 < sizes[-1] <= max(full, per_record)
+        assert len(set(texts.values())) == 1
+
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(simulation_runs())
+    def test_iter_events_builds_only_the_kinds_asked_for(self, run):
+        schedule, duration_s, seed, flags = run
+        every = list(iter_events(iter_slots(schedule, duration_s, seed, **flags)))
+        stats = []
+        lines = "".join(report_lines(
+            iter_slots(schedule, duration_s, seed, stats=stats, **flags), stats)).splitlines()
+        for kinds in (("rx_ok",), (), EVENT_KINDS, ("tx_end", "slot_open"),
+                      ("rx_drop", "tx_start", "slot_close")):
+            wanted = [event for event in every if event.kind in kinds]
+            # a one-shot iterable of kinds is read once, not used up by the check
+            assert list(iter_events(iter_slots(schedule, duration_s, seed, **flags),
+                                    kinds=iter(kinds))) == wanted
+            assert list(iter_report(lines, kinds=kinds)) == wanted
+
+    @pytest.mark.parametrize("kinds", [("rx_okk",), ("rx_ok", "node"), "rx_ok"])
+    def test_iter_events_refuses_an_unknown_kind_on_the_call(self, kinds):
+        records = iter([(0xA001, "oc", (0, 9))])
+        with pytest.raises(ValueError, match="unknown event kind") as raised:
+            iter_events(records, kinds=kinds)  # before any next()
+        with pytest.raises(ValueError) as by_reader:
+            iter_report(["0 slot_open A001\n"], kinds=kinds)
+        assert str(raised.value) == str(by_reader.value)
+        assert next(records) == (0xA001, "oc", (0, 9))  # no record was read
 
     @pytest.mark.parametrize("frames, memoised", [
         (tdma_sim.TEMPLATE_MEMO_LINES // 3, True),  # 2 + 3 * frames lines: 200, 203
@@ -633,6 +719,22 @@ class TestSerialization:
                 "9 slot_close A001 7\nnode A001 sent=1 received=1 lost=0 loss_pct=0\n")
         assert parse_report(text).timeline[-1] == (9, "slot_close", 0xA001, 7)
         assert serialize_report(parse_report(text)) == text
+
+    def test_an_event_of_no_known_kind_is_refused_before_its_line(self):
+        events = [SimEvent(0, "slot_open", 0xA001), SimEvent(5, "warp", 0xA001, 7),
+                  SimEvent(9, "slot_close", 0xA001)]
+        with mock.patch.object(tdma_sim, "REPORT_BATCH_LINES", 1):
+            lines = report_lines(event_records(events), ())
+            assert next(lines) == "0 slot_open A001\n"
+            with pytest.raises(ValueError, match="unknown event kind 'warp'"):
+                next(lines)
+        records = event_records(events[1:])
+        with pytest.raises(ValueError, match="unknown event kind 'warp'"):
+            next(records)
+        for kind in ("rx_ok%s", "", "node"):
+            report = SimReport(timeline=(SimEvent(0, kind, 0xA001),), stats=())
+            with pytest.raises(ValueError, match=f"unknown event kind {kind!r}"):
+                serialize_report(report)
 
     def test_event_line_shape(self):
         report = run_simulation(SlotSchedule(make_nodes(1), 0.1, 0.0), 0.15, seed=0)

@@ -61,7 +61,8 @@ _PAYLOAD_STREAM_TAG = 2
 NS_PER_S = 1_000_000_000
 
 # One letter per report line: its (kind, carries_detail), upper case when it
-# carries one. A record's shape is a string of them, so it hashes once, when built.
+# carries one. A record's shape is a string of them: a str caches its hash, so
+# the template memo hashes a shape once, not once per lookup.
 _LINES = {letter: (kind, letter.isupper())
           for kind, code in zip(EVENT_KINDS, "osekdc") for letter in (code, code.upper())}
 _LETTERS = {line: letter for letter, line in _LINES.items()}

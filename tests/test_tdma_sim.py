@@ -612,10 +612,9 @@ class TestSlotRecords:
         self.assert_batches_write_one_report(schedule, duration_s, seed, flags)
 
     def test_the_batch_size_does_not_change_a_report_of_many_batches(self):
-        schedule = SlotSchedule(make_nodes(8, [0.3] * 8), 0.02, 0.001)
-        for flags in ({}, dict(frames_per_slot=4, handshake_s=0.001)):
-            if flags:
-                schedule = SlotSchedule(schedule.nodes, 0.05, 0.001)
+        nodes = make_nodes(8, [0.3] * 8)
+        for slot_s, flags in ((0.02, {}), (0.05, dict(frames_per_slot=4, handshake_s=0.001))):
+            schedule = SlotSchedule(nodes, slot_s, 0.001)
             self.assert_batches_write_one_report(schedule, period(schedule) * 60, 7, flags)
 
     @staticmethod
@@ -636,7 +635,7 @@ class TestSlotRecords:
                 assert per_record == 2 + 3 * flags.get("frames_per_slot", 1)
                 full = max(batch_lines // per_record, 1) * per_record
                 assert all(size == full for size in sizes[1:-1]), (batch_lines, sizes)
-                assert 0 < sizes[-1] <= max(full, per_record)
+                assert 0 < sizes[-1] <= full
         assert len(set(texts.values())) == 1
 
     @settings(max_examples=60, derandomize=True, database=None, deadline=None)

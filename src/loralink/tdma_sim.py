@@ -30,9 +30,10 @@ bounded memo keyed by (sync word, shape), and yields about
 REPORT_BATCH_LINES lines per string. iter_events flattens records into the
 events of the kinds asked for; simulate bridges the rx_ok events of the
 records that report_lines writes, in one pass. iter_report reads report
-text back into events. It matches a one-frame slot as one block, checks
-every other line on its own, and builds only the event kinds its caller
-asks for: the uplink bridge asks for rx_ok alone.
+text back into events, in blocks of whole lines. One findall per block
+tiles it into one-frame slots, each taken whole, and single lines, each
+checked on its own; it builds only the event kinds its caller asks for:
+the uplink bridge asks for rx_ok alone.
 run_simulation, serialize_report and parse_report are thin wrappers that
 materialise those streams, every kind included.
 """
@@ -42,7 +43,7 @@ from __future__ import annotations
 import math
 import re
 from functools import lru_cache, partial
-from itertools import cycle, islice
+from itertools import chain, cycle, islice, repeat
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
 from .core_types import RadioConfig, Value, format_decimal, parse_int
@@ -70,7 +71,8 @@ _LETTERS = {line: letter for letter, line in _LINES.items()}
 _OPEN, _FRAME_OK, _FRAME_DROP, _CLOSE = "o", "SeK", "SeD", "c"
 TEMPLATE_MEMO_SIZE = 256  # report templates kept, one per (sync word, shape)
 TEMPLATE_MEMO_LINES = 200  # longer templates are rebuilt per slot, so the memo stays small
-REPORT_BATCH_LINES = 1000  # lines per string report_lines yields, and per read on the block path
+REPORT_BATCH_LINES = 1000  # lines per string report_lines yields, and items per block iter_report joins
+REPORT_READ_CHARS = 64 * 1024  # characters per read when a report is read from a text file
 
 
 class ScheduleConflictError(ValueError):
@@ -436,13 +438,18 @@ def read_summary(lines: Iterable[str]) -> dict[int, NodeStats]:
     """The per-node summary of a serialized report, in file order.
 
     Reads only the 'node' lines, so it is a cheap first pass over a report
-    that iter_report then streams; the events are not parsed or checked.
+    that iter_report then streams; the events are not parsed or checked. A
+    text file is read as iter_report reads it, and only a block that holds
+    "node" is split into lines.
     """
     summary: dict[int, tuple[int, NodeStats]] = {}
-    for line_no, raw in enumerate(lines, start=1):
-        if "node" in raw:
-            parts = raw.split()
-            if parts[0] == "node":
+    line_no = 0
+    for block in _blocks(lines):
+        if isinstance(block, str) and "node" not in block:
+            line_no += block.count("\n")
+            continue
+        for line_no, raw in enumerate(_lines(block), line_no + 1):
+            if "node" in raw and (parts := raw.split())[0] == "node":
                 _add_summary(summary, parts, line_no, raw)
     return {sync: node for sync, (_, node) in summary.items()}
 
@@ -454,20 +461,22 @@ def iter_report(
     """Check `kinds`, then return the generator of a serialized report's
     events of those kinds, parsed and checked.
 
-    Every line is checked, whatever its kind: a one-frame slot exactly as
-    report_lines writes it, in items that are each one newline-terminated
-    line, as one block, and every other line on its own, with the same events
-    and messages. Only the events of `kinds` are built and yielded. Comment
-    lines starting with '#' and blank lines are ignored. Summary lines are
-    appended to `stats`, if given, as they are read. A name in `kinds` that
-    is no event kind raises ValueError here, before any line is read. The
-    generator raises ValueError when a line is malformed (numbers are ASCII
-    digits, with no '_' or '+'; sync words are 4 uppercase hex digits), a
-    timestamp decreases, an event follows the summary block, a summary line
-    is not as summary_line writes it, or the summary block (when there is
-    one) misses a node that has events, repeats a node, or disagrees with
-    the events: sent must be the node's tx_start count, received its rx_ok
-    count and lost their difference.
+    A text file (anything with `read`) is read REPORT_READ_CHARS characters
+    at a time and split into lines at "\n" alone; any other iterable is read
+    one item per line. Every line is checked, whatever its kind: a one-frame
+    slot exactly as report_lines writes it as a whole (until a slot of more
+    frames or a summary line has been read), and every other line on its
+    own, with the same events and messages. Only the events of `kinds` are
+    built and yielded. Comment lines starting with '#' and blank lines are
+    ignored. Summary lines are appended to `stats`, if given, as they are
+    read. A name in `kinds` that is no event kind raises ValueError here,
+    before any line is read. The generator raises ValueError when a line is
+    malformed (numbers are ASCII digits, with no '_' or '+'; sync words are
+    4 uppercase hex digits), a timestamp decreases, an event follows the
+    summary block, a summary line is not as summary_line writes it, or the
+    summary block (when there is one) misses a node that has events, repeats
+    a node, or disagrees with the events: sent must be the node's tx_start
+    count, received its rx_ok count and lost their difference.
     """
     return _report_events(lines, stats, _wanted(kinds))
 
@@ -481,9 +490,42 @@ def _wanted(kinds: Iterable[str]) -> frozenset[str]:
     return wanted
 
 
-# A one-frame slot as report_lines writes it, one line per NUL-joined batch item.
-# int() takes numbers of at most 19 digits whatever its limit; longer go per line.
-_SLOT_BLOCK = "\n\0".join((
+def _blocks(lines):
+    """lines as blocks of whole lines, each ending with "\n": a text file read
+    REPORT_READ_CHARS at a time (a last line with no "\n" gets one), or the
+    batches of REPORT_BATCH_LINES items of another iterable, joined while
+    each item is one line that ends with "\n"; from the first batch that is
+    not, one iterator of the rest of the items, one line each."""
+    if hasattr(lines, "read"):
+        rest = ""  # the part-read last line
+        while chunk := lines.read(REPORT_READ_CHARS):
+            text = rest + chunk
+            cut = text.rfind("\n") + 1
+            if cut:
+                yield text[:cut]
+            rest = text[cut:]
+        if rest:
+            yield rest + "\n"
+        return
+    items = iter(lines)
+    while batch := list(islice(items, REPORT_BATCH_LINES)):
+        text = "".join(batch)
+        if text.count("\n") != len(batch) or not all(map(str.endswith, batch, repeat("\n"))):
+            yield chain(batch, items)
+            return
+        yield text
+
+
+def _lines(block):
+    """A block's lines, split at "\n" alone (str.splitlines also splits at \x0c,
+    \x1c-\x1e, \x85 and \u2028, renumbering lines); an iterator's items as they are."""
+    return block[:-1].split("\n") if isinstance(block, str) else block
+
+
+# A one-frame slot as report_lines writes it, or else one line: findall tiles a
+# block into these, with no gaps, and ends with one empty match. int() takes
+# numbers of at most 19 digits whatever its limit; longer go per line.
+_TILES = "(?:%s)|([^\n]*\n?)" % "\n".join((
     r"([0-9]{1,19}) slot_open ([0-9A-F]{4})", r"([0-9]{1,19}) tx_start \2 ([0-9]{1,19})",
     r"([0-9]{1,19}) tx_end \2", r"\5 (rx_ok|rx_drop) \2 \4", r"([0-9]{1,19}) slot_close \2", ""))
 
@@ -497,48 +539,49 @@ def _report_events(lines, stats, wanted):
     roles = {kind: ({"tx_start": 0, "rx_ok": 1}.get(kind), kind in wanted)
              for kind in EVENT_KINDS}
     state = summary, words, tallies, roles, event, stats
-    match = re.compile(_SLOT_BLOCK).match  # compiled on first use, then cached by re
+    tiles = re.compile(_TILES).findall  # compiled on first use, then cached by re
     want_open, want_start, want_end, want_close = (
         kind in wanted for kind in ("slot_open", "tx_start", "tx_end", "slot_close"))
-    rest, line_no, last_t, blocks = iter(lines), 0, 0, True
-    while blocks and (batch := list(islice(rest, REPORT_BATCH_LINES))):
-        text = "\0".join(batch) + "\0"
-        # per line from here unless each item is one newline-terminated line with no NUL
-        blocks = text.count("\0") == text.count("\n\0") == len(batch)
-        k = pos = 0
-        while blocks and k < len(batch):
-            m = match(text, pos)
-            if m:
-                t0, t1, t2, t3 = map(int, m.group(1, 3, 5, 7))
-                word = words.get(m[2])  # a node's first slot is read per line
-                if word and last_t <= t0 <= t1 <= t2 <= t3:
-                    sync, tally = word
-                    payload, kind = int(m[4]), m[6]
-                    tally[0] += 1
-                    tally[1] += kind == "rx_ok"
-                    if want_open:
-                        yield event((t0, "slot_open", sync, None))
-                    if want_start:
-                        yield event((t1, "tx_start", sync, payload))
-                    if want_end:
-                        yield event((t2, "tx_end", sync, None))
-                    if kind in wanted:
-                        yield event((t2, kind, sync, payload))
-                    if want_close:
-                        yield event((t3, "slot_close", sync, None))
-                    last_t, line_no, k, pos = t3, line_no + 5, k + 5, m.end()
-                    continue
-            # per line up to the next slot_open line: it finds and names any fault
-            start = text.find(" slot_open ", text.index("\0", pos))
-            stop = len(text) if start < 0 else text.rfind("\0", 0, start) + 1
-            count = text.count("\0", pos, stop)
-            line_no, last_t = yield from _per_line(batch[k:k + count], line_no, last_t, state)
-            # after a slot of more frames, or a summary line, all is read per line
-            blocks = not summary and text.count(" tx_start ", pos, stop) < 2
-            k, pos = k + count, stop
-        if not blocks:
-            line_no, last_t = yield from _per_line(batch[k:], line_no, last_t, state)
-    yield from _per_line(rest, line_no, last_t, state)
+    line_no, last_t, tiled = 0, 0, True
+    for block in _blocks(lines):
+        if not (tiled and isinstance(block, str)):
+            line_no, last_t = yield from _per_line(_lines(block), line_no, last_t, state)
+            continue
+        stretch = []  # the lines since the last slot taken whole, read per line
+        for t0, word_text, t1, payload, t2, kind, t3, line in tiles(block):
+            if line:
+                stretch.append(line)
+                continue
+            if stretch:  # at a slot, or at the empty match that ends the block
+                line_no, last_t = yield from _per_line(stretch, line_no, last_t, state)
+                # after a slot of more frames, or a summary line, all is read per line
+                tiled = not summary and sum(" tx_start " in raw for raw in stretch) < 2
+                stretch = []
+            if not t0:
+                continue
+            open_ns, start_ns, end_ns, close_ns = int(t0), int(t1), int(t2), int(t3)
+            word = words.get(word_text)  # a node's first slot is read per line
+            if tiled and word and last_t <= open_ns <= start_ns <= end_ns <= close_ns:
+                sync, tally = word
+                detail = int(payload)
+                tally[0] += 1
+                tally[1] += kind == "rx_ok"
+                if want_open:
+                    yield event((open_ns, "slot_open", sync, None))
+                if want_start:
+                    yield event((start_ns, "tx_start", sync, detail))
+                if want_end:
+                    yield event((end_ns, "tx_end", sync, None))
+                if kind in wanted:
+                    yield event((end_ns, kind, sync, detail))
+                if want_close:
+                    yield event((close_ns, "slot_close", sync, None))
+                last_t, line_no = close_ns, line_no + 5
+                continue
+            # any other slot is read per line, its lines rebuilt from the groups that pin them
+            stretch += (f"{t0} slot_open {word_text}", f"{t1} tx_start {word_text} {payload}",
+                        f"{t2} tx_end {word_text}", f"{t2} {kind} {word_text} {payload}",
+                        f"{t3} slot_close {word_text}")
     if summary:
         _check_summary(summary, tallies)
 

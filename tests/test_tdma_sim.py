@@ -1015,7 +1015,74 @@ def read_outcome(lines, kinds):
     return events, stats, None
 
 
+def summary_outcome(lines):
+    """What read_summary returns, or the text of the ValueError it raises."""
+    try:
+        return read_summary(lines)
+    except ValueError as exc:
+        return str(exc)
+
+
+def assert_file_reads_as_lines(text, lines, read_chars=(1, 7, 64, 65536)):
+    """Reading a text file of `text` in blocks of each size in read_chars gives the
+    same summary, events, stats and message as reading `lines` one item per line."""
+    summary = summary_outcome(lines)
+    wants = {kinds: read_outcome(lines, kinds) for kinds in (EVENT_KINDS, ("rx_ok",), ())}
+    for chars in read_chars:
+        with mock.patch.object(tdma_sim, "REPORT_READ_CHARS", chars):
+            assert summary_outcome(io.StringIO(text)) == summary, chars
+            for kinds, want in wants.items():
+                assert read_outcome(io.StringIO(text), kinds) == want, (kinds, chars)
+
+
 class TestSlotBlockReader:
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(tampered_simulate_reports())
+    def test_a_text_file_reads_as_the_per_line_reader_reads_its_lines(self, lines):
+        assert_file_reads_as_lines("".join(line + "\n" for line in lines), lines)
+
+    def test_a_last_line_with_no_newline_reads_as_one_with_it(self):
+        lines = sample_report_text().splitlines()
+        events_only = [line for line in lines if not line.startswith("node ")]
+        assert events_only[-1].split(" ")[1] == "slot_close"  # a whole slot ends the text
+        for report in (lines, events_only):
+            assert_file_reads_as_lines("\n".join(report), report)
+
+    def test_a_block_edge_inside_a_slot_or_a_summary_line_reads_as_per_line(self):
+        text = sample_report_text()
+        lines = text.splitlines()
+        slot = len("".join(line + "\n" for line in lines[:9]))  # the third slot, lines 10-14
+        summary = text.index("node ")
+        edges = [*range(slot + 1, slot + len("".join(lines[9:14]))),
+                 *range(summary + 1, summary + len(lines[-2]))]
+        assert_file_reads_as_lines(text, lines, edges)  # each size puts its first edge there
+
+    @pytest.mark.parametrize("frames", ["1", "3"])  # slots taken whole, and all per line
+    def test_a_malformed_summary_line_is_named_by_its_line_number_from_a_file(self, frames):
+        lines = list(simulate_lines(("--sf", "7", "--bw-khz", "500", "--slot-s", "0.05",
+                                     "--nodes", "3", "--frames-per-slot", frames,
+                                     "--duration-s", "3", "--drop", "0.3")))
+        # str.splitlines would split this comment into seven lines
+        lines.insert(-3, "# \x0c \x1c \x1d \x1e \x85 \u2028 end no line")
+        lines[-1] = lines[-1].replace(" lost=", " lost=1")
+        message = f"line {len(lines)}: malformed summary line {lines[-1]!r}"
+        assert summary_outcome(lines) == message
+        assert read_outcome(lines, EVENT_KINDS)[2] == message
+        assert_file_reads_as_lines("".join(line + "\n" for line in lines), lines)
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"])
+    def test_other_line_ends_read_in_the_default_newline_mode(self, tmp_path, newline):
+        lines = sample_report_text().splitlines()
+        path = tmp_path / "report.txt"
+        path.write_bytes("".join(line + newline for line in lines).encode())
+        for chars in (1, 7, 64, 65536):
+            with mock.patch.object(tdma_sim, "REPORT_READ_CHARS", chars):
+                with open(path, encoding="utf-8") as report:
+                    assert summary_outcome(report) == summary_outcome(lines)
+                for kinds in (EVENT_KINDS, ("rx_ok",)):
+                    with open(path, encoding="utf-8") as report:
+                        assert read_outcome(report, kinds) == read_outcome(lines, kinds)
+
     @settings(max_examples=60, derandomize=True, database=None, deadline=None)
     @given(tampered_simulate_reports())
     def test_newline_lines_read_as_the_per_line_reader_reads_them(self, lines):

@@ -515,10 +515,9 @@ def cmd_simulate(args) -> int:
         print(manifest, file=out)
         if log is not None:
             print(manifest, file=log)
-            transport = uplink_bridge.DryRunTransport(write=log.write)
             events = tdma_sim.iter_events(_written(slots, out), kinds=("rx_ok",))
-            for update in uplink_bridge.iter_bridge(events, key_map):
-                transport.send(update)
+            uplink_bridge.DryRunTransport(write=log.write).send_all(
+                uplink_bridge.iter_bridge(events, key_map))
         # every record, or with a log none (the bridge drained them), then the summary
         out.writelines(tdma_sim.report_lines(slots, stats))
     if args.output not in (None, "-"):
@@ -641,9 +640,7 @@ def cmd_uplink(args) -> int:
                     body = transport.send(update)
                     print(f"sent field update, response: {body}", file=out)
             else:
-                transport = uplink_bridge.DryRunTransport(write=out.write)
-                for update in updates:
-                    transport.send(update)
+                uplink_bridge.DryRunTransport(write=out.write).send_all(updates)
     return EXIT_OK
 
 

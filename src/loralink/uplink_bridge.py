@@ -4,8 +4,10 @@ A ChannelUpdate is a named tuple that checks itself when constructed.
 iter_bridge reads its key map once, when called, checks every entry and
 the epoch, and then builds its updates without checking each again.
 Formatting is pure; actual delivery goes through a transport. The
-DryRunTransport only writes each request line to a sink the caller gives, so
+DryRunTransport only writes request lines to a sink the caller gives, so
 nothing here performs network I/O unless an HttpTransport is constructed.
+Its send_all writes strings of whole lines, each line built from a cached
+(key, field) head, the value and the stamp of its second; send writes one.
 """
 
 from __future__ import annotations
@@ -16,10 +18,11 @@ import time
 import urllib.parse
 from datetime import datetime, timedelta, timezone
 from functools import lru_cache, partial
+from itertools import islice
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
+from . import tdma_sim
 from .core_types import format_decimal
-from .tdma_sim import SimEvent, SimReport, format_sync_word
 
 UNIX_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 
@@ -74,39 +77,49 @@ def iso_utc(moment: datetime) -> str:
     return moment.astimezone(timezone.utc).isoformat(timespec="seconds").replace("+00:00", "Z")
 
 
-@lru_cache(maxsize=256)
-def _quoted_stamp(moment: datetime) -> str:
-    # an iso_utc stamp is digits, '-', 'T', ':' and 'Z'; of these, quote
-    # changes only ':'
-    return iso_utc(moment).replace(":", "%3A")
-
-
 @lru_cache(maxsize=1024)
 def _quote(text: str) -> str:
     return urllib.parse.quote(text, safe="")
+
+
+@lru_cache(maxsize=1024)
+def _head(quoted_key: str, index: int) -> str:  # a request up to its first value
+    return f"{UPDATE_PATH}?api_key={quoted_key}&field{index}="
+
+
+def _value(value: float | int | str) -> int | str:
+    """A field's value as query text: an int (or bool) as it is, else percent-encoded."""
+    return value if isinstance(value, int) else _quote(
+        value if isinstance(value, str) else format_decimal(value))
+
+
+def _stamp(created_at: datetime | None) -> tuple[str, str]:
+    """A dry-run line's '<iso_utc> UPLINK GET ' lead and its query's created_at
+    tail; with no created_at, the current UTC time and no tail."""
+    if created_at is None:
+        return f"{iso_utc(datetime.now(timezone.utc))} UPLINK GET ", ""
+    stamp = iso_utc(created_at)
+    # of the characters in an iso_utc stamp, quote changes only ':'
+    return f"{stamp} UPLINK GET ", f"&created_at={stamp.replace(':', '%3A')}"
 
 
 def format_update(update: ChannelUpdate) -> str:
     """Render an update as the path and query of the single-update GET request.
 
     Fields appear in ascending index order; values are percent-encoded.
-    Each distinct key, value and stamp string is encoded once; integer
+    Each distinct key, value and (key, field) head is encoded once; integer
     values (digits and '-', or True/False) need no encoding.
     """
     api_key, fields, created_at = update
-    query = f"{UPDATE_PATH}?api_key={_quote(api_key)}"
-    for index in sorted(fields):
-        value = fields[index]
-        if not isinstance(value, int):
-            value = _quote(value if isinstance(value, str) else format_decimal(value))
-        query += f"&field{index}={value}"
-    if created_at is not None:
-        query += f"&created_at={_quoted_stamp(created_at)}"
-    return query
+    first, *rest = sorted(fields)
+    query = f"{_head(_quote(api_key), first)}{_value(fields[first])}"
+    for index in rest:
+        query += f"&field{index}={_value(fields[index])}"
+    return query if created_at is None else query + _stamp(created_at)[1]
 
 
 def iter_bridge(
-    events: Iterable[SimEvent],
+    events: Iterable[tdma_sim.SimEvent],
     key_map: Mapping[int, tuple[str, int]],
     epoch: datetime = UNIX_EPOCH,
 ) -> Iterator[ChannelUpdate]:
@@ -137,8 +150,7 @@ def _updates(events, targets, epoch):
         target = targets.get(sync)
         if target is None:
             raise UnmappedSyncWordError(
-                f"sync word {format_sync_word(sync)} has no channel mapping"
-            )
+                f"sync word {tdma_sim.format_sync_word(sync)} has no channel mapping")
         if detail is None:
             raise InvalidUpdateError(f"rx_ok event at {t_ns} ns carries no payload value")
         if t_ns // 1_000_000_000 != second:  # updates of one second share one created_at
@@ -152,7 +164,7 @@ def _updates(events, targets, epoch):
 
 
 def bridge_sim_report(
-    report: SimReport,
+    report: tdma_sim.SimReport,
     key_map: Mapping[int, tuple[str, int]],
     epoch: datetime = UNIX_EPOCH,
 ) -> list[ChannelUpdate]:
@@ -165,18 +177,41 @@ class DryRunTransport:
 
     Log format: '<ISO8601> UPLINK GET <format_update(update)>'. The timestamp is the
     update's created_at when present (keeping dry runs deterministic),
-    otherwise the current UTC time. Each line, newline added, goes to
-    `write`, for example a text file's write method.
+    otherwise the current UTC time. send_all hands `write` (for example a
+    text file's write method) strings of whole lines, newlines included,
+    tdma_sim.REPORT_BATCH_LINES lines a string; send writes one line.
     """
 
     def __init__(self, write: Callable[[str], None]) -> None:
         self._write = write
 
     def send(self, update: ChannelUpdate) -> None:
-        stamp = iso_utc(update.created_at) if update.created_at else iso_utc(
-            datetime.now(timezone.utc)
-        )
-        self._write(f"{stamp} UPLINK GET {format_update(update)}\n")
+        self.send_all((update,))
+
+    def send_all(self, updates: Iterable[ChannelUpdate]) -> None:
+        """Log every update in order; the lines of those taken before a fault
+        are written before it propagates."""
+        updates, lines, last = iter(updates), [], None
+        try:
+            while True:
+                for update in islice(updates, tdma_sim.REPORT_BATCH_LINES):
+                    api_key, fields, created_at = update
+                    if last is None or created_at is not last:  # updates of one second share one
+                        last = created_at
+                        lead, tail = _stamp(created_at)
+                    if len(fields) == 1:  # the only kind iter_bridge makes
+                        [(index, value)] = fields.items()
+                        lines.append(f"{lead}{_head(_quote(api_key), index)}{_value(value)}{tail}\n")
+                    else:
+                        lines.append(f"{lead}{format_update(update)}\n")
+                if not lines:
+                    return
+                text = "".join(lines)
+                lines.clear()
+                self._write(text)
+        finally:
+            if lines:
+                self._write("".join(lines))
 
 
 class HttpTransport:

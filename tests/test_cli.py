@@ -469,8 +469,10 @@ class TestSimulate:
 
         tracemalloc.start()
         try:
-            growth_bytes(600)  # fills the bridge's memos of created_at stamps
-            once, four_times = growth_bytes(100), growth_bytes(400)
+            growth_bytes(600)  # fills the memo of created_at stamps
+            # both runs log more than REPORT_BATCH_LINES updates, so each
+            # holds one whole batch of log lines at its peak
+            once, four_times = growth_bytes(800), growth_bytes(3200)
         finally:
             tracemalloc.stop()
             capsys.readouterr()
@@ -761,6 +763,28 @@ class TestUplink:
         code, _, err = run(capsys, ["uplink", "--report", str(report)])
         assert code == EXIT_DATA
         assert err.startswith(f"error: line {line_no}: malformed number in ")
+
+    def test_a_fault_after_more_than_one_batch_keeps_the_clean_logs_first_lines(self, capsys,
+                                                                               tmp_path):
+        report, tampered = tmp_path / "report.txt", tmp_path / "tampered.txt"
+        run(capsys, ["simulate", "--nodes", "8", "--duration-s", "900", "--drop", "0.3",
+                     "--seed", "3", "--output", str(report)])
+        lines = report.read_text().splitlines(keepends=True)
+        rx_ok = [i for i, line in enumerate(lines) if " rx_ok " in line]
+        # a payload a little after the 1,500th rx_ok line, past the first log batch
+        index = next(i for i in range(rx_ok[1_499] + 20, len(lines)) if " tx_start " in lines[i])
+        head, payload = lines[index].rsplit(" ", 1)
+        lines[index] = f"{head} 0_{payload}"
+        tampered.write_text("".join(lines))
+        clean_log, log = tmp_path / "clean.log", tmp_path / "u.log"
+        assert run(capsys, ["uplink", "--report", str(report),
+                            "--output", str(clean_log)])[0] == EXIT_OK
+        code, _, err = run(capsys, ["uplink", "--report", str(tampered), "--output", str(log)])
+        assert code == EXIT_DATA
+        assert err.startswith(f"error: line {index + 1}: malformed number in ")
+        written = log.read_text().splitlines()[1:]  # without the manifest, which names the report
+        assert len(written) == sum(i < index for i in rx_ok) > tdma_sim.REPORT_BATCH_LINES
+        assert written == clean_log.read_text().splitlines()[1:len(written) + 1]
 
     def test_real_mode_without_key_is_an_error(self, capsys, tmp_path, monkeypatch):
         monkeypatch.delenv("UPLINK_API_KEY", raising=False)

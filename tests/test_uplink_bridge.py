@@ -1,13 +1,15 @@
 import math
 import urllib.parse
 from datetime import datetime, timedelta, timezone
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loralink import uplink_bridge
+from loralink import tdma_sim, uplink_bridge
 from loralink.cli import EXIT_OK, main
+from loralink.core_types import format_decimal
 from loralink.tdma_sim import SimEvent, SimReport, NodeStats
 from loralink.uplink_bridge import (
     ChannelUpdate,
@@ -31,6 +33,47 @@ def reference_request(api_key, index, text, created_at):
     stamp = created_at.astimezone(UTC).strftime("%Y-%m-%dT%H:%M:%SZ")
     return (f"/update?api_key={quote(api_key)}&field{index}={quote(text)}"
             f"&created_at={quote(stamp)}"), stamp
+
+
+def reference_query(update):
+    """format_update's output, built from urllib.parse.quote and strftime alone."""
+    def quote(part):
+        return urllib.parse.quote(part, safe="")
+    api_key, fields, created_at = update
+    query = f"/update?api_key={quote(api_key)}"
+    for index in sorted(fields):
+        value = fields[index]
+        text = str(value) if isinstance(value, int) else quote(
+            value if isinstance(value, str) else format_decimal(value))
+        query += f"&field{index}={text}"
+    if created_at is not None:
+        query += f"&created_at={quote(created_at.astimezone(UTC).strftime('%Y-%m-%dT%H:%M:%SZ'))}"
+    return query
+
+
+_ZONES = st.sampled_from([UTC, timezone(timedelta(hours=5, minutes=30)),
+                          timezone(timedelta(hours=-8, minutes=-15))])
+_MOMENTS = st.one_of(st.none(), st.builds(
+    lambda seconds, micros, zone: (datetime(2024, 3, 1, 23, 59, 58, tzinfo=UTC)
+                                   + timedelta(seconds=seconds, microseconds=micros)
+                                   ).astimezone(zone),
+    st.integers(0, 3), st.integers(0, 999_999), _ZONES))
+_RESERVED_TEXT = st.text(alphabet="aZ09 -_.~&=/?#%+:é€\n", max_size=6)
+_VALUES = st.one_of(st.integers(-10**12, 10**12), st.booleans(),
+                    st.floats(allow_nan=False, allow_infinity=False), _RESERVED_TEXT)
+_FIELDS = st.lists(st.tuples(st.integers(1, 8), _VALUES), min_size=1, max_size=8,
+                   unique_by=lambda item: item[0]).map(dict)  # any insertion order
+
+
+@st.composite
+def update_runs(draw):
+    """Updates whose created_at values come from a small pool, so one object
+    recurs, equal instants recur as other objects, and seconds change."""
+    pool = draw(st.lists(_MOMENTS, min_size=1, max_size=4))
+    keys = st.one_of(st.sampled_from(["KEY1", "TS00AB+1", "a/b&c", "é"]),
+                     _RESERVED_TEXT.filter(bool))
+    return draw(st.lists(st.builds(ChannelUpdate, keys, _FIELDS, st.sampled_from(pool)),
+                         max_size=24))
 
 
 def hand_report():
@@ -197,6 +240,22 @@ class TestFormattingCost:
         assert len(lines) >= 200 and all("created_at=" in line for line in lines)
         assert sorted(calls) == sorted(set(keys))
 
+    def test_stamp_formatted_once_per_second(self, tmp_path):
+        report, log = tmp_path / "report.txt", tmp_path / "u.log"
+        assert main(["simulate", "--nodes", "3", "--duration-s", "60", "--seed", "2",
+                     "--output", str(report)]) == EXIT_OK
+        epoch = datetime(2024, 3, 1, 10, 0, tzinfo=timezone(timedelta(hours=5, minutes=30)))
+        iso_utc.cache_clear()
+        assert main(["uplink", "--report", str(report), "--epoch", epoch.isoformat(),
+                     "--output", str(log)]) == EXIT_OK
+        misses = iso_utc.cache_info().misses
+        key_map = {sync: ("DRYRUN", i + 1) for i, sync in enumerate((0xA001, 0xA002, 0xA003))}
+        with open(report, encoding="utf-8") as handle:
+            created = [u.created_at for u in iter_bridge(tdma_sim.iter_report(handle), key_map,
+                                                         epoch)]
+        assert epoch in created  # an update in second 0 has the epoch's own instant
+        assert misses == len({epoch, *created}) < len(created)
+
 
 class TestBridge:
     def test_one_update_per_rx_ok_in_timeline_order(self):
@@ -281,6 +340,53 @@ class TestDryRunTransport:
         transport.send(ChannelUpdate("KEY1", {1: 1}))
         stamp = sink[0].split(" ", 1)[0]
         assert stamp.endswith("Z") and "T" in stamp
+
+    def test_send_writes_one_line_per_call(self):
+        sink = []
+        transport = DryRunTransport(write=sink.append)
+        updates = [ChannelUpdate("KEY1", {1: n}, datetime(2024, 5, 1, 0, 0, n // 2, tzinfo=UTC))
+                   for n in range(5)]
+        updates += [ChannelUpdate("KEY1", {2: 1, 1: 2}), ChannelUpdate("KEY1", {3: "x"})]
+        for count, update in enumerate(updates, start=1):
+            transport.send(update)
+            assert len(sink) == count
+            assert sink[-1].endswith("\n") and sink[-1].count("\n") == 1
+
+    @pytest.mark.parametrize("batch_lines", [1, 4, 7, 1000])
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(updates=update_runs())
+    def test_send_all_writes_the_per_update_lines_in_batches_of_whole_lines(self, batch_lines,
+                                                                           updates):
+        sink = []
+        before = datetime.now(UTC).replace(microsecond=0)
+        with mock.patch.object(tdma_sim, "REPORT_BATCH_LINES", batch_lines):
+            DryRunTransport(write=sink.append).send_all(iter(updates))
+        after = datetime.now(UTC)
+        lines = "".join(sink).split("\n")
+        assert lines.pop() == "" and len(lines) == len(updates)
+        for line, update in zip(lines, updates):
+            stamp, request = line.split(" UPLINK GET ", 1)
+            if update.created_at is None:  # the wall clock at the send
+                assert before <= datetime.fromisoformat(stamp.replace("Z", "+00:00")) <= after
+            else:
+                assert stamp == iso_utc(update.created_at)
+            assert request == format_update(update) == reference_query(update)
+        full, rest = divmod(len(updates), batch_lines)
+        assert [text.count("\n") for text in sink] == [batch_lines] * full + [rest][:rest]
+        assert all(text.endswith("\n") for text in sink)
+
+    def test_a_fault_after_more_than_one_batch_follows_every_line_before_it(self):
+        # the 1,500th update's sync word is unmapped
+        events = [SimEvent(n * 300_000_000, "rx_ok", 0xA001 if n < 1499 else 0xBEEF, n % 256)
+                  for n in range(1600)]
+        key_map, epoch = {0xA001: ("KEY1", 3)}, datetime(2024, 5, 1, tzinfo=UTC)
+        sink = []
+        with pytest.raises(UnmappedSyncWordError, match="BEEF"):
+            DryRunTransport(write=sink.append).send_all(iter_bridge(events, key_map, epoch))
+        assert [text.count("\n") for text in sink] == [1000, 499]
+        assert "".join(sink) == "".join(
+            f"{iso_utc(u.created_at)} UPLINK GET {format_update(u)}\n"
+            for u in iter_bridge(events[:1499], key_map, epoch))
 
 
 class TestHttpTransport:

@@ -30,10 +30,11 @@ bounded memo keyed by (sync word, shape), and yields about
 REPORT_BATCH_LINES lines per string. iter_events flattens records into the
 events of the kinds asked for; simulate bridges the rx_ok events of the
 records that report_lines writes, in one pass. iter_report reads report
-text back into events, in blocks of whole lines. One findall per block
-tiles it into one-frame slots, each taken whole, and single lines, each
-checked on its own; it builds only the event kinds its caller asks for:
-the uplink bridge asks for rx_ok alone.
+text back into events: a text file in blocks of whole lines, which one
+findall per block tiles into one-frame slots, each taken whole, and single
+lines, each checked on its own; any other iterable one item per line. It
+builds only the event kinds its caller asks for: the uplink bridge asks
+for rx_ok alone.
 run_simulation, serialize_report and parse_report are thin wrappers that
 materialise those streams, every kind included.
 """
@@ -43,7 +44,7 @@ from __future__ import annotations
 import math
 import re
 from functools import lru_cache, partial
-from itertools import chain, cycle, islice, repeat
+from itertools import cycle, islice
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
 from .core_types import RadioConfig, Value, format_decimal, parse_int
@@ -71,7 +72,8 @@ _LETTERS = {line: letter for letter, line in _LINES.items()}
 _OPEN, _FRAME_OK, _FRAME_DROP, _CLOSE = "o", "SeK", "SeD", "c"
 TEMPLATE_MEMO_SIZE = 256  # report templates kept, one per (sync word, shape)
 TEMPLATE_MEMO_LINES = 200  # longer templates are rebuilt per slot, so the memo stays small
-REPORT_BATCH_LINES = 1000  # lines per string report_lines yields, and items per block iter_report joins
+# lines per string that report_lines and DryRunTransport.send_all write; no reader uses it
+REPORT_BATCH_LINES = 1000
 REPORT_READ_CHARS = 64 * 1024  # characters per read when a report is read from a text file
 
 
@@ -419,8 +421,8 @@ def _add_summary(summary: dict[int, tuple[int, NodeStats]], parts: list[str],
     line = raw.strip()
     if len(parts) != 6:
         raise ValueError(f"line {line_no}: malformed summary line {line!r}")
-    sync = parse_sync_word(parts[1])
     try:
+        sync = parse_sync_word(parts[1])
         node = NodeStats(*(parse_int(part.partition("=")[2]) for part in parts[2:4]))
         if summary_line(sync, node).split() != parts:
             raise ValueError("not the line summary_line writes")
@@ -463,20 +465,21 @@ def iter_report(
 
     A text file (anything with `read`) is read REPORT_READ_CHARS characters
     at a time and split into lines at "\n" alone; any other iterable is read
-    one item per line. Every line is checked, whatever its kind: a one-frame
-    slot exactly as report_lines writes it as a whole (until a slot of more
-    frames or a summary line has been read), and every other line on its
-    own, with the same events and messages. Only the events of `kinds` are
-    built and yielded. Comment lines starting with '#' and blank lines are
-    ignored. Summary lines are appended to `stats`, if given, as they are
-    read. A name in `kinds` that is no event kind raises ValueError here,
-    before any line is read. The generator raises ValueError when a line is
-    malformed (numbers are ASCII digits, with no '_' or '+'; sync words are
-    4 uppercase hex digits), a timestamp decreases, an event follows the
-    summary block, a summary line is not as summary_line writes it, or the
-    summary block (when there is one) misses a node that has events, repeats
-    a node, or disagrees with the events: sent must be the node's tx_start
-    count, received its rx_ok count and lost their difference.
+    one item per line. Every line is checked, whatever its kind: in a text
+    file, a one-frame slot exactly as report_lines writes it as a whole
+    (until a slot of more frames or a summary line has been read), and
+    every other line on its own, with the same events and messages. Only
+    the events of `kinds` are built and yielded. Comment lines starting
+    with '#' and blank lines are ignored. Summary lines are appended to
+    `stats`, if given, as they are read. A name in `kinds` that is no event
+    kind raises ValueError here, before any line is read. The generator
+    raises ValueError when a line is malformed (numbers are ASCII digits,
+    with no '_' or '+'; sync words are 4 uppercase hex digits), a timestamp
+    decreases, an event follows the summary block, a summary line is not as
+    summary_line writes it, or the summary block (when there is one) misses
+    a node that has events, repeats a node, or disagrees with the events:
+    sent must be the node's tx_start count, received its rx_ok count and
+    lost their difference.
     """
     return _report_events(lines, stats, _wanted(kinds))
 
@@ -491,29 +494,21 @@ def _wanted(kinds: Iterable[str]) -> frozenset[str]:
 
 
 def _blocks(lines):
-    """lines as blocks of whole lines, each ending with "\n": a text file read
-    REPORT_READ_CHARS at a time (a last line with no "\n" gets one), or the
-    batches of REPORT_BATCH_LINES items of another iterable, joined while
-    each item is one line that ends with "\n"; from the first batch that is
-    not, one iterator of the rest of the items, one line each."""
-    if hasattr(lines, "read"):
-        rest = ""  # the part-read last line
-        while chunk := lines.read(REPORT_READ_CHARS):
-            text = rest + chunk
-            cut = text.rfind("\n") + 1
-            if cut:
-                yield text[:cut]
-            rest = text[cut:]
-        if rest:
-            yield rest + "\n"
+    """A text file as blocks of whole lines, each ending with "\n", read
+    REPORT_READ_CHARS at a time (a last line with no "\n" gets one); any
+    other iterable as one iterator of its items, one line each."""
+    if not hasattr(lines, "read"):
+        yield iter(lines)  # an iterator, never a str block, even when lines is a str
         return
-    items = iter(lines)
-    while batch := list(islice(items, REPORT_BATCH_LINES)):
-        text = "".join(batch)
-        if text.count("\n") != len(batch) or not all(map(str.endswith, batch, repeat("\n"))):
-            yield chain(batch, items)
-            return
-        yield text
+    rest = ""  # the part-read last line
+    while chunk := lines.read(REPORT_READ_CHARS):
+        text = rest + chunk
+        cut = text.rfind("\n") + 1
+        if cut:
+            yield text[:cut]
+        rest = text[cut:]
+    if rest:
+        yield rest + "\n"
 
 
 def _lines(block):
@@ -533,12 +528,11 @@ _TILES = "(?:%s)|([^\n]*\n?)" % "\n".join((
 def _report_events(lines, stats, wanted):
     summary: dict[int, tuple[int, NodeStats]] = {}
     words: dict[str, tuple[int, list[int]]] = {}  # sync text -> (sync, [sent, received])
-    tallies: dict[int, list[int]] = {}
     event = partial(tuple.__new__, SimEvent)  # SimEvent(...) minus its Python-level call
     # kind -> (its tally slot: 0 counts tx_start, 1 rx_ok; whether it is built)
     roles = {kind: ({"tx_start": 0, "rx_ok": 1}.get(kind), kind in wanted)
              for kind in EVENT_KINDS}
-    state = summary, words, tallies, roles, event, stats
+    state = summary, words, roles, event, stats
     tiles = re.compile(_TILES).findall  # compiled on first use, then cached by re
     want_open, want_start, want_end, want_close = (
         kind in wanted for kind in ("slot_open", "tx_start", "tx_end", "slot_close"))
@@ -583,12 +577,12 @@ def _report_events(lines, stats, wanted):
                         f"{t2} tx_end {word_text}", f"{t2} {kind} {word_text} {payload}",
                         f"{t3} slot_close {word_text}")
     if summary:
-        _check_summary(summary, tallies)
+        _check_summary(summary, dict(words.values()))  # one text per sync word
 
 
 def _per_line(raws, line_no, last_t, state):
     """Check raws line by line, numbered on from line_no; return (line_no, last_t)."""
-    summary, words, tallies, roles, event, stats = state
+    summary, words, roles, event, stats = state
     for line_no, raw in enumerate(raws, line_no + 1):
         parts = raw.split()
         if not parts or parts[0][0] == "#":
@@ -628,11 +622,10 @@ def _per_line(raws, line_no, last_t, state):
         last_t = t_ns
         word = words.get(sync_text)
         if word is None:
-            sync = parse_sync_word(sync_text)
-            if sync_text != format_sync_word(sync):
+            if not re.fullmatch("[0-9A-F]{4}", sync_text):  # as format_sync_word writes it
                 raise ValueError(f"line {line_no}: sync word must be 4 uppercase hex digits, "
                                  f"got {sync_text!r}")
-            word = words[sync_text] = (sync, tallies.setdefault(sync, [0, 0]))
+            word = words[sync_text] = (int(sync_text, 16), [0, 0])
         sync, tally = word
         slot, built = role
         if slot is not None:

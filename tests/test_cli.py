@@ -764,6 +764,30 @@ class TestUplink:
         assert code == EXIT_DATA
         assert err.startswith(f"error: line {line_no}: malformed number in ")
 
+    @pytest.mark.parametrize("old, new", [
+        (" tx_start A001 ", " tx_start 0_A001 "),  # four tokens: no '_' in the detail
+        ("node A001 ", "node 0_A01 "),
+    ], ids=["event-line", "summary-line"])
+    def test_a_malformed_sync_word_is_a_data_error_naming_its_line(self, capsys, tmp_path,
+                                                                   old, new):
+        report = tmp_path / "report.txt"
+        run(capsys, ["simulate", "--nodes", "2", "--duration-s", "1", "--seed", "5",
+                     "--output", str(report)])
+        lines = report.read_text().splitlines(keepends=True)
+        line_no = next(i for i, line in enumerate(lines, start=1) if old in line)
+        lines[line_no - 1] = lines[line_no - 1].replace(old, new)
+        report.write_text("".join(lines))
+        code, stdout, err = run(capsys, ["uplink", "--report", str(report)])
+        assert code == EXIT_DATA
+        bad = lines[line_no - 1].strip()
+        if old.startswith("node"):  # the summary pass fails before any output
+            assert stdout == ""
+            assert err == f"error: line {line_no}: malformed summary line {bad!r}\n"
+        else:  # the first tx_start line: after the manifest, before any update
+            assert stdout.startswith("# manifest uplink") and stdout.count("\n") == 1
+            assert err == (f"error: line {line_no}: sync word must be 4 uppercase hex "
+                           "digits, got '0_A001'\n")
+
     def test_a_fault_after_more_than_one_batch_keeps_the_clean_logs_first_lines(self, capsys,
                                                                                tmp_path):
         report, tampered = tmp_path / "report.txt", tmp_path / "tampered.txt"

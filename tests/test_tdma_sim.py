@@ -758,9 +758,10 @@ def sample_report_text():
 
 
 def line_forms(text):
-    """text as lines without newlines, read per line, and as newline-terminated
-    lines, which may take the slot-block path."""
-    return text.splitlines(), text.splitlines(keepends=True)
+    """text as lines without newlines, read one item per line, and as a new
+    text file, read as `uplink` reads it, which may take the slot-block path.
+    A read uses the file up, so each read needs a call of its own."""
+    return text.splitlines(), io.StringIO(text)
 
 
 def retell(text, old, new):
@@ -852,9 +853,10 @@ class TestReportChecks:
         "node A001 sent=1 received=1 lost=-0 loss_pct=0",
         "node A001 sent=1 received=1 lost=1 loss_pct=100",  # lost is not sent - received
         "node A001 sent=0 received=1 lost=-1 loss_pct=0",  # received > sent
+        "node 0_A01 sent=1 received=1 lost=0 loss_pct=0",
     ], ids=["loss-pct", "repeated-sent", "bogus", "order", "loss-pct-text", "lost-over-sent",
             "negative-sent", "lowercase-sync-word", "zero-padded-count", "minus-zero-count",
-            "lost-not-sent-minus-received", "received-over-sent"])
+            "lost-not-sent-minus-received", "received-over-sent", "underscore-sync-word"])
     def test_a_summary_line_must_read_as_summary_line_writes_it(self, summary):
         text = f"0 slot_open A001\n0 tx_start A001 84\n5 rx_ok A001 84\n{summary}\n"
         message = f"line 4: malformed summary line {summary!r}"
@@ -871,7 +873,8 @@ class TestReportChecks:
         ("5 tx_end a001", "a001"),  # A001 is already known from lines 1 and 2
         ("5 tx_end A00f", "A00f"),
         ("5 slot_open b002", "b002"),  # a node first seen in lowercase
-    ], ids=["lowercase-known-node", "mixed-case", "lowercase-new-node"])
+        ("5 tx_start 0_A001 84", "0_A001"),  # four tokens: the detail holds no '_'
+    ], ids=["lowercase-known-node", "mixed-case", "lowercase-new-node", "underscore-sync-word"])
     def test_a_sync_word_must_read_as_format_sync_word_writes_it(self, line, word):
         text = f"0 slot_open A001\n0 tx_start A001 84\n{line}\n"
         for kinds in (EVENT_KINDS, ("rx_ok",)):
@@ -901,15 +904,16 @@ class TestReportChecks:
 
     @pytest.mark.parametrize("kinds", [("rx_ok",), (), EVENT_KINDS, ("tx_end", "slot_open")])
     def test_iter_report_builds_only_the_kinds_asked_for(self, kinds):
-        per_line, newline_lines = line_forms(sample_report_text())
+        text = sample_report_text()
         full_stats = []
-        wanted = [event for event in iter_report(per_line, full_stats) if event.kind in kinds]
-        for lines in (per_line, newline_lines):
+        wanted = [event for event in iter_report(text.splitlines(), full_stats)
+                  if event.kind in kinds]
+        for read in (str.splitlines, io.StringIO):  # line_forms, made anew for each read
             stats = []
-            assert list(iter_report(lines, stats, kinds=kinds)) == wanted
+            assert list(iter_report(read(text), stats, kinds=kinds)) == wanted
             assert stats == full_stats and stats
             # a one-shot iterable of kinds is read once, not used up by the check
-            assert list(iter_report(lines, kinds=iter(kinds))) == wanted
+            assert list(iter_report(read(text), kinds=iter(kinds))) == wanted
 
     @pytest.mark.parametrize("kinds", [("rx_okk",), ("rx_ok", "node"), "rx_ok"])
     def test_unknown_kind_raises_on_the_call(self, kinds):
@@ -1070,6 +1074,29 @@ class TestSlotBlockReader:
         assert read_outcome(lines, EVENT_KINDS)[2] == message
         assert_file_reads_as_lines("".join(line + "\n" for line in lines), lines)
 
+    def test_only_the_manifest_first_slots_and_summary_go_per_line_from_a_file(self):
+        nodes = 3
+        lines = simulate_lines(("--sf", "7", "--bw-khz", "500", "--slot-s", "0.05",
+                                "--nodes", str(nodes), "--duration-s", "20", "--drop", "0.3"))
+        text = "".join(line + "\n" for line in lines)
+        assert len(text) < tdma_sim.REPORT_READ_CHARS  # one block
+        per_line, sent = tdma_sim._per_line, []
+
+        def recorded(raws, *rest):
+            raws = [raw.rstrip("\n") for raw in raws]
+            sent.extend(raws)
+            return (yield from per_line(raws, *rest))
+
+        want = read_outcome(lines, EVENT_KINDS)
+        assert want[2] is None
+        with mock.patch.object(tdma_sim, "_per_line", recorded):
+            assert read_outcome(io.StringIO(text), EVENT_KINDS) == want
+        summary = [line for line in lines if line.startswith("node ")]
+        assert lines[0].startswith("# manifest simulate") and len(summary) == nodes
+        # the manifest, each node's first slot (five lines), then the summary lines
+        assert sent == [*lines[:1 + 5 * nodes], *summary]
+        assert len(lines) > 1 + 5 * nodes + 100 + nodes  # over 20 slots taken whole
+
     @pytest.mark.parametrize("newline", ["\r\n", "\r"])
     def test_other_line_ends_read_in_the_default_newline_mode(self, tmp_path, newline):
         lines = sample_report_text().splitlines()
@@ -1088,10 +1115,7 @@ class TestSlotBlockReader:
     def test_newline_lines_read_as_the_per_line_reader_reads_them(self, lines):
         newline_lines = [line + "\n" for line in lines]
         for kinds in (EVENT_KINDS, ("rx_ok",), ()):
-            want = read_outcome(lines, kinds)  # no item is newline-terminated: all per line
-            for batch_lines in (1, 4, 7, 1000):  # slots straddle batches of 1, 4 and 7
-                with mock.patch.object(tdma_sim, "REPORT_BATCH_LINES", batch_lines):
-                    assert read_outcome(newline_lines, kinds) == want, (kinds, batch_lines)
+            assert read_outcome(newline_lines, kinds) == read_outcome(lines, kinds), kinds
 
     @pytest.mark.parametrize("edit", ["earlier", "node", "payload", "comment", "summary"])
     @pytest.mark.parametrize("at", range(10, 15))
@@ -1100,9 +1124,9 @@ class TestSlotBlockReader:
         # lines 10-14 are the third slot, the first one the block path may take
         tampered = tamper_report(lines, edit, at, 1)
         assert tampered != lines
+        text = "".join(line + "\n" for line in tampered)
         for kinds in (EVENT_KINDS, ("rx_ok",), ()):
-            assert (read_outcome([line + "\n" for line in tampered], kinds)
-                    == read_outcome(tampered, kinds))
+            assert read_outcome(io.StringIO(text), kinds) == read_outcome(tampered, kinds)
 
     def test_items_that_are_not_one_line_each_are_read_per_line(self):
         text = sample_report_text()
@@ -1112,7 +1136,8 @@ class TestSlotBlockReader:
             list(iter_report(pairs))
         assert list(iter_report([*lines[:-1], lines[-1].rstrip("\n")])) == list(
             iter_report(lines))
-        # a NUL in an item would let a block span items, were items with one not read per line
+        # an item is one line whatever it holds: a slot whose first two lines share
+        # one item, joined by a NUL, is refused at that item, line 6
         slot = ["0 slot_open A001\n", "0 tx_start A001 84\n", "5 tx_end A001\n",
                 "5 rx_ok A001 84\n", "9 slot_close A001\n"]
         later = [f"1{line}" for line in slot]  # the same slot 10 ns on
@@ -1131,7 +1156,8 @@ class TestSlotBlockReader:
                     if parts[token] == old:
                         parts[token] = "9" * 5000
                         tampered[i] = " ".join(parts)
-                assert (read_outcome([line + "\n" for line in tampered], EVENT_KINDS)
+                text = "".join(line + "\n" for line in tampered)
+                assert (read_outcome(io.StringIO(text), EVENT_KINDS)
                         == read_outcome(tampered, EVENT_KINDS))
 
     def test_peak_memory_of_a_drain_does_not_grow_with_the_horizon(self, tmp_path):

@@ -500,14 +500,14 @@ def _blocks(lines):
     if not hasattr(lines, "read"):
         yield iter(lines)  # an iterator, never a str block, even when lines is a str
         return
-    rest = ""  # the part-read last line
+    parts = []  # the pieces of the part-read last line, joined once it ends
     while chunk := lines.read(REPORT_READ_CHARS):
-        text = rest + chunk
-        cut = text.rfind("\n") + 1
+        cut = chunk.rfind("\n") + 1
         if cut:
-            yield text[:cut]
-        rest = text[cut:]
-    if rest:
+            yield "".join((*parts, chunk[:cut]))
+            parts = []
+        parts.append(chunk[cut:])
+    if rest := "".join(parts):
         yield rest + "\n"
 
 

@@ -7,7 +7,8 @@ Formatting is pure; actual delivery goes through a transport. The
 DryRunTransport only writes request lines to a sink the caller gives, so
 nothing here performs network I/O unless an HttpTransport is constructed.
 Its send_all writes strings of whole lines, each line built from a cached
-(key, field) head, the value and the stamp of its second; send writes one.
+(key, field) head, the value and the stamp of its second, which joins the
+text of its UTC minute (formatted once) and two digits; send writes one.
 """
 
 from __future__ import annotations
@@ -71,7 +72,6 @@ class ChannelUpdate(_UpdateFields):
         return tuple.__new__(cls, (api_key, fields, created_at))
 
 
-@lru_cache(maxsize=256)
 def iso_utc(moment: datetime) -> str:
     """UTC ISO-8601 at second resolution with a Z suffix and a 4-digit year."""
     return moment.astimezone(timezone.utc).isoformat(timespec="seconds").replace("+00:00", "Z")
@@ -93,14 +93,25 @@ def _value(value: float | int | str) -> int | str:
         value if isinstance(value, str) else format_decimal(value))
 
 
+@lru_cache(maxsize=64)
+def _minute(year: int, month: int, day: int, hour: int, minute: int) -> tuple[str, str]:
+    """An iso_utc stamp up to its seconds, 'YYYY-MM-DDTHH:MM:', as it is and
+    as a query's '&created_at=' tail."""
+    head = iso_utc(datetime(year, month, day, hour, minute, tzinfo=timezone.utc))[:-3]
+    # of the characters in an iso_utc stamp, quote changes only ':'
+    return head, "&created_at=" + head.replace(":", "%3A")
+
+
 def _stamp(created_at: datetime | None) -> tuple[str, str]:
     """A dry-run line's '<iso_utc> UPLINK GET ' lead and its query's created_at
-    tail; with no created_at, the current UTC time and no tail."""
+    tail; with no created_at, the current UTC time and no tail. Each UTC
+    minute is formatted once; a second adds its two digits and 'Z'."""
     if created_at is None:
         return f"{iso_utc(datetime.now(timezone.utc))} UPLINK GET ", ""
-    stamp = iso_utc(created_at)
-    # of the characters in an iso_utc stamp, quote changes only ':'
-    return f"{stamp} UPLINK GET ", f"&created_at={stamp.replace(':', '%3A')}"
+    utc = created_at.astimezone(timezone.utc)
+    head, tail = _minute(utc.year, utc.month, utc.day, utc.hour, utc.minute)
+    second = "%02dZ" % utc.second
+    return f"{head}{second} UPLINK GET ", tail + second
 
 
 def format_update(update: ChannelUpdate) -> str:
@@ -143,7 +154,8 @@ def iter_bridge(
 
 def _updates(events, targets, epoch):
     update = partial(tuple.__new__, ChannelUpdate)  # ChannelUpdate(...) minus its checks
-    second = created_at = None
+    one = timedelta(seconds=1)
+    second, created_at = 0, epoch
     for t_ns, kind, sync, detail in events:
         if kind != "rx_ok":
             continue
@@ -154,9 +166,9 @@ def _updates(events, targets, epoch):
         if detail is None:
             raise InvalidUpdateError(f"rx_ok event at {t_ns} ns carries no payload value")
         if t_ns // 1_000_000_000 != second:  # updates of one second share one created_at
-            second = t_ns // 1_000_000_000
-            try:
-                created_at = epoch + timedelta(seconds=second)
+            step, second = t_ns // 1_000_000_000 - second, t_ns // 1_000_000_000
+            try:  # the next second is one step on: the same instant, about 10x cheaper
+                created_at = created_at + one if step == 1 else epoch + timedelta(seconds=second)
             except OverflowError:
                 raise ValueError(f"rx_ok event at {t_ns} ns falls after the year 9999 "
                                  f"from epoch {iso_utc(epoch)}") from None

@@ -793,6 +793,7 @@ class TestReportChecks:
         lambda t: t + [l for l in t.splitlines() if l.startswith("node A001")][0] + "\n",
         lambda t: t + "99000000000 slot_open A001\n",
         lambda t: swap(t, 1, 2),
+        lambda t: retell(t, "0 slot_open A001", lambda l: "1" + l[1:]),  # 1 ns back
         # int() reads each of these edits as the number it replaces
         lambda t: retell(t, "0 tx_start A001", lambda l: l.replace(" 84", " 8_4")),
         lambda t: retell(t, "0 tx_start A001", lambda l: l.replace(" 84", " \u0668\u0664")),
@@ -802,7 +803,7 @@ class TestReportChecks:
         lambda t: retell(t, "0 tx_start A001", lambda l: l.replace(" 84", " +84")),
         lambda t: retell(t, "node A002", lambda l: l.replace(" sent=5", " sent=+5")),
     ], ids=["sent", "received", "lost", "missing-node", "repeated-node",
-            "event-after-summary", "decreasing-time", "event-digit-separator",
+            "event-after-summary", "decreasing-time", "one-ns-earlier", "event-digit-separator",
             "event-non-ascii-digits", "summary-digit-separator", "summary-non-ascii-digits",
             "plus-timestamp", "plus-detail", "plus-summary-count"])
     def test_tampered_report_is_rejected(self, tamper):
@@ -1159,6 +1160,40 @@ class TestSlotBlockReader:
                 text = "".join(line + "\n" for line in tampered)
                 assert (read_outcome(io.StringIO(text), EVENT_KINDS)
                         == read_outcome(tampered, EVENT_KINDS))
+
+    def test_a_read_costs_time_linear_in_the_length_of_a_line(self, tmp_path):
+        lines = simulate_lines(("--nodes", "2", "--duration-s", "3", "--drop", "0.3",
+                                "--seed", "5"))
+
+        def best_read_s(chars, read):
+            path = tmp_path / f"{chars}.txt"
+            # one comment line of `chars` characters after the manifest
+            path.write_text("".join(line + "\n" for line in (lines[0], "#" * chars, *lines[1:])),
+                            encoding="utf-8")
+            best = math.inf
+            for _ in range(3):
+                start = time.perf_counter()
+                read(path)
+                best = min(best, time.perf_counter() - start)
+            return best
+
+        def summary(path):
+            with open(path, encoding="utf-8") as report:
+                read_summary(report)
+
+        def events(path):
+            with open(path, encoding="utf-8") as report:
+                deque(iter_report(report), maxlen=0)
+
+        def uplink(path):
+            assert main(["uplink", "--report", str(path),
+                         "--output", str(tmp_path / "u.log")]) == EXIT_OK
+
+        with mock.patch.object(tdma_sim, "REPORT_READ_CHARS", 16):
+            for read in (summary, events, uplink):
+                short, long = best_read_s(2 ** 16, read), best_read_s(2 ** 18, read)
+                # 4x the line: about 4x the time when linear, about 16x when quadratic
+                assert long < 8 * short, (read.__name__, short, long)
 
     def test_peak_memory_of_a_drain_does_not_grow_with_the_horizon(self, tmp_path):
         schedule = SlotSchedule(make_nodes(8, [0.3] * 8), 0.02, 0.001)

@@ -4,7 +4,7 @@ from datetime import datetime, timedelta, timezone
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from loralink import tdma_sim, uplink_bridge
@@ -24,6 +24,10 @@ from loralink.uplink_bridge import (
 )
 
 UTC = timezone.utc
+
+_ROLLOVERS = [datetime(1, 1, 1, 0, 0, 1), datetime(2024, 3, 1, 5, 59, 59),
+              datetime(2024, 2, 29, 23, 59, 59), datetime(1999, 12, 31, 23, 59, 59),
+              datetime(9999, 12, 31, 23, 59, 58)]
 
 
 def reference_request(api_key, index, text, created_at):
@@ -240,21 +244,57 @@ class TestFormattingCost:
         assert len(lines) >= 200 and all("created_at=" in line for line in lines)
         assert sorted(calls) == sorted(set(keys))
 
-    def test_stamp_formatted_once_per_second(self, tmp_path):
+    def test_a_minute_is_formatted_once_and_a_second_stamped_once(self, tmp_path,
+                                                                  monkeypatch):
         report, log = tmp_path / "report.txt", tmp_path / "u.log"
-        assert main(["simulate", "--nodes", "3", "--duration-s", "60", "--seed", "2",
+        assert main(["simulate", "--nodes", "3", "--duration-s", "150", "--seed", "2",
                      "--output", str(report)]) == EXIT_OK
-        epoch = datetime(2024, 3, 1, 10, 0, tzinfo=timezone(timedelta(hours=5, minutes=30)))
-        iso_utc.cache_clear()
+        # 05:29:30 UTC: the run's seconds fall in three UTC minutes
+        epoch = datetime(2024, 3, 1, 10, 59, 30, tzinfo=timezone(timedelta(hours=5, minutes=30)))
+        calls = {"iso_utc": 0, "_stamp": 0}
+
+        def counted(name):
+            function = getattr(uplink_bridge, name)
+
+            def count(*args):
+                calls[name] += 1
+                return function(*args)
+            monkeypatch.setattr(uplink_bridge, name, count)
+
+        counted("iso_utc")
+        counted("_stamp")
+        uplink_bridge._minute.cache_clear()  # minutes formatted by earlier tests count here too
         assert main(["uplink", "--report", str(report), "--epoch", epoch.isoformat(),
                      "--output", str(log)]) == EXIT_OK
-        misses = iso_utc.cache_info().misses
         key_map = {sync: ("DRYRUN", i + 1) for i, sync in enumerate((0xA001, 0xA002, 0xA003))}
         with open(report, encoding="utf-8") as handle:
             created = [u.created_at for u in iter_bridge(tdma_sim.iter_report(handle), key_map,
                                                          epoch)]
         assert epoch in created  # an update in second 0 has the epoch's own instant
-        assert misses == len({epoch, *created}) < len(created)
+        minutes = {moment.astimezone(UTC).replace(second=0) for moment in created}
+        assert len(minutes) == 3
+        # each minute once, and the epoch once for the manifest
+        assert calls["iso_utc"] == len(minutes) + 1
+        assert calls["_stamp"] == len(set(created)) < len(created)
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(utc=st.one_of(
+               st.datetimes(min_value=datetime(1, 1, 1), max_value=datetime.max),
+               # a second either side of a minute, hour, day (Feb 29) and year rollover,
+               # and the ends of years 1 and 9999
+               st.builds(lambda edge, seconds, micros: edge + timedelta(seconds=seconds,
+                                                                        microseconds=micros),
+                         st.sampled_from(_ROLLOVERS), st.integers(-1, 1),
+                         st.integers(0, 999_999))),
+           offset=st.integers(-86_399, 86_399))
+    def test_a_stamp_reads_as_iso_utc(self, utc, offset):
+        try:
+            moment = utc.replace(tzinfo=UTC).astimezone(timezone(timedelta(seconds=offset)))
+        except OverflowError:  # the local time falls outside years 1 to 9999
+            assume(False)
+        stamp = iso_utc(moment)
+        assert uplink_bridge._stamp(moment) == (
+            f"{stamp} UPLINK GET ", "&created_at=" + stamp.replace(":", "%3A"))
 
 
 class TestBridge:
@@ -273,6 +313,17 @@ class TestBridge:
         updates = bridge_sim_report(hand_report(), KEY_MAP, epoch=epoch)
         assert updates[0].created_at == datetime(2024, 5, 1, 0, 0, 1, tzinfo=UTC)
         assert updates[3].created_at == datetime(2024, 5, 1, 0, 0, 7, tzinfo=UTC)
+
+    def test_the_first_update_of_a_second_has_that_second(self):
+        # the last and the first nanosecond of a second, one second on from the
+        # last update and two or more seconds on
+        times = [999_999_999, 1_000_000_000, 2_999_999_999, 4_999_999_999, 7_000_000_000,
+                 8_000_000_000, 8_999_999_999, 11_999_999_999]
+        timeline = [SimEvent(t, "rx_ok", 0xA001, 5) for t in times]
+        epoch = datetime(2024, 3, 1, 10, 0, 0, 250_000,
+                         tzinfo=timezone(timedelta(hours=5, minutes=30)))
+        created = [u.created_at for u in iter_bridge(timeline, KEY_MAP, epoch)]
+        assert created == [epoch + timedelta(seconds=t // 10**9) for t in times]
 
     def test_empty_report_gives_no_updates(self):
         report = SimReport(timeline=(), stats=())
